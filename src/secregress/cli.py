@@ -70,7 +70,7 @@ from .protocols.config import (
 )
 from .ring import FixedPointConfig, decode_raw
 from .rng import CounterDrbg
-from .smm import TriplePool, generate_triple, write_triples
+from .smm import TriplePool
 from .transport import TcpSession, loopback_sessions
 
 # Engines running consecutive CV folds over one session space their frame
@@ -1098,21 +1098,6 @@ def _provision_pools(spec: RunSpec, needs: dict) -> list[TriplePool]:
     return [TriplePool.from_triples(triples) for _ in range(spec.parties)]
 
 
-def _cmd_triplegen(args) -> int:
-    try:
-        dims = tuple(int(v) for v in args.dims.split("x"))
-    except ValueError:
-        raise ConfigFileError(f"--dims wants XxYxZ, got {args.dims!r}")
-    if len(dims) != 3 or any(v < 1 for v in dims):
-        raise ConfigFileError(f"--dims wants three positive sizes")
-    rng = CounterDrbg(args.seed, label="trusted-initializer")
-    triples = [generate_triple(*dims, rng.child("triple", *dims, i))
-               for i in range(args.count)]
-    write_triples(args.out, triples)
-    print(f"wrote {args.count} {args.dims} triples to {args.out}")
-    return 0
-
-
 def _cmd_partition(args) -> int:
     X, y, names = load_csv(args.csv, args.label)
     X = np.asarray(X, dtype=np.float64)
@@ -1206,13 +1191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", default="bench")
     b.add_argument("--out")
 
-    g = sub.add_parser("triplegen", help="write a multiplication triple "
-                                         "file")
-    g.add_argument("--dims", required=True, help="XxYxZ")
-    g.add_argument("--count", type=int, required=True)
-    g.add_argument("--seed", default="triplegen")
-    g.add_argument("--out", required=True)
-
     c = sub.add_parser("partition", help="split a CSV into per-party "
                                          "slices")
     c.add_argument("--csv", required=True)
@@ -1230,7 +1208,6 @@ _VERBS = {
     "train": _cmd_train,
     "report": _cmd_report,
     "bench": _cmd_bench,
-    "triplegen": _cmd_triplegen,
     "partition": _cmd_partition,
 }
 

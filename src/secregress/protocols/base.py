@@ -187,11 +187,11 @@ class _EngineBase:
         r = self._next_round()
         if self.cfg.smm_variant == "smm1":
             if self.me == a:
-                half = self.pool.take(x, y, z).half(0)
+                half = self.pool.take(x, y, z, side=0)
                 return smm1_x(self.s, b, mine, half, r,
                               truncate_result=False, cfg=self.fx)
             if self.me == b:
-                half = self.pool.take(x, y, z).half(1)
+                half = self.pool.take(x, y, z, side=1)
                 return smm1_y(self.s, a, mine, half, r,
                               truncate_result=False, cfg=self.fx)
             self.pool.skip(x, y, z)
@@ -210,10 +210,10 @@ class _EngineBase:
         r = self._next_round()
         if self.cfg.smm_variant == "smm1":
             if self.me == a:
-                half = self.pool.take_elem(n_elems).half(0)
+                half = self.pool.take_elem(n_elems, side=0)
                 return smm1_elem_x(self.s, b, mine, half, r)
             if self.me == b:
-                half = self.pool.take_elem(n_elems).half(1)
+                half = self.pool.take_elem(n_elems, side=1)
                 return smm1_elem_y(self.s, a, mine, half, r)
             self.pool.skip_elem(n_elems)
             return None

@@ -190,7 +190,7 @@ def horizontal_triple_needs(cfg: TrainingConfig, task: str, n_parties: int,
     """Triple shapes and counts one horizontal run draws from a pool.
 
     Every party consumes (or skips past) the same sequence, so these counts
-    size a replayed file pool for any single party. Elementwise entries
+    size a stocked pool for any single party. Elementwise entries
     only apply to the logistic task.
     """
     b, t, n, d = cfg.batch_size, cfg.iterations, n_parties, n_features

@@ -1,16 +1,25 @@
 """Deterministic random generation for shares and masks.
 
-Every random matrix in the protocols comes from a CounterDrbg: a SHA-256
-counter generator keyed by a seed plus a derivation path. Runs are
-reproducible from the seeds recorded in the run manifest, which is what the
-transport-equivalence and oracle-equivalence tests rely on. For an actual
-deployment the per-party seeds would come from OS entropy instead; the
-generator itself is unchanged.
+Every random matrix in the protocols comes from a CounterDrbg: a SHAKE-256
+(FIPS 202) counter generator keyed by a seed plus a derivation path. Runs
+are reproducible from the seeds recorded in the run manifest, which is what
+the transport-equivalence and oracle-equivalence tests rely on. For an
+actual deployment the per-party seeds would come from OS entropy instead;
+the generator itself is unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
+
+import numpy as np
+
+# Bytes of XOF output per counter block. Fixed: it is part of the stream's
+# definition, so changing it changes every word drawn.
+CHUNK = 4096
+_WORDS = CHUNK // 8
+_unpack_u64 = struct.Struct("<Q").unpack_from
 
 
 def _seed_bytes(seed: int | str | bytes) -> bytes:
@@ -25,9 +34,15 @@ def _seed_bytes(seed: int | str | bytes) -> bytes:
 
 
 class CounterDrbg:
-    """SHA-256 in counter mode: block i = H(key || i), 4 u64 words per block."""
+    """SHAKE-256 in counter mode over a derived 32-byte key.
 
-    __slots__ = ("_key", "_counter", "_buf", "_pos")
+    Chunk c of the stream is SHAKE-256(key || c as 8 big-endian bytes),
+    CHUNK bytes long, read as little-endian u64 words. Word i of the stream
+    is word i % (CHUNK/8) of chunk i // (CHUNK/8), however the stream is
+    consumed: any mix of u64, u64_list and skip yields the same words.
+    """
+
+    __slots__ = ("_key", "_pos", "_chunk", "_buf")
 
     def __init__(self, seed: int | str | bytes, label: str = ""):
         h = hashlib.sha256()
@@ -35,10 +50,13 @@ class CounterDrbg:
         h.update(_seed_bytes(seed))
         h.update(b"\x00")
         h.update(label.encode("utf-8"))
-        self._key = h.digest()
-        self._counter = 0
+        self._start(h.digest())
+
+    def _start(self, key: bytes) -> None:
+        self._key = key
+        self._pos = 0        # index of the next word in the stream
+        self._chunk = -1     # index of the chunk held in _buf
         self._buf = b""
-        self._pos = 0
 
     def child(self, label: str, *indices: int) -> "CounterDrbg":
         """Derive an independent generator for a named subcontext.
@@ -53,47 +71,39 @@ class CounterDrbg:
         for ix in indices:
             h.update(ix.to_bytes(8, "little", signed=True))
         out = object.__new__(CounterDrbg)
-        out._key = h.digest()
-        out._counter = 0
-        out._buf = b""
-        out._pos = 0
+        out._start(h.digest())
         return out
 
-    def _refill(self) -> None:
-        h = hashlib.sha256()
-        h.update(self._key)
-        h.update(self._counter.to_bytes(8, "big"))
-        self._buf = h.digest()
-        self._pos = 0
-        self._counter += 1
+    def _block(self, c: int) -> bytes:
+        return hashlib.shake_256(self._key + c.to_bytes(8, "big")).digest(
+            CHUNK)
 
     def u64(self) -> int:
-        if self._pos >= 32:
-            self._refill()
-        elif not self._buf:
-            self._refill()
-        word = int.from_bytes(self._buf[self._pos:self._pos + 8], "little")
-        self._pos += 8
-        return word
+        c, off = divmod(self._pos, _WORDS)
+        if c != self._chunk:
+            self._buf = self._block(c)
+            self._chunk = c
+        self._pos += 1
+        return _unpack_u64(self._buf, 8 * off)[0]
 
     def u64_list(self, n: int) -> list[int]:
-        out = []
-        append = out.append
-        buf = self._buf
-        pos = self._pos
-        key = self._key
-        counter = self._counter
-        while len(out) < n:
-            if pos >= 32 or not buf:
-                buf = hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-                counter += 1
-                pos = 0
-            append(int.from_bytes(buf[pos:pos + 8], "little"))
-            pos += 8
-        self._buf = buf
-        self._pos = pos
-        self._counter = counter
-        return out
+        """The next n words, cut from whole chunks in one numpy read."""
+        if n <= 0:
+            return []
+        first, off = divmod(self._pos, _WORDS)
+        last = (self._pos + n - 1) // _WORDS
+        parts = [self._buf if first == self._chunk else self._block(first)]
+        parts.extend(self._block(c) for c in range(first + 1, last + 1))
+        self._buf = parts[-1]
+        self._chunk = last
+        self._pos += n
+        data = parts[0] if len(parts) == 1 else b"".join(parts)
+        return np.frombuffer(data, "<u8", count=n, offset=8 * off).tolist()
+
+    def skip(self, n: int) -> None:
+        """Advance past n words without generating the chunks they fill."""
+        if n > 0:
+            self._pos += n
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection sampling."""

@@ -31,11 +31,10 @@ keep the raw 2f output and truncate after aggregation.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 
-from .errors import DeserializeError, DimensionMismatch, TripleExhausted
+from .errors import DimensionMismatch, TripleExhausted
 from .ring import (
     DEFAULT_CONFIG,
     RingMatrix,
@@ -164,6 +163,20 @@ def generate_elem_triple(n: int, rng) -> Triple:
                   w1, mat_sub(w, w1))
 
 
+def _half0(rng, u_shape: tuple[int, int], v_shape: tuple[int, int],
+           w_shape: tuple[int, int]) -> TripleHalf:
+    """Side 0's half of a triple, drawn straight from the triple's stream.
+
+    Both generators above draw U and V first, then side 0's (U1, V1, W1);
+    skipping the words of U and V lands on side 0's, with no ring product
+    and no subtraction.
+    """
+    (ur, uc), (vr, vc), (wr, wc) = u_shape, v_shape, w_shape
+    rng.skip(ur * uc + vr * vc)
+    return TripleHalf(uniform_matrix(ur, uc, rng), uniform_matrix(vr, vc, rng),
+                      uniform_matrix(wr, wc, rng))
+
+
 def verify_triple(t: Triple, elementwise: bool = False) -> bool:
     u = mat_add(t.u1, t.u2)
     v = mat_add(t.v1, t.v2)
@@ -172,55 +185,16 @@ def verify_triple(t: Triple, elementwise: bool = False) -> bool:
     return prod == w
 
 
-TRIPLE_MAGIC = b"SMM1TRPL"
-TRIPLE_VERSION = 1
-
-
-def write_triples(path: str, triples: list[Triple]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(TRIPLE_MAGIC)
-        fh.write(struct.pack("<HI", TRIPLE_VERSION, len(triples)))
-        for t in triples:
-            for m in (t.u1, t.u2, t.v1, t.v2, t.w1, t.w2):
-                fh.write(m.to_bytes())
-
-
-def _read_matrix(fh) -> RingMatrix:
-    head = fh.read(8)
-    if len(head) != 8:
-        raise DeserializeError("triple file truncated")
-    rows, cols = struct.unpack("<II", head)
-    body = fh.read(8 * rows * cols)
-    return RingMatrix.from_bytes(head + body)
-
-
-def read_triples(path: str) -> list[Triple]:
-    with open(path, "rb") as fh:
-        if fh.read(8) != TRIPLE_MAGIC:
-            raise DeserializeError("not a triple file")
-        head = fh.read(6)
-        if len(head) != 6:
-            raise DeserializeError("triple file truncated")
-        version, count = struct.unpack("<HI", head)
-        if version != TRIPLE_VERSION:
-            raise DeserializeError(f"unsupported triple file version {version}")
-        out = []
-        for _ in range(count):
-            mats = [_read_matrix(fh) for _ in range(6)]
-            out.append(Triple(*mats))
-        if fh.read(1):
-            raise DeserializeError("trailing bytes after last triple")
-        return out
-
-
 class TriplePool:
-    """Hands out triples by dimension.
+    """Hands out triples, or one side's half of them, by dimension.
 
     Seed-backed pools derive triple i for given dims from a fixed path, so
     two parties built from the same seed draw identical triples and each
     keeps its half; this stands in for the initializer's offline delivery.
-    File-backed pools replay a triple file FIFO and raise TripleExhausted
-    when a requested shape runs out.
+    Asked for side 0 only, they derive just (U1, V1, W1); side 1's half
+    needs U, V and W = U*V, so it is cut from the whole triple.
+    Stocked pools (from_triples) replay the given triples FIFO and raise
+    TripleExhausted when a requested shape runs out.
     """
 
     def __init__(self):
@@ -248,28 +222,45 @@ class TriplePool:
             pool._stock.setdefault(t.dims, []).append(t)
         return pool
 
-    def take(self, x: int, y: int, z: int) -> Triple:
+    def take(self, x: int, y: int, z: int,
+             side: int | None = None) -> Triple | TripleHalf:
+        """The next x by y by z triple; with side, only that side's half."""
         key = (x, y, z)
         n = self.consumed.get(key, 0)
         self.consumed[key] = n + 1
-        if self._rng is not None:
-            t0 = time.thread_time()
-            out = generate_triple(x, y, z, self._rng.child("triple", x, y, z, n))
-            self.gen_seconds += time.thread_time() - t0
-            return out
-        stock = self._stock.get(key)
-        if not stock:
-            raise TripleExhausted(f"no triple of shape {x}x{y}x{z} left")
-        return stock.pop(0)
+        if self._rng is None:
+            stock = self._stock.get(key)
+            if not stock:
+                raise TripleExhausted(f"no triple of shape {x}x{y}x{z} left")
+            out = stock.pop(0)
+            return out if side is None else out.half(side)
+        t0 = time.thread_time()
+        rng = self._rng.child("triple", x, y, z, n)
+        if side == 0:
+            out = _half0(rng, (x, y), (y, z), (x, z))
+        else:
+            out = generate_triple(x, y, z, rng)
+            if side is not None:
+                out = out.half(side)
+        self.gen_seconds += time.thread_time() - t0
+        return out
 
-    def take_elem(self, n_elems: int) -> Triple:
+    def take_elem(self, n_elems: int,
+                  side: int | None = None) -> Triple | TripleHalf:
+        """The next elementwise triple over n_elems entries, or one half."""
         key = ("elem", n_elems)
         n = self.consumed.get(key, 0)
         self.consumed[key] = n + 1
         if self._rng is None:
-            raise TripleExhausted("file pools hold no elementwise triples")
+            raise TripleExhausted("stocked pools hold no elementwise triples")
         t0 = time.thread_time()
-        out = generate_elem_triple(n_elems, self._rng.child("etriple", n_elems, n))
+        rng = self._rng.child("etriple", n_elems, n)
+        if side == 0:
+            out = _half0(rng, (n_elems, 1), (n_elems, 1), (n_elems, 1))
+        else:
+            out = generate_elem_triple(n_elems, rng)
+            if side is not None:
+                out = out.half(side)
         self.gen_seconds += time.thread_time() - t0
         return out
 

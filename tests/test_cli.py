@@ -29,7 +29,6 @@ from secregress.protocols import (
     horizontal_triple_needs,
     vertical_triple_needs,
 )
-from secregress.smm import read_triples, verify_triple
 
 BASE_SPEC = {
     "task": "LiRe",
@@ -386,22 +385,6 @@ def test_main_plaintext_train_verb(tmp_path, capsys):
     assert cli.main(["train", "--spec", str(path)]) == 0
     out = capsys.readouterr().out
     assert "LiRe" in out and "rmse" in out
-
-
-# -- triplegen ---------------------------------------------------------------
-
-def test_triplegen_round_trip(tmp_path):
-    out = tmp_path / "pool.bin"
-    rc = cli.main(["triplegen", "--dims", "4x3x2", "--count", "5",
-                   "--seed", "tg", "--out", str(out)])
-    assert rc == 0
-    triples = read_triples(str(out))
-    assert len(triples) == 5
-    for t in triples:
-        assert t.dims == (4, 3, 2)
-        verify_triple(t)
-    assert cli.main(["triplegen", "--dims", "4x-1x2", "--count", "1",
-                     "--out", str(out)]) == 2
 
 
 # -- report ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from secregress.protocols import (
 from secregress.ring import FixedPointConfig, RingMatrix
 from secregress.rng import CounterDrbg
 from secregress.sharing import reconstruct, share_matrix
-from secregress.smm import TriplePool, generate_triple, read_triples, write_triples
+from secregress.smm import TriplePool, generate_triple
 from secregress.transport import TransportError, loopback_sessions
 
 ULP = 2.0 ** -20
@@ -467,7 +467,7 @@ def test_variants_land_on_the_same_model():
     assert max_drift(out["smm1"], out["smm2"]) <= 2 * TOL
 
 
-# -- triple accounting and file pools --------------------------------------
+# -- triple accounting and stocked pools -----------------------------------
 
 def test_triple_draws_match_the_projection():
     X, y = make_classification_data(40, 3, seed=81)
@@ -510,7 +510,8 @@ def test_vertical_triple_draws_match_the_projection():
         assert pool.consumed == need
 
 
-def test_file_pool_replay_and_exhaustion(tmp_path):
+def test_file_pool_replay_and_exhaustion():
+    # a stocked pool replays its triples FIFO and starves when one is short
     X, y = make_regression_data(20, 2, seed=91)
     cfg = TrainingConfig(learning_rate=0.1, batch_size=4, iterations=6,
                          seed="filepool")
@@ -521,15 +522,13 @@ def test_file_pool_replay_and_exhaustion(tmp_path):
         for i in range(count):
             triples.append(generate_triple(x_dim, y_dim, z_dim,
                                            gen.child("t", x_dim, y_dim, i)))
-    path = tmp_path / "pool.bin"
-    write_triples(str(path), triples)
 
     parts = split_rows([list(r) for r in X], list(y), [12])
     fns = [
         (lambda s, xi=xi, yi=yi:
          train_horizontal_linear(
              s, xi, yi, cfg,
-             pool=TriplePool.from_triples(read_triples(str(path)))))
+             pool=TriplePool.from_triples(triples)))
         for xi, yi in parts
     ]
     res = run_parties(2, cfg, fns)
@@ -541,7 +540,7 @@ def test_file_pool_replay_and_exhaustion(tmp_path):
         (lambda s, xi=xi, yi=yi:
          train_horizontal_linear(
              s, xi, yi, cfg,
-             pool=TriplePool.from_triples(read_triples(str(path))[:-1])))
+             pool=TriplePool.from_triples(triples[:-1])))
         for xi, yi in parts
     ]
     with pytest.raises(TripleExhausted):

@@ -1,10 +1,14 @@
 """Deterministic generator: reproducibility, child independence, ranges."""
 
 import collections
+import hashlib
+import struct
 
 import pytest
 
-from secregress.rng import CounterDrbg
+from secregress.rng import CHUNK, CounterDrbg
+
+W = CHUNK // 8
 
 
 def test_same_seed_same_stream():
@@ -96,3 +100,47 @@ def test_byte_uniformity_coarse():
     counts = collections.Counter(x & 0xFF for x in r.u64_list(64000))
     assert len(counts) == 256
     assert max(counts.values()) < 2 * min(counts.values())
+
+
+def _shake_words(key, chunk, first, count):
+    block = hashlib.shake_256(key + chunk.to_bytes(8, "big")).digest(CHUNK)
+    return list(struct.unpack_from(f"<{count}Q", block, 8 * first))
+
+
+def test_known_answer_from_the_derivation_path():
+    # the stream spelled out with hashlib alone, not through the class
+    key = hashlib.sha256(b"secregress.drbg.v1\x00" + b"i"
+                         + (0).to_bytes(16, "little", signed=True)
+                         + b"\x00").digest()
+    r = CounterDrbg(0)
+    assert r.u64_list(4) == _shake_words(key, 0, 0, 4)
+    r.skip(W - 5)
+    assert r.u64_list(3) == (_shake_words(key, 0, W - 1, 1)
+                             + _shake_words(key, 1, 0, 2))
+    child_key = hashlib.sha256(b"secregress.child.v1\x00" + key + b"triple"
+                               + (3).to_bytes(8, "little", signed=True)
+                               + (-1).to_bytes(8, "little", signed=True)
+                               ).digest()
+    c = CounterDrbg(0).child("triple", 3, -1)
+    assert [c.u64() for _ in range(2)] == _shake_words(child_key, 0, 0, 2)
+
+
+@pytest.mark.parametrize("first", ["u64", "list", "skip"])
+def test_stream_is_independent_of_how_it_is_read(first):
+    sizes = [0, 1, W - 1, W, W + 1, 3 * W + 5]
+    sizes += sizes[::-1]
+    ref = CounterDrbg(77).u64_list(sum(sizes) + 1)
+    ops = ["u64", "list", "skip"]
+    start = ops.index(first)
+    r = CounterDrbg(77)
+    pos = 0
+    for i, n in enumerate(sizes):
+        op = ops[(start + i) % 3]
+        if op == "skip":
+            r.skip(n)
+        else:
+            got = ([r.u64() for _ in range(n)] if op == "u64"
+                   else r.u64_list(n))
+            assert got == ref[pos:pos + n], (op, n, pos)
+        pos += n
+    assert r.u64() == ref[pos]

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from secregress.errors import (
-    DeserializeError,
     DimensionMismatch,
     MalformedTranscript,
     TripleExhausted,
@@ -29,7 +28,6 @@ from secregress.smm import (
     generate_triple,
     leakage_of_x,
     leakage_of_y,
-    read_triples,
     simulate_view,
     smm1_elem_x,
     smm1_elem_y,
@@ -40,7 +38,6 @@ from secregress.smm import (
     smm2_x,
     smm2_y,
     verify_triple,
-    write_triples,
 )
 from secregress.transport import loopback_sessions
 
@@ -98,33 +95,6 @@ def test_elem_triple():
         Triple(t.u1, t.u2, t.v1, t.v2, t.w1, t.u2), elementwise=True)
 
 
-def test_triple_file_roundtrip(tmp_path):
-    path = str(tmp_path / "pool.bin")
-    rng = CounterDrbg("tfile")
-    triples = [generate_triple(2, 3, 1, rng) for _ in range(5)]
-    triples += [generate_triple(4, 4, 4, rng) for _ in range(2)]
-    write_triples(path, triples)
-    back = read_triples(path)
-    assert back == triples
-    with open(path, "rb") as fh:
-        assert fh.read(8) == b"SMM1TRPL"
-
-
-def test_triple_file_rejects_corruption(tmp_path):
-    path = str(tmp_path / "bad.bin")
-    write_triples(path, [generate_triple(1, 1, 1, CounterDrbg(1))])
-    data = open(path, "rb").read()
-    open(path, "wb").write(b"XXXX" + data[4:])
-    with pytest.raises(DeserializeError):
-        read_triples(path)
-    open(path, "wb").write(data[:-4])
-    with pytest.raises(DeserializeError):
-        read_triples(path)
-    open(path, "wb").write(data + b"\x00")
-    with pytest.raises(DeserializeError):
-        read_triples(path)
-
-
 def test_pool_from_seed_is_shared():
     a = TriplePool.from_seed("common")
     b = TriplePool.from_seed("common")
@@ -147,6 +117,46 @@ def test_pool_from_file_fifo_and_exhaustion():
         pool.take(9, 9, 9)
     with pytest.raises(TripleExhausted):
         pool.take_elem(4)
+
+
+@pytest.mark.parametrize("dims", [(500, 8, 1), (8, 500, 1), (3, 5, 7),
+                                  (1, 1, 1)])
+def test_side0_half_is_the_whole_triples_half(dims):
+    # side 0 derives only its half; it must be the half of the triple
+    # that side 1 cuts its own half from, draw for draw
+    root = CounterDrbg("halves", label="trusted-initializer")
+    whole = [generate_triple(*dims, root.child("triple", *dims, i))
+             for i in range(3)]
+    side0 = TriplePool.from_seed("halves")
+    side1 = TriplePool.from_seed("halves")
+    assert [side0.take(*dims, side=0) for _ in range(3)] == [
+        t.half(0) for t in whole]
+    assert [side1.take(*dims, side=1) for _ in range(3)] == [
+        t.half(1) for t in whole]
+    # a party that sat out draw 1 stays aligned
+    sat_out = TriplePool.from_seed("halves")
+    sat_out.take(*dims, side=0)
+    sat_out.skip(*dims)
+    assert sat_out.take(*dims, side=0) == whole[2].half(0)
+    assert sat_out.consumed == side0.consumed == {dims: 3}
+
+
+@pytest.mark.parametrize("n", [1, 16, 17])
+def test_side0_elem_half_is_the_whole_triples_half(n):
+    root = CounterDrbg("ehalves", label="trusted-initializer")
+    whole = [generate_elem_triple(n, root.child("etriple", n, i))
+             for i in range(3)]
+    side0 = TriplePool.from_seed("ehalves")
+    side1 = TriplePool.from_seed("ehalves")
+    assert [side0.take_elem(n, side=0) for _ in range(3)] == [
+        t.half(0) for t in whole]
+    assert [side1.take_elem(n, side=1) for _ in range(3)] == [
+        t.half(1) for t in whole]
+    sat_out = TriplePool.from_seed("ehalves")
+    sat_out.take_elem(n, side=0)
+    sat_out.skip_elem(n)
+    assert sat_out.take_elem(n, side=0) == whole[2].half(0)
+    assert sat_out.consumed == side0.consumed == {("elem", n): 3}
 
 
 # --- protocol harness ---
