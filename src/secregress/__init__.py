@@ -10,11 +10,8 @@ from .errors import SecregressError
 from .ring import (
     DEFAULT_CONFIG,
     FixedPointConfig,
-    RingElement,
     RingMatrix,
-    decode,
     decode_raw,
-    encode,
     encode_raw,
 )
 
@@ -24,11 +21,8 @@ __all__ = [
     "SecregressError",
     "FixedPointConfig",
     "DEFAULT_CONFIG",
-    "RingElement",
     "RingMatrix",
-    "encode",
     "encode_raw",
-    "decode",
     "decode_raw",
     "__version__",
 ]

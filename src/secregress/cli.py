@@ -80,7 +80,7 @@ ROUND_STRIDE = 1_000_000
 SCALING_SIZES = (500, 1000, 2000, 4000)
 
 _VARIANT_ALIASES = {"smm1": "smm1", "smm2": "smm2", "TI": "smm1",
-                    "OTI": "smm2", "ti": "smm1", "oti": "smm2"}
+                    "OTI": "smm2"}
 _VARIANT_TAG = {"smm1": "TI", "smm2": "OTI"}
 _SCHEME_TAG = {"horizontal": "H", "vertical": "V"}
 
@@ -554,15 +554,29 @@ def spawn_parties(spec: RunSpec, mode: str = "threads",
 
 def _spawn_threads(spec: RunSpec, timeout: float):
     X, y, descriptor = load_dataset(spec)
-    n = spec.parties
-    rngs = [spec.config.private_rng(i) for i in range(n)]
-    sessions = loopback_sessions(n, rngs, timeout=timeout)
+    rngs = [spec.config.private_rng(i) for i in range(spec.parties)]
+    sessions = loopback_sessions(spec.parties, rngs, timeout=timeout)
+    outs, _ = _run_threads(
+        sessions, [lambda s=s: _run_party_folds(s, spec, X, y, descriptor)
+                   for s in sessions], timeout)
+    return [o[0] for o in outs], [o[1] for o in outs]
+
+
+def _run_threads(sessions: list, jobs: list, timeout: float):
+    """Run party i's job on its own thread; return (outs, seconds).
+
+    seconds is one wall-clock span from the first thread start to the last
+    join. Each session closes when its job ends. A party's own error is
+    raised first; transport errors and parties that never finished become
+    PartyCrashed.
+    """
+    n = len(jobs)
     outs: list = [None] * n
     errs: list = [None] * n
 
     def work(i):
         try:
-            outs[i] = _run_party_folds(sessions[i], spec, X, y, descriptor)
+            outs[i] = jobs[i]()
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errs[i] = exc
         finally:
@@ -570,10 +584,12 @@ def _spawn_threads(spec: RunSpec, timeout: float):
 
     threads = [threading.Thread(target=work, args=(i,), daemon=True)
                for i in range(n)]
+    t0 = time.perf_counter()
     for th in threads:
         th.start()
     for th in threads:
         th.join(timeout)
+    seconds = time.perf_counter() - t0
     real = [e for e in errs
             if e is not None and not isinstance(e, TransportError)]
     if real:
@@ -584,7 +600,7 @@ def _spawn_threads(spec: RunSpec, timeout: float):
     if any(o is None for o in outs):
         dead = [i for i, o in enumerate(outs) if o is None]
         raise PartyCrashed(f"parties {dead} never finished")
-    return [o[0] for o in outs], [o[1] for o in outs]
+    return outs, seconds
 
 
 def _spawn_processes(spec: RunSpec, timeout: float):
@@ -1058,30 +1074,10 @@ def _scaling_point(spec: RunSpec, provision: bool = True):
     sessions = loopback_sessions(n, rngs, timeout=600.0)
     engines = [engine(sessions[i], spec.config, task, pools[i])
                for i in range(n)]
-    outs: list = [None] * n
-    errs: list = [None] * n
-
-    def work(i):
-        try:
-            outs[i] = engines[i].run(*inputs[i])
-        except BaseException as exc:  # noqa: BLE001
-            errs[i] = exc
-        finally:
-            sessions[i].close()
-
-    threads = [threading.Thread(target=work, args=(i,), daemon=True)
-               for i in range(n)]
-    t0 = time.perf_counter()
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(600.0)
-    wall = time.perf_counter() - t0
-    for i, e in enumerate(errs):
-        if e is not None:
-            raise PartyCrashed(
-                f"party {i}: {type(e).__name__}: {e}") from e
-    return wall, outs, pools
+    outs, seconds = _run_threads(
+        sessions, [lambda e=e, a=a: e.run(*a)
+                   for e, a in zip(engines, inputs)], 600.0)
+    return seconds, outs, pools
 
 
 def _provision_pools(spec: RunSpec, needs: dict) -> list[TriplePool]:

@@ -10,17 +10,8 @@ from .config import (
     select_batch_owner,
     vertical_triple_needs,
 )
-from .horizontal import (
-    HorizontalEngine,
-    train_horizontal_linear,
-    train_horizontal_logistic,
-)
-from .sigmoid import sigmoid_poly_shares
-from .vertical import (
-    VerticalEngine,
-    train_vertical_linear,
-    train_vertical_logistic,
-)
+from .horizontal import HorizontalEngine
+from .vertical import VerticalEngine
 
 __all__ = [
     "DEFAULT_SIGMOID_COEFFS",
@@ -32,10 +23,5 @@ __all__ = [
     "horizontal_triple_needs",
     "schedule_digest",
     "select_batch_owner",
-    "sigmoid_poly_shares",
-    "train_horizontal_linear",
-    "train_horizontal_logistic",
-    "train_vertical_linear",
-    "train_vertical_logistic",
     "vertical_triple_needs",
 ]

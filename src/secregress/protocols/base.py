@@ -37,6 +37,7 @@ from ..ring import (
     encode_raw,
     mat_add,
     mat_hadamard,
+    mat_mul_raw,
     mat_mul_scalar,
     mat_sub,
     shift_left,
@@ -45,10 +46,7 @@ from ..ring import (
 )
 from ..smm import (
     TriplePool,
-    smm1_elem_x,
-    smm1_elem_y,
-    smm1_x,
-    smm1_y,
+    smm1,
     smm2_elem_x,
     smm2_elem_y,
     smm2_x,
@@ -146,6 +144,12 @@ class _EngineBase:
         summands; pass narrow=True when the input is already held by the
         first two parties only (everyone else's share exactly zero) and the
         conversion round can be skipped.
+
+        The local shift lands within 2*2^-f of the exact value (floor loss
+        plus one carry) except with probability about |value|/2^64 per
+        entry, when the two shares straddle a ring wrap and the result is
+        off by 2^(64-f). Shifting once per aggregate, not once per product,
+        keeps both the rounding drift and that risk to one draw.
         """
         if self.n > 2 and not narrow:
             r = self._next_round()
@@ -183,45 +187,57 @@ class _EngineBase:
         Returns this party's raw 2f share, or None for bystanders, who
         still advance the round counter and the triple stream.
         """
-        x, y, z = dims
         r = self._next_round()
-        if self.cfg.smm_variant == "smm1":
-            if self.me == a:
-                half = self.pool.take(x, y, z, side=0)
-                return smm1_x(self.s, b, mine, half, r,
-                              truncate_result=False, cfg=self.fx)
-            if self.me == b:
-                half = self.pool.take(x, y, z, side=1)
-                return smm1_y(self.s, a, mine, half, r,
-                              truncate_result=False, cfg=self.fx)
-            self.pool.skip(x, y, z)
+        ti = self.cfg.smm_variant == "smm1"
+        if self.me not in (a, b):
+            if ti:
+                self.pool.skip(*dims)
             return None
-        if self.me == a:
-            return smm2_x(self.s, b, mine, r, truncate_result=False,
-                          cfg=self.fx)
-        if self.me == b:
-            return smm2_y(self.s, a, mine, r, truncate_result=False,
-                          cfg=self.fx)
-        return None
+        side, peer = (0, b) if self.me == a else (1, a)
+        if ti:
+            half = self.pool.take(*dims, side=side)
+            return smm1(self.s, peer, side, mine, half, r)
+        return (smm2_x if side == 0 else smm2_y)(self.s, peer, mine, r)
 
     def _elem_pair(self, a: int, b: int, n_elems: int,
                    mine: RingMatrix | None) -> RingMatrix | None:
         """Elementwise analog of _matmul_pair; output stays at 2f bits."""
         r = self._next_round()
-        if self.cfg.smm_variant == "smm1":
-            if self.me == a:
-                half = self.pool.take_elem(n_elems, side=0)
-                return smm1_elem_x(self.s, b, mine, half, r)
-            if self.me == b:
-                half = self.pool.take_elem(n_elems, side=1)
-                return smm1_elem_y(self.s, a, mine, half, r)
-            self.pool.skip_elem(n_elems)
+        ti = self.cfg.smm_variant == "smm1"
+        if self.me not in (a, b):
+            if ti:
+                self.pool.skip_elem(n_elems)
             return None
-        if self.me == a:
-            return smm2_elem_x(self.s, b, mine, r)
-        if self.me == b:
-            return smm2_elem_y(self.s, a, mine, r)
-        return None
+        side, peer = (0, b) if self.me == a else (1, a)
+        if ti:
+            half = self.pool.take_elem(n_elems, side=side)
+            return smm1(self.s, peer, side, mine, half, r, elementwise=True)
+        return (smm2_elem_x if side == 0 else smm2_elem_y)(
+            self.s, peer, mine, r)
+
+    def _shared_product(self, lhs, left: RingMatrix | None, rhs,
+                        right: RingMatrix | None,
+                        dims: tuple[int, int, int]) -> RingMatrix:
+        """This party's raw 2f share of the sum of L_a R_b over a in lhs,
+        b in rhs, where L_a is party a's left operand and R_b party b's
+        right one (each party passes its own).
+
+        A term with a == b is a local product on that party; every other
+        term is a pairwise secure product, run in loop order.
+        """
+        total = None
+        for a in lhs:
+            for b in rhs:
+                if a == b:
+                    out = mat_mul_raw(left, right) if self.me == a else None
+                else:
+                    mine = left if self.me == a else (
+                        right if self.me == b else None)
+                    out = self._matmul_pair(a, b, dims, mine)
+                if out is not None:
+                    total = out if total is None else mat_add(total, out)
+        return total if total is not None else RingMatrix.zeros(
+            dims[0], dims[2])
 
     # -- shared pipeline pieces -----------------------------------------
 

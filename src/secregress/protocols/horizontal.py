@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..data import check_binary_labels
 from ..errors import DimensionMismatch, EmptyInput, PolicyMismatch
-from ..ring import RingMatrix, mat_add, mat_mul_raw, transpose
+from ..ring import RingMatrix, transpose
 from ..sharing import share_matrix
 from ..transport import KIND_SHARE_DIST, KIND_Y_SHARE
 from .base import TrainResult, _EngineBase, _IterTimer
@@ -88,33 +88,14 @@ class HorizontalEngine(_EngineBase):
             self._batch_shares = (my_x, my_y)
 
             # z = X_B w, assembled at 2f bits; w shares sit on parties 0,1
-            p_2f = (mat_mul_raw(my_x, w_f) if self.me < 2
-                    else RingMatrix.zeros(b, 1))
-            for i in range(self.n):
-                for k in range(2):
-                    if i == k:
-                        continue
-                    mine = my_x if self.me == i else (
-                        w_f if self.me == k else None)
-                    out = self._matmul_pair(i, k, (b, d, 1), mine)
-                    if out is not None:
-                        p_2f = mat_add(p_2f, out)
+            p_2f = self._shared_product(range(self.n), my_x, (0, 1), w_f,
+                                        (b, d, 1))
 
             err_f = self._shift(self._error_2f(p_2f, my_y))
 
             # grad = X_B^T err, err shares again on parties 0,1
-            x_t = transpose(my_x)
-            g_2f = (mat_mul_raw(x_t, err_f) if self.me < 2
-                    else RingMatrix.zeros(d, 1))
-            for i in range(self.n):
-                for k in range(2):
-                    if i == k:
-                        continue
-                    mine = x_t if self.me == i else (
-                        err_f if self.me == k else None)
-                    out = self._matmul_pair(i, k, (d, b, 1), mine)
-                    if out is not None:
-                        g_2f = mat_add(g_2f, out)
+            g_2f = self._shared_product(range(self.n), transpose(my_x),
+                                        (0, 1), err_f, (d, b, 1))
 
             w_2f = self._update(w_2f, g_2f)
             self._batch_shares = None  # batch shares end with the iteration
@@ -125,19 +106,3 @@ class HorizontalEngine(_EngineBase):
         w_full = self._reveal_all(self._shift(w_2f, narrow=True))
         return self._result(w_full, None, global_rows, owners,
                             schedule_digest(global_rows), timer.samples)
-
-
-def train_horizontal_linear(session, features, labels,
-                            config: TrainingConfig, pool=None,
-                            on_iteration=None) -> TrainResult:
-    """Row-partitioned linear regression; returns this party's view."""
-    return HorizontalEngine(session, config, "linear", pool,
-                            on_iteration).run(features, labels)
-
-
-def train_horizontal_logistic(session, features, labels,
-                              config: TrainingConfig, pool=None,
-                              on_iteration=None) -> TrainResult:
-    """Row-partitioned logistic regression with the cubic sigmoid."""
-    return HorizontalEngine(session, config, "logistic", pool,
-                            on_iteration).run(features, labels)

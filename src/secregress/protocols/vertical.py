@@ -23,7 +23,7 @@ from ..errors import (
     PolicyMismatch,
     SampleCountMismatch,
 )
-from ..ring import RingMatrix, mat_add, mat_mul_raw, transpose
+from ..ring import RingMatrix, mat_add, transpose
 from ..sharing import share_matrix, zero_shares
 from ..transport import KIND_W_SHARE, KIND_Y_SHARE
 from .base import TrainResult, _EngineBase, _IterTimer
@@ -128,34 +128,20 @@ class VerticalEngine(_EngineBase):
             # parties 0 and 1, so those are the only counterparts.
             p_2f = RingMatrix.zeros(b, 1)
             for i in range(self.n):
-                if self.me == i and i < 2:
-                    p_2f = mat_add(p_2f, mat_mul_raw(xb, w_f[i]))
-                for j in range(2):
-                    if j == i:
-                        continue
-                    mine2 = xb if self.me == i else (
-                        w_f[i] if self.me == j else None)
-                    out = self._matmul_pair(i, j, (b, d_list[i], 1), mine2)
-                    if out is not None:
-                        p_2f = mat_add(p_2f, out)
+                p_2f = mat_add(p_2f, self._shared_product(
+                    (i,), xb, (0, 1), w_f[i], (b, d_list[i], 1)))
 
             err_f = self._shift(self._error_2f(p_2f, my_y))
             err_t = transpose(err_f)
 
-            # grad_i = (X^i)^T err, err shares again on parties 0,1
+            # grad_i = (X^i)^T err, computed as (err^T X^i)^T with err
+            # shares again on parties 0,1. err stays the left operand, so
+            # the OTI leak keeps its orientation: adjacent sums of err go
+            # to the block owner, adjacent row differences of X^i to the
+            # err holders.
             for i in range(self.n):
-                if self.me == i and i < 2:
-                    g_2f = mat_mul_raw(transpose(xb), err_f)
-                else:
-                    g_2f = RingMatrix.zeros(d_list[i], 1)
-                for ell in range(2):
-                    if ell == i:
-                        continue
-                    mine2 = err_t if self.me == ell else (
-                        xb if self.me == i else None)
-                    out = self._matmul_pair(ell, i, (1, b, d_list[i]), mine2)
-                    if out is not None:
-                        g_2f = mat_add(g_2f, transpose(out))
+                g_2f = transpose(self._shared_product(
+                    (0, 1), err_t, (i,), xb, (1, b, d_list[i])))
                 w_2f[i] = self._update(w_2f[i], g_2f)
 
             self._batch_shares = None
@@ -179,20 +165,3 @@ class VerticalEngine(_EngineBase):
 
         return self._result(my_block, d_list, schedule, None,
                             schedule_digest(schedule), timer.samples)
-
-
-def train_vertical_linear(session, features, labels=None,
-                          config: TrainingConfig = None, pool=None,
-                          on_iteration=None) -> TrainResult:
-    """Column-partitioned linear regression; labels at the configured
-    party only. Returns this party's view with its own weight block."""
-    return VerticalEngine(session, config, "linear", pool,
-                          on_iteration).run(features, labels)
-
-
-def train_vertical_logistic(session, features, labels=None,
-                            config: TrainingConfig = None, pool=None,
-                            on_iteration=None) -> TrainResult:
-    """Column-partitioned logistic regression with the cubic sigmoid."""
-    return VerticalEngine(session, config, "logistic", pool,
-                          on_iteration).run(features, labels)

@@ -72,27 +72,6 @@ class FixedPointConfig:
 DEFAULT_CONFIG = FixedPointConfig()
 
 
-@dataclass(frozen=True)
-class RingElement:
-    raw: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "raw", self.raw & MASK)
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement((self.raw + other.raw) & MASK)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return RingElement((self.raw - other.raw) & MASK)
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        return RingElement((self.raw * other.raw) & MASK)
-
-    @property
-    def signed(self) -> int:
-        return to_signed(self.raw)
-
-
 def encode_raw(v: float, cfg: FixedPointConfig = DEFAULT_CONFIG) -> int:
     """round(v * 2^f) mod 2^64, rounding half away from zero."""
     if not math.isfinite(v) or abs(v) >= cfg.max_magnitude:
@@ -100,10 +79,6 @@ def encode_raw(v: float, cfg: FixedPointConfig = DEFAULT_CONFIG) -> int:
     x = v * cfg.scale
     r = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
     return r & MASK
-
-
-def encode(v: float, cfg: FixedPointConfig = DEFAULT_CONFIG) -> RingElement:
-    return RingElement(encode_raw(v, cfg))
 
 
 def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG,
@@ -114,10 +89,6 @@ def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG,
     """
     f = cfg.frac_bits if frac_bits is None else frac_bits
     return to_signed(raw & MASK) / (1 << f)
-
-
-def decode(e: RingElement, cfg: FixedPointConfig = DEFAULT_CONFIG) -> float:
-    return decode_raw(e.raw, cfg)
 
 
 class RingMatrix:
@@ -182,9 +153,6 @@ class RingMatrix:
             out.append([to_signed(w) / div for w in seg])
         return out
 
-    def get(self, r: int, c: int) -> RingElement:
-        return RingElement(self.data[r * self.cols + c])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -196,7 +164,7 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols})"
 
     # serialization: rows u32, cols u32, then row-major LE u64 words.
-    # This exact layout is the wire payload and the triple-file record.
+    # This exact layout is the wire payload.
 
     def to_bytes(self) -> bytes:
         return struct.pack("<II", self.rows, self.cols) + struct.pack(

@@ -4,9 +4,10 @@ Party A holds X (x by y), party B holds Y (y by z); they end with additive
 shares M, N with M + N = X*Y exactly in the ring, the product carrying 2f
 fractional bits. Two interchangeable protocols:
 
-* smm1_*: Beaver masking against a precomputed triple (U, V, W=U*V) from a
-  trusted initializer. Nothing about the inputs leaks; costs one triple and
-  six frames per product.
+* smm1: Beaver masking against a precomputed triple (U, V, W=U*V) from a
+  trusted initializer. One routine serves both sides and both the matrix
+  and the elementwise product. Nothing about the inputs leaks; costs one
+  triple and six frames per product.
 
 * smm2_*: no triple. Each side blinds with a fresh uniform matrix and a
   folded even/odd combination of it; four frames (five when the product is
@@ -22,11 +23,8 @@ one message round; the smm2 one packs pairs of entries into 2x2 blocks so
 its leak stays the aggregate kind above (the vector itself on the X side,
 adjacent differences on the Y side).
 
-truncate_result applies the usual share-wise truncation: each party shifts
-its own share, which lands within 2*2^-f of the exact product except with
-probability about |value|/2^64 per entry, when the shares straddle a ring
-wrap and the result is off by 2^(64-f). Callers that cannot absorb that
-keep the raw 2f output and truncate after aggregation.
+Every product returns the raw 2f share. Callers sum the products of one
+aggregate and truncate once (see protocols.base._EngineBase._shift).
 """
 
 from __future__ import annotations
@@ -36,14 +34,12 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, TripleExhausted
 from .ring import (
-    DEFAULT_CONFIG,
     RingMatrix,
     mat_add,
     mat_hadamard,
     mat_mul_raw,
     mat_mul_scalar,
     mat_sub,
-    truncate,
     uniform_matrix,
 )
 from .transport import (
@@ -287,70 +283,46 @@ class TriplePool:
 # --- protocol 1: Beaver masking ---
 
 
-def smm1_x(session, peer: int, x_mat: RingMatrix, half: TripleHalf,
-           round_no: int, truncate_result: bool = True,
-           cfg=DEFAULT_CONFIG) -> RingMatrix:
-    """A's side. Returns A's share M of X*Y."""
-    if (half.u.rows, half.u.cols) != (x_mat.rows, x_mat.cols):
-        raise DimensionMismatch(
-            f"triple is for {half.u.rows}x{half.u.cols}, "
-            f"input is {x_mat.rows}x{x_mat.cols}")
-    x2 = uniform_matrix(x_mat.rows, x_mat.cols, session.rng)
-    x1 = mat_sub(x_mat, x2)
-    session.send(peer, KIND_SHARE_DIST, x2, round_no)
-    y1 = session.recv(peer, KIND_SHARE_DIST, round_no)
-    if y1.rows != x_mat.cols or (y1.rows, y1.cols) != (half.v.rows, half.v.cols):
-        raise DimensionMismatch(
-            f"peer shared {y1.rows}x{y1.cols}, triple is for "
-            f"{half.v.rows}x{half.v.cols}")
-    d1 = mat_sub(x1, half.u)
-    e1 = mat_sub(y1, half.v)
-    session.send(peer, KIND_SMM_D, d1, round_no)
-    session.send(peer, KIND_SMM_E, e1, round_no)
-    d2 = session.recv(peer, KIND_SMM_D, round_no)
-    e2 = session.recv(peer, KIND_SMM_E, round_no)
-    d = mat_add(d1, d2)
-    e = mat_add(e1, e2)
-    m = mat_add(mat_add(half.w, mat_mul_raw(half.u, e)),
-                mat_add(mat_mul_raw(d, half.v), mat_mul_raw(d, e)))
-    return truncate(m, cfg) if truncate_result else m
+def smm1(session, peer: int, side: int, mine: RingMatrix, half: TripleHalf,
+         round_no: int, elementwise: bool = False) -> RingMatrix:
+    """This side's raw 2f share of X*Y (or X o Y when elementwise).
 
-
-def smm1_y(session, peer: int, y_mat: RingMatrix, half: TripleHalf,
-           round_no: int, truncate_result: bool = True,
-           cfg=DEFAULT_CONFIG) -> RingMatrix:
-    """B's side. Returns B's share N of X*Y."""
-    if (half.v.rows, half.v.cols) != (y_mat.rows, y_mat.cols):
+    Side 0 holds X, side 1 holds Y. Each side splits its input with the
+    peer, masks both shares it then holds with its triple half, and opens
+    D = X - U and E = Y - V; the product is W + U.E + D.V + D.E, with the
+    public D.E term added on side 0 only.
+    """
+    own, other = (half.u, half.v) if side == 0 else (half.v, half.u)
+    if (own.rows, own.cols) != (mine.rows, mine.cols):
         raise DimensionMismatch(
-            f"triple is for {half.v.rows}x{half.v.cols}, "
-            f"input is {y_mat.rows}x{y_mat.cols}")
-    y1 = uniform_matrix(y_mat.rows, y_mat.cols, session.rng)
-    y2 = mat_sub(y_mat, y1)
-    session.send(peer, KIND_SHARE_DIST, y1, round_no)
-    x2 = session.recv(peer, KIND_SHARE_DIST, round_no)
-    if x2.cols != y_mat.rows or (x2.rows, x2.cols) != (half.u.rows, half.u.cols):
+            f"triple is for {own.rows}x{own.cols}, "
+            f"input is {mine.rows}x{mine.cols}")
+    sent = uniform_matrix(mine.rows, mine.cols, session.rng)
+    kept = mat_sub(mine, sent)
+    session.send(peer, KIND_SHARE_DIST, sent, round_no)
+    got = session.recv(peer, KIND_SHARE_DIST, round_no)
+    if (got.rows, got.cols) != (other.rows, other.cols):
         raise DimensionMismatch(
-            f"peer shared {x2.rows}x{x2.cols}, triple is for "
-            f"{half.u.rows}x{half.u.cols}")
-    d2 = mat_sub(x2, half.u)
-    e2 = mat_sub(y2, half.v)
-    session.send(peer, KIND_SMM_D, d2, round_no)
-    session.send(peer, KIND_SMM_E, e2, round_no)
-    d1 = session.recv(peer, KIND_SMM_D, round_no)
-    e1 = session.recv(peer, KIND_SMM_E, round_no)
-    d = mat_add(d1, d2)
-    e = mat_add(e1, e2)
-    n = mat_add(half.w,
-                mat_add(mat_mul_raw(half.u, e), mat_mul_raw(d, half.v)))
-    return truncate(n, cfg) if truncate_result else n
+            f"peer shared {got.rows}x{got.cols}, triple is for "
+            f"{other.rows}x{other.cols}")
+    x, y = (kept, got) if side == 0 else (got, kept)
+    d_mine = mat_sub(x, half.u)
+    e_mine = mat_sub(y, half.v)
+    session.send(peer, KIND_SMM_D, d_mine, round_no)
+    session.send(peer, KIND_SMM_E, e_mine, round_no)
+    d = mat_add(d_mine, session.recv(peer, KIND_SMM_D, round_no))
+    e = mat_add(e_mine, session.recv(peer, KIND_SMM_E, round_no))
+    # looked up per call so a wrapped ring kernel sees every product
+    op = mat_hadamard if elementwise else mat_mul_raw
+    out = mat_add(half.w, mat_add(op(half.u, e), op(d, half.v)))
+    return mat_add(out, op(d, e)) if side == 0 else out
 
 
 # --- protocol 2: triple-free, leaks folded aggregates ---
 
 
 def smm2_x(session, peer: int, x_mat: RingMatrix, round_no: int,
-           reveal: bool = False, truncate_result: bool = True,
-           cfg=DEFAULT_CONFIG) -> RingMatrix:
+           reveal: bool = False) -> RingMatrix:
     """A's side. Returns A's share M, or the full product when reveal."""
     xt = pad_cols_even(x_mat)
     xp = uniform_matrix(xt.rows, xt.cols, session.rng)
@@ -367,14 +339,12 @@ def smm2_x(session, peer: int, x_mat: RingMatrix, round_no: int,
     m = mat_add(mat_mul_raw(mat_add(xt, mat_mul_scalar(xp, 2)), y1),
                 mat_mul_raw(mat_add(x2, cols_odd(xp)), y2))
     if reveal:
-        n = session.recv(peer, KIND_SMM_N, round_no)
-        m = mat_add(m, n)
-    return truncate(m, cfg) if truncate_result else m
+        m = mat_add(m, session.recv(peer, KIND_SMM_N, round_no))
+    return m
 
 
 def smm2_y(session, peer: int, y_mat: RingMatrix, round_no: int,
-           reveal: bool = False, truncate_result: bool = True,
-           cfg=DEFAULT_CONFIG) -> RingMatrix | None:
+           reveal: bool = False) -> RingMatrix | None:
     """B's side. Returns B's share N; None when the product went to A."""
     yt = pad_rows_even(y_mat)
     yp = uniform_matrix(yt.rows, yt.cols, session.rng)
@@ -393,47 +363,10 @@ def smm2_y(session, peer: int, y_mat: RingMatrix, round_no: int,
     if reveal:
         session.send(peer, KIND_SMM_N, n, round_no)
         return None
-    return truncate(n, cfg) if truncate_result else n
+    return n
 
 
 # --- elementwise products, one message round per call ---
-
-
-def smm1_elem_x(session, peer: int, vec: RingMatrix, half: TripleHalf,
-                round_no: int) -> RingMatrix:
-    """A's share of a o b for column vectors; result carries 2f bits."""
-    if vec.cols != 1 or (half.u.rows, half.u.cols) != (vec.rows, 1):
-        raise DimensionMismatch("elementwise triple does not fit the vector")
-    a2 = uniform_matrix(vec.rows, 1, session.rng)
-    a1 = mat_sub(vec, a2)
-    session.send(peer, KIND_SHARE_DIST, a2, round_no)
-    b1 = session.recv(peer, KIND_SHARE_DIST, round_no)
-    d1 = mat_sub(a1, half.u)
-    e1 = mat_sub(b1, half.v)
-    session.send(peer, KIND_SMM_D, d1, round_no)
-    session.send(peer, KIND_SMM_E, e1, round_no)
-    d = mat_add(d1, session.recv(peer, KIND_SMM_D, round_no))
-    e = mat_add(e1, session.recv(peer, KIND_SMM_E, round_no))
-    return mat_add(mat_add(half.w, mat_hadamard(half.u, e)),
-                   mat_add(mat_hadamard(d, half.v), mat_hadamard(d, e)))
-
-
-def smm1_elem_y(session, peer: int, vec: RingMatrix, half: TripleHalf,
-                round_no: int) -> RingMatrix:
-    if vec.cols != 1 or (half.v.rows, half.v.cols) != (vec.rows, 1):
-        raise DimensionMismatch("elementwise triple does not fit the vector")
-    b1 = uniform_matrix(vec.rows, 1, session.rng)
-    b2 = mat_sub(vec, b1)
-    session.send(peer, KIND_SHARE_DIST, b1, round_no)
-    a2 = session.recv(peer, KIND_SHARE_DIST, round_no)
-    d2 = mat_sub(a2, half.u)
-    e2 = mat_sub(b2, half.v)
-    session.send(peer, KIND_SMM_D, d2, round_no)
-    session.send(peer, KIND_SMM_E, e2, round_no)
-    d = mat_add(session.recv(peer, KIND_SMM_D, round_no), d2)
-    e = mat_add(session.recv(peer, KIND_SMM_E, round_no), e2)
-    return mat_add(half.w,
-                   mat_add(mat_hadamard(half.u, e), mat_hadamard(d, half.v)))
 
 
 def _pad_vec_even(vec: RingMatrix) -> RingMatrix:

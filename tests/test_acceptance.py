@@ -37,8 +37,7 @@ from secregress.smm import (
     generate_triple,
     leakage_of_x,
     leakage_of_y,
-    smm1_x,
-    smm1_y,
+    smm1,
     smm2_x,
     smm2_y,
     verify_triple,
@@ -145,11 +144,9 @@ def test_criterion_1_smm_product_accuracy():
             for i, ((ex, _), (ey, _)) in enumerate(cases):
                 if proto == "smm1":
                     half = pool_a.take(ex.rows, ex.cols, ey.cols).half(0)
-                    outs.append(smm1_x(s[0], 1, ex, half, i,
-                                       truncate_result=False))
+                    outs.append(smm1(s[0], 1, 0, ex, half, i))
                 else:
-                    outs.append(smm2_x(s[0], 1, ex, i,
-                                       truncate_result=False))
+                    outs.append(smm2_x(s[0], 1, ex, i))
             return outs
 
         def side_y():
@@ -157,11 +154,9 @@ def test_criterion_1_smm_product_accuracy():
             for i, ((ex, _), (ey, _)) in enumerate(cases):
                 if proto == "smm1":
                     half = pool_b.take(ex.rows, ex.cols, ey.cols).half(1)
-                    outs.append(smm1_y(s[1], 0, ey, half, i,
-                                       truncate_result=False))
+                    outs.append(smm1(s[1], 0, 1, ey, half, i))
                 else:
-                    outs.append(smm2_y(s[1], 0, ey, i,
-                                       truncate_result=False))
+                    outs.append(smm2_y(s[1], 0, ey, i))
             return outs
 
         ms, ns = _both(side_x, side_y)
@@ -171,9 +166,8 @@ def test_criterion_1_smm_product_accuracy():
                 failures.append(f"{proto} #{i}: in-ring product differs "
                                 "before truncation")
                 continue
-            # the truncating protocol variant only adds a final local
-            # truncate() of each share, so composing it here reproduces
-            # those outputs bit for bit
+            # share-wise truncation: each party truncates its own raw
+            # share locally, as the engines do once per aggregate
             got = mat_add(truncate(m), truncate(n)).decode_rows()
             inner = ex.cols
             tol = inner * ULP
@@ -345,8 +339,7 @@ def test_criterion_5_leakage_characterization():
         outs = []
         for i, (ex, ey) in enumerate(cases):
             half = pool.take(ex.rows, ex.cols, ey.cols).half(side)
-            fn = smm1_x if side == 0 else smm1_y
-            outs.append(fn(sess, 1 - side, (ex, ey)[side], half, i))
+            outs.append(smm1(sess, 1 - side, side, (ex, ey)[side], half, i))
         return outs
 
     _both(lambda: one_sided(0, s1[0], pool_a),

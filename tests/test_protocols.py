@@ -35,13 +35,9 @@ from secregress.protocols import (
     horizontal_schedule,
     horizontal_triple_needs,
     select_batch_owner,
-    sigmoid_poly_shares,
-    train_horizontal_linear,
-    train_horizontal_logistic,
-    train_vertical_linear,
-    train_vertical_logistic,
     vertical_triple_needs,
 )
+from secregress.protocols.base import _EngineBase
 from secregress.ring import FixedPointConfig, RingMatrix
 from secregress.rng import CounterDrbg
 from secregress.sharing import reconstruct, share_matrix
@@ -97,10 +93,8 @@ def split_rows(X, y, cuts):
 
 def run_horizontal(cfg, X, y, cuts, task="linear"):
     parts = split_rows([list(r) for r in X], list(y), cuts)
-    train = (train_horizontal_linear if task == "linear"
-             else train_horizontal_logistic)
     fns = [
-        (lambda s, xi=xi, yi=yi: train(s, xi, yi, cfg))
+        (lambda s, xi=xi, yi=yi: HorizontalEngine(s, cfg, task).run(xi, yi))
         for xi, yi in parts
     ]
     return run_parties(len(parts), cfg, fns)
@@ -110,11 +104,9 @@ def run_vertical(cfg, X, y, col_cuts, task="linear"):
     bounds = [0, *col_cuts, len(X[0])]
     blocks = [[list(r[bounds[i]:bounds[i + 1]]) for r in X]
               for i in range(len(bounds) - 1)]
-    train = (train_vertical_linear if task == "linear"
-             else train_vertical_logistic)
     fns = [
         (lambda s, xb=xb, lab=(list(y) if i == cfg.label_party else None):
-         train(s, xb, lab, config=cfg))
+         VerticalEngine(s, cfg, task).run(xb, lab))
         for i, xb in enumerate(blocks)
     ]
     return run_parties(len(blocks), cfg, fns)
@@ -203,7 +195,8 @@ def test_sigmoid_shares_track_polynomial(variant):
     z_enc = RingMatrix.encode_rows([[v] for v in zs], FX)
     shares = share_matrix(z_enc, 2, CounterDrbg("sig-shares"))
     fns = [
-        (lambda s, sh=shares[i]: sigmoid_poly_shares(s, sh, cfg))
+        (lambda s, sh=shares[i]:
+         _EngineBase(s, cfg, "logistic", "sigmoid")._sigmoid_from_zf(sh))
         for i in range(2)
     ]
     out = run_parties(2, cfg, fns)
@@ -296,7 +289,7 @@ def test_batch_shares_die_with_their_iteration():
     parts = split_rows([list(r) for r in X], list(y), [25])
     fns = [
         (lambda s, xi=xi, yi=yi:
-         train_horizontal_linear(s, xi, yi, cfg, on_iteration=poison))
+         HorizontalEngine(s, cfg, on_iteration=poison).run(xi, yi))
         for xi, yi in parts
     ]
     poisoned = run_parties(2, cfg, fns)
@@ -312,8 +305,8 @@ def test_config_disagreement_is_detected():
     cfg_b = TrainingConfig(learning_rate=0.01, batch_size=5, iterations=5,
                            seed="agree")
     fns = [
-        (lambda s: train_horizontal_linear(s, *parts[0], cfg_a)),
-        (lambda s: train_horizontal_linear(s, *parts[1], cfg_b)),
+        (lambda s: HorizontalEngine(s, cfg_a).run(*parts[0])),
+        (lambda s: HorizontalEngine(s, cfg_b).run(*parts[1])),
     ]
     with pytest.raises(PolicyMismatch):
         run_parties(2, cfg_a, fns, timeout=5.0)
@@ -377,7 +370,7 @@ def test_vertical_labels_must_sit_with_configured_party():
     cfg = TrainingConfig(batch_size=5, iterations=2, seed="mislabel")
     blocks = [[[r[0]] for r in X], [[r[1]] for r in X]]
     fns = [
-        (lambda s, xb=xb: train_vertical_linear(s, xb, list(y), config=cfg))
+        (lambda s, xb=xb: VerticalEngine(s, cfg).run(xb, list(y)))
         for xb in blocks  # both supply labels; party 1 must refuse
     ]
     with pytest.raises(ValueError):
@@ -526,9 +519,8 @@ def test_file_pool_replay_and_exhaustion():
     parts = split_rows([list(r) for r in X], list(y), [12])
     fns = [
         (lambda s, xi=xi, yi=yi:
-         train_horizontal_linear(
-             s, xi, yi, cfg,
-             pool=TriplePool.from_triples(triples)))
+         HorizontalEngine(
+             s, cfg, pool=TriplePool.from_triples(triples)).run(xi, yi))
         for xi, yi in parts
     ]
     res = run_parties(2, cfg, fns)
@@ -538,9 +530,8 @@ def test_file_pool_replay_and_exhaustion():
 
     starved = [
         (lambda s, xi=xi, yi=yi:
-         train_horizontal_linear(
-             s, xi, yi, cfg,
-             pool=TriplePool.from_triples(triples[:-1])))
+         HorizontalEngine(
+             s, cfg, pool=TriplePool.from_triples(triples[:-1])).run(xi, yi))
         for xi, yi in parts
     ]
     with pytest.raises(TripleExhausted):

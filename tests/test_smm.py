@@ -16,6 +16,7 @@ from secregress.ring import (
     mat_mul_raw,
     mat_sub,
     to_signed,
+    truncate,
     uniform_matrix,
 )
 from secregress.rng import CounterDrbg
@@ -29,10 +30,7 @@ from secregress.smm import (
     leakage_of_x,
     leakage_of_y,
     simulate_view,
-    smm1_elem_x,
-    smm1_elem_y,
-    smm1_x,
-    smm1_y,
+    smm1,
     smm2_elem_x,
     smm2_elem_y,
     smm2_x,
@@ -161,7 +159,7 @@ def test_side0_elem_half_is_the_whole_triples_half(n):
 
 # --- protocol harness ---
 
-def run_smm1(x_vals, y_vals, tag, truncate_result=False):
+def run_smm1(x_vals, y_vals, tag):
     s = sessions(tag)
     x = RingMatrix.encode_rows(x_vals)
     y = RingMatrix.encode_rows(y_vals)
@@ -170,20 +168,18 @@ def run_smm1(x_vals, y_vals, tag, truncate_result=False):
     ha = pool_a.take(x.rows, x.cols, y.cols).half(0)
     hb = pool_b.take(x.rows, x.cols, y.cols).half(1)
     return run_pair(
-        lambda: smm1_x(s[0], 1, x, ha, 0, truncate_result=truncate_result),
-        lambda: smm1_y(s[1], 0, y, hb, 0, truncate_result=truncate_result),
+        lambda: smm1(s[0], 1, 0, x, ha, 0),
+        lambda: smm1(s[1], 0, 1, y, hb, 0),
     ), s
 
 
-def run_smm2(x_vals, y_vals, tag, truncate_result=False, reveal=False):
+def run_smm2(x_vals, y_vals, tag, reveal=False):
     s = sessions(tag)
     x = RingMatrix.encode_rows(x_vals)
     y = RingMatrix.encode_rows(y_vals)
     return run_pair(
-        lambda: smm2_x(s[0], 1, x, 0, reveal=reveal,
-                       truncate_result=truncate_result),
-        lambda: smm2_y(s[1], 0, y, 0, reveal=reveal,
-                       truncate_result=truncate_result),
+        lambda: smm2_x(s[0], 1, x, 0, reveal=reveal),
+        lambda: smm2_y(s[1], 0, y, 0, reveal=reveal),
     ), s
 
 
@@ -215,8 +211,8 @@ def test_truncated_product_within_tolerance(protocol):
     for idx, (xr, yr, zr) in enumerate(DIMS):
         _, xv = rand_real_matrix(xr, yr, rng)
         _, yv = rand_real_matrix(yr, zr, rng)
-        (m, n), _ = runner(xv, yv, f"{protocol}t-{idx}", truncate_result=True)
-        got = mat_add(m, n).decode_rows()
+        (m, n), _ = runner(xv, yv, f"{protocol}t-{idx}")
+        got = mat_add(truncate(m), truncate(n)).decode_rows()
         for i in range(xr):
             for k in range(zr):
                 exact = sum(xv[i][j] * yv[j][k] for j in range(yr))
@@ -226,18 +222,28 @@ def test_truncated_product_within_tolerance(protocol):
 def test_smm2_reveal_gives_product_to_a():
     xv = [[1.5, -2.0], [0.25, 4.0]]
     yv = [[2.0], [-1.0]]
-    (prod, nothing), _ = run_smm2(xv, yv, "reveal", truncate_result=True,
-                                  reveal=True)
+    (prod, nothing), _ = run_smm2(xv, yv, "reveal", reveal=True)
     assert nothing is None
-    assert prod.decode_rows() == [[5.0], [-3.5]]
+    assert truncate(prod).decode_rows() == [[5.0], [-3.5]]
 
 
-def test_smm1_triple_shape_guard():
+@pytest.mark.parametrize("elementwise", [False, True])
+@pytest.mark.parametrize("side", [0, 1])
+def test_smm1_triple_shape_guard(side, elementwise):
+    # an operand that does not fit this side's half is refused before any
+    # frame leaves
     s = sessions("guard")
-    x = RingMatrix.encode_rows([[1.0, 2.0]])
-    bad = TriplePool.from_seed("g").take(3, 3, 3)
+    pool = TriplePool.from_seed("g")
+    if elementwise:
+        x = RingMatrix.column([1.0, 2.0])
+        bad = pool.take_elem(3)
+    else:
+        x = RingMatrix.encode_rows([[1.0, 2.0]])
+        bad = pool.take(3, 3, 3)
     with pytest.raises(DimensionMismatch):
-        smm1_x(s[0], 1, x, bad.half(0), 0)
+        smm1(s[side], 1 - side, side, x, bad.half(side), 0,
+             elementwise=elementwise)
+    assert s[side].frames_sent == 0
 
 
 def test_smm1_mismatched_operands_detected():
@@ -250,10 +256,10 @@ def test_smm1_mismatched_operands_detected():
     hb = pb.take(3, 3, 1)  # wrong shape for y too
 
     def a():
-        return smm1_x(s[0], 1, x, ha, 0)
+        return smm1(s[0], 1, 0, x, ha, 0)
 
     def b():
-        return smm1_y(s[1], 0, y, hb.half(1), 0)
+        return smm1(s[1], 0, 1, y, hb.half(1), 0)
 
     with pytest.raises(DimensionMismatch):
         run_pair(a, b)
@@ -344,8 +350,8 @@ def test_smm1_elementwise(n):
     pa = TriplePool.from_seed(f"ew1-{n}-ti")
     pb = TriplePool.from_seed(f"ew1-{n}-ti")
     ha, hb = pa.take_elem(n).half(0), pb.take_elem(n).half(1)
-    m, nn = run_pair(lambda: smm1_elem_x(s[0], 1, a, ha, 0),
-                     lambda: smm1_elem_y(s[1], 0, b, hb, 0))
+    m, nn = run_pair(lambda: smm1(s[0], 1, 0, a, ha, 0, elementwise=True),
+                     lambda: smm1(s[1], 0, 1, b, hb, 0, elementwise=True))
     got = mat_add(m, nn).decode_rows(frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
