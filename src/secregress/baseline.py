@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import EmptyInput, NonFiniteLoss, SingleClassError
 
-# 0.5 + 0.197 z + 0 z^2 + 0.004 z^3: degree-3 stand-in for the logistic
-# function; strictly increasing, so rankings (and AUC) are preserved.
+# (q0, q1, q2, q3) of q0 + q1 z + q2 z^2 + q3 z^3, the degree-3 stand-in for
+# the logistic function that the secure engines and this replay both apply;
+# strictly increasing, so rankings (and AUC) are preserved.
 SIGMOID_POLY = (0.5, 0.197, 0.0, 0.004)
 
 TASKS = ("linear", "logistic-poly", "logistic-true")

@@ -30,7 +30,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import jsonschema
 import numpy as np
@@ -68,7 +68,7 @@ from .protocols.config import (
     horizontal_triple_needs,
     vertical_triple_needs,
 )
-from .ring import FixedPointConfig, decode_raw
+from .ring import decode_raw
 from .rng import CounterDrbg
 from .smm import TriplePool
 from .transport import TcpSession, loopback_sessions
@@ -103,10 +103,6 @@ RUNSPEC_SCHEMA = {
                 "batch_size": {"type": "integer", "minimum": 1},
                 "iterations": {"type": "integer", "minimum": 1,
                                "maximum": 100000},
-                "sigmoid_coeffs": {"type": "array", "minItems": 4,
-                                   "maxItems": 4,
-                                   "items": {"type": "number"}},
-                "frac_bits": {"type": "integer", "minimum": 8, "maximum": 26},
                 "seed": {"type": ["integer", "string"]},
                 "owner_policy": {"enum": ["sequential", "random"]},
                 "label_party": {"type": "integer", "minimum": 0},
@@ -358,8 +354,6 @@ class PartitionedDataset:
 
     scheme: str
     bounds: tuple[int, ...]
-    label_party: int | None = None
-    provenance: dict = field(default_factory=dict)
 
     @property
     def n_parties(self) -> int:
@@ -794,7 +788,6 @@ def run_plaintext(spec: RunSpec):
 
 def _fold_weights(spec: RunSpec, manifests: list[dict], k: int):
     """Full model vector for fold k from the party manifests."""
-    fx = FixedPointConfig(spec.config.frac_bits)
     if spec.scheme == "plaintext":
         blob = bytes.fromhex(manifests[0]["folds"][k]["model_hex"])
         return np.frombuffer(blob, dtype="<f8").copy()
@@ -805,7 +798,7 @@ def _fold_weights(spec: RunSpec, manifests: list[dict], k: int):
     words = []
     for hx in hexes:
         words.extend(int(hx[i:i + 16], 16) for i in range(0, len(hx), 16))
-    return np.asarray([decode_raw(w, fx) for w in words])
+    return np.asarray([decode_raw(w) for w in words])
 
 
 def evaluate(spec: RunSpec, manifests: list[dict],

@@ -20,14 +20,15 @@ from .errors import (
     TooFewColumns,
     TooFewRows,
 )
+from .ring import FRAC_BITS
 from .rng import CounterDrbg
 
 
-def quantize(arr, frac_bits: int = 20):
+def quantize(arr):
     """Snap values to the 2^-f grid with the same rounding as the encoder
     (half away from zero), so encoding a quantized value is exact."""
     a = np.asarray(arr, dtype=np.float64)
-    scale = float(1 << frac_bits)
+    scale = float(1 << FRAC_BITS)
     return np.copysign(np.floor(np.abs(a) * scale + 0.5), a) / scale
 
 
@@ -51,13 +52,12 @@ def minmax_normalize(X, scale_labels: bool = False, y=None):
     return Xn, y
 
 
-def _uniform_grid(rng: CounterDrbg, shape, lo: float, hi: float,
-                  frac_bits: int = 20):
+def _uniform_grid(rng: CounterDrbg, shape, lo: float, hi: float):
     n = int(np.prod(shape))
-    steps = int(round((hi - lo) * (1 << frac_bits)))
-    base = int(round(lo * (1 << frac_bits)))
-    vals = [(base + rng.randrange(steps + 1)) / (1 << frac_bits)
-            for _ in range(n)]
+    scale = 1 << FRAC_BITS
+    steps = int(round((hi - lo) * scale))
+    base = int(round(lo * scale))
+    vals = [(base + rng.randrange(steps + 1)) / scale for _ in range(n)]
     return np.array(vals, dtype=np.float64).reshape(shape)
 
 

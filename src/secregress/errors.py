@@ -97,10 +97,6 @@ class SingleClassError(SecregressError):
     """AUC needs both classes present."""
 
 
-class TooFewSamples(SecregressError):
-    pass
-
-
 # cli / ingestion
 
 class ParseError(SecregressError):

@@ -2,7 +2,6 @@
 
 from .base import TrainResult
 from .config import (
-    DEFAULT_SIGMOID_COEFFS,
     TrainingConfig,
     horizontal_schedule,
     horizontal_triple_needs,
@@ -14,7 +13,6 @@ from .horizontal import HorizontalEngine
 from .vertical import VerticalEngine
 
 __all__ = [
-    "DEFAULT_SIGMOID_COEFFS",
     "HorizontalEngine",
     "TrainResult",
     "TrainingConfig",

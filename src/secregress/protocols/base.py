@@ -29,8 +29,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from ..baseline import SIGMOID_POLY
 from ..errors import InvalidPartyCount, PolicyMismatch
 from ..ring import (
+    FRAC_BITS,
     RingMatrix,
     add_const,
     decode_raw,
@@ -91,7 +93,7 @@ class TrainResult:
 class _EngineBase:
     def __init__(self, session, config: TrainingConfig, task: str,
                  layout: str, pool: TriplePool | None = None,
-                 on_iteration=None, round_base: int = 0):
+                 round_base: int = 0):
         if session.n_parties < 2:
             raise InvalidPartyCount("training needs at least 2 parties")
         if task not in ("linear", "logistic"):
@@ -102,30 +104,21 @@ class _EngineBase:
         self.layout = layout
         self.me = session.party_id
         self.n = session.n_parties
-        self.f = config.frac_bits
-        self.fx = config.fixed_point()
-        self.on_iteration = on_iteration
+        self.f = FRAC_BITS
         # Offsetting every round lets several runs (CV folds) share one
         # connected session without frame collisions.
         self._round_base = round_base
         self._round = round_base + _FIRST_ROUND
         self._half = 1 << (self.f - 1)
         self._lr_word = config.lr_word()
-        q0, q1, q2, q3 = config.sigmoid_coeffs
+        q0, q1, q2, q3 = (encode_raw(q) for q in SIGMOID_POLY)
         # q0 sits at 2f so it can be added straight into the 2f aggregate.
-        self._coeff_words = (
-            encode_raw(q0, self.fx) << self.f,
-            encode_raw(q1, self.fx),
-            encode_raw(q2, self.fx),
-            encode_raw(q3, self.fx),
-        )
+        self._coeff_words = (q0 << self.f, q1, q2, q3)
         if config.smm_variant == "smm1":
             self.pool = pool if pool is not None else TriplePool.from_seed(
                 config.seed)
         else:
             self.pool = None
-        # Batch-scoped share material; cleared before each iteration ends.
-        self._batch_shares = None
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -323,7 +316,7 @@ class _EngineBase:
         raw = list(weights_mat.data)
         return TrainResult(
             party_id=self.me,
-            weights=[decode_raw(x, self.fx) for x in raw],
+            weights=[decode_raw(x) for x in raw],
             weights_raw=raw,
             block_sizes=block_sizes,
             schedule=schedule,

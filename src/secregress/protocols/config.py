@@ -8,20 +8,19 @@ plaintext reference replay a secure run exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import BatchTooLarge, MagnitudeOverflow, PolicyMismatch
-from ..ring import FixedPointConfig
+from ..ring import FRAC_BITS
 from ..rng import CounterDrbg
 
 SMM_VARIANTS = ("smm1", "smm2")
 OWNER_POLICIES = ("sequential", "random")
-
-# 0.5 + 0.197 z + 0.004 z^3, the cubic logistic stand-in.
-DEFAULT_SIGMOID_COEFFS = (0.5, 0.197, 0.0, 0.004)
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,18 @@ class TrainingConfig:
     The engines broadcast a digest of this (plus task, layout, and party
     count) in round 0 and raise PolicyMismatch when the processes were
     launched with different values. learning_rate 0 is allowed: the update
-    becomes an exact no-op, which some equivalence tests rely on.
+    becomes an exact no-op, which some equivalence tests rely on. The
+    fixed-point format (frac_bits) and the sigmoid polynomial are package
+    constants, not settings.
     """
+
+    # Not a field: f is fixed, readable here because perfbench reads it.
+    frac_bits: ClassVar[int] = FRAC_BITS
 
     learning_rate: float = 0.01
     batch_size: int = 5
     iterations: int = 100
     smm_variant: str = "smm1"
-    sigmoid_coeffs: tuple[float, float, float, float] = DEFAULT_SIGMOID_COEFFS
-    frac_bits: int = 20
     seed: int | str = 0
     owner_policy: str = "sequential"
     label_party: int = 0
@@ -55,20 +57,12 @@ class TrainingConfig:
             raise ValueError("iterations must be a positive integer")
         if self.smm_variant not in SMM_VARIANTS:
             raise ValueError(f"smm_variant must be one of {SMM_VARIANTS}")
-        coeffs = tuple(float(q) for q in self.sigmoid_coeffs)
-        if len(coeffs) != 4 or not all(math.isfinite(q) for q in coeffs):
-            raise ValueError("sigmoid_coeffs must be 4 finite reals")
-        object.__setattr__(self, "sigmoid_coeffs", coeffs)
-        FixedPointConfig(frac_bits=self.frac_bits)  # validates the window
         if not isinstance(self.seed, (int, str)):
             raise ValueError("seed must be an int or a string")
         if self.owner_policy not in OWNER_POLICIES:
             raise ValueError(f"owner_policy must be one of {OWNER_POLICIES}")
         if not (isinstance(self.label_party, int) and self.label_party >= 0):
             raise ValueError("label_party must be a non-negative integer")
-
-    def fixed_point(self) -> FixedPointConfig:
-        return FixedPointConfig(frac_bits=self.frac_bits)
 
     def lr_word(self) -> int:
         """round(alpha/B * 2^f): the public ring factor applied to f-bit
@@ -90,30 +84,14 @@ class TrainingConfig:
         return (self.lr_word() / (1 << self.frac_bits)) * self.batch_size
 
     def public_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "smm_variant": self.smm_variant,
-            "sigmoid_coeffs": list(self.sigmoid_coeffs),
-            "frac_bits": self.frac_bits,
-            "seed": self.seed,
-            "owner_policy": self.owner_policy,
-            "label_party": self.label_party,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        unknown = set(d) - {
-            "learning_rate", "batch_size", "iterations", "smm_variant",
-            "sigmoid_coeffs", "frac_bits", "seed", "owner_policy",
-            "label_party"}
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "sigmoid_coeffs" in kwargs:
-            kwargs["sigmoid_coeffs"] = tuple(kwargs["sigmoid_coeffs"])
-        return cls(**kwargs)
+        return cls(**d)
 
     def config_digest(self, task: str, layout: str, n_parties: int) -> bytes:
         payload = self.public_dict()

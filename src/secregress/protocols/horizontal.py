@@ -24,9 +24,9 @@ from .config import TrainingConfig, horizontal_schedule, schedule_digest
 
 class HorizontalEngine(_EngineBase):
     def __init__(self, session, config: TrainingConfig, task: str = "linear",
-                 pool=None, on_iteration=None, round_base: int = 0):
+                 pool=None, round_base: int = 0):
         super().__init__(session, config, task, "horizontal", pool,
-                         on_iteration, round_base)
+                         round_base)
 
     def run(self, features: list[list[float]],
             labels: list[float]) -> TrainResult:
@@ -55,9 +55,9 @@ class HorizontalEngine(_EngineBase):
 
         owners, local_rows, global_rows = horizontal_schedule(
             self.cfg, m_list)
-        x_enc = RingMatrix.encode_rows(features, self.fx) if m_local else None
+        x_enc = RingMatrix.encode_rows(features) if m_local else None
         y_enc = RingMatrix.encode_rows(
-            [[v] for v in labels], self.fx) if m_local else None
+            [[v] for v in labels]) if m_local else None
 
         b = self.cfg.batch_size
         w_2f = RingMatrix.zeros(d, 1)
@@ -85,7 +85,6 @@ class HorizontalEngine(_EngineBase):
             else:
                 my_x = self.s.recv(owner, KIND_SHARE_DIST, r_x)
                 my_y = self.s.recv(owner, KIND_Y_SHARE, r_y)
-            self._batch_shares = (my_x, my_y)
 
             # z = X_B w, assembled at 2f bits; w shares sit on parties 0,1
             p_2f = self._shared_product(range(self.n), my_x, (0, 1), w_f,
@@ -98,10 +97,7 @@ class HorizontalEngine(_EngineBase):
                                         (0, 1), err_f, (d, b, 1))
 
             w_2f = self._update(w_2f, g_2f)
-            self._batch_shares = None  # batch shares end with the iteration
             timer.stop()
-            if self.on_iteration is not None:
-                self.on_iteration(t, self)
 
         w_full = self._reveal_all(self._shift(w_2f, narrow=True))
         return self._result(w_full, None, global_rows, owners,

@@ -32,9 +32,9 @@ from .config import TrainingConfig, schedule_digest
 
 class VerticalEngine(_EngineBase):
     def __init__(self, session, config: TrainingConfig, task: str = "linear",
-                 pool=None, on_iteration=None, round_base: int = 0):
+                 pool=None, round_base: int = 0):
         super().__init__(session, config, task, "vertical", pool,
-                         on_iteration, round_base)
+                         round_base)
 
     def run(self, features: list[list[float]],
             labels: list[float] | None = None) -> TrainResult:
@@ -81,9 +81,9 @@ class VerticalEngine(_EngineBase):
 
         schedule = build_batch_schedule(
             m, b, self.cfg.iterations, self.cfg.seed)
-        x_enc = RingMatrix.encode_rows(features, self.fx)
+        x_enc = RingMatrix.encode_rows(features)
         y_enc = RingMatrix.encode_rows(
-            [[v] for v in labels], self.fx) if labels is not None else None
+            [[v] for v in labels]) if labels is not None else None
 
         # Every party splits its (zero) weight block over all parties.
         r0 = self._next_round()
@@ -122,7 +122,6 @@ class VerticalEngine(_EngineBase):
                 my_y = y_shares[self.me]
             else:
                 my_y = self.s.recv(holder, KIND_Y_SHARE, r_y)
-            self._batch_shares = (my_y,)
 
             # z = sum_i X^i w_i at 2f bits; truncated w shares sit on
             # parties 0 and 1, so those are the only counterparts.
@@ -144,10 +143,7 @@ class VerticalEngine(_EngineBase):
                     (0, 1), err_t, (i,), xb, (1, b, d_list[i])))
                 w_2f[i] = self._update(w_2f[i], g_2f)
 
-            self._batch_shares = None
             timer.stop()
-            if self.on_iteration is not None:
-                self.on_iteration(t, self)
 
         # Each block's shares converge on the block's owner.
         w_f = {i: self._shift(w_2f[i]) for i in range(self.n)}

@@ -1,6 +1,8 @@
 """Fixed-point arithmetic over the ring of integers modulo 2^64.
 
-Reals are encoded as round(v * 2^f) mod 2^64 and all protocol arithmetic
+Reals are encoded as round(v * 2^f) mod 2^64 with f = FRAC_BITS for every
+run: share-wise truncation fails more often as f and the value bound grow,
+so a safe f belongs to the format, not to a run. All protocol arithmetic
 happens on the raw words with silent wrapping; two's-complement decode
 recovers the signed value. A product of two f-bit encodings carries 2f
 fractional bits until an explicit truncate. Pure Python ints are used on
@@ -42,22 +44,22 @@ def to_signed(raw: int) -> int:
     return raw - (1 << 64) if raw & SIGN_BIT else raw
 
 
+FRAC_BITS = 20
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Encoding parameters: f fractional bits inside a k-bit ring.
+    """Encoding parameters: f fractional bits inside the 64-bit ring.
 
-    The invariant f < k/2 leaves room for exactly one product of encoded
+    The invariant f < 32 leaves room for exactly one product of encoded
     values (2f fractional bits) before truncation is required.
     """
 
-    frac_bits: int = 20
-    ring_bits: int = 64
+    frac_bits: int = FRAC_BITS
 
     def __post_init__(self):
-        if self.ring_bits != 64:
-            raise ValueError("only the 64-bit ring is supported")
-        if not 0 < self.frac_bits < self.ring_bits // 2:
-            raise ValueError("need 0 < frac_bits < ring_bits/2")
+        if not 0 < self.frac_bits < 32:
+            raise ValueError("need 0 < frac_bits < 32")
 
     @property
     def scale(self) -> int:
@@ -72,11 +74,11 @@ class FixedPointConfig:
 DEFAULT_CONFIG = FixedPointConfig()
 
 
-def encode_raw(v: float, cfg: FixedPointConfig = DEFAULT_CONFIG) -> int:
+def encode_raw(v: float) -> int:
     """round(v * 2^f) mod 2^64, rounding half away from zero."""
-    if not math.isfinite(v) or abs(v) >= cfg.max_magnitude:
-        raise MagnitudeOverflow(f"|{v!r}| >= 2^{63 - cfg.frac_bits}")
-    x = v * cfg.scale
+    if not math.isfinite(v) or abs(v) >= DEFAULT_CONFIG.max_magnitude:
+        raise MagnitudeOverflow(f"|{v!r}| >= 2^{63 - FRAC_BITS}")
+    x = v * DEFAULT_CONFIG.scale
     r = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
     return r & MASK
 
@@ -113,15 +115,15 @@ class RingMatrix:
         return cls(rows, cols, [0] * (rows * cols))
 
     @classmethod
-    def identity(cls, n: int, cfg: FixedPointConfig = DEFAULT_CONFIG) -> "RingMatrix":
-        one = cfg.scale
+    def identity(cls, n: int) -> "RingMatrix":
+        one = 1 << FRAC_BITS
         data = [0] * (n * n)
         for i in range(n):
             data[i * n + i] = one
         return cls(n, n, data)
 
     @classmethod
-    def encode_rows(cls, values, cfg: FixedPointConfig = DEFAULT_CONFIG) -> "RingMatrix":
+    def encode_rows(cls, values) -> "RingMatrix":
         """Encode a nested sequence of reals, one inner sequence per row."""
         data = []
         rows = 0
@@ -132,21 +134,20 @@ class RingMatrix:
                 cols = len(row)
             elif len(row) != cols:
                 raise DimensionMismatch("ragged input rows")
-            data.extend(encode_raw(float(v), cfg) for v in row)
+            data.extend(encode_raw(float(v)) for v in row)
             rows += 1
         if rows == 0 or not cols:
             raise DimensionMismatch("empty input")
         return cls(rows, cols, data)
 
     @classmethod
-    def column(cls, values, cfg: FixedPointConfig = DEFAULT_CONFIG) -> "RingMatrix":
-        data = [encode_raw(float(v), cfg) for v in values]
+    def column(cls, values) -> "RingMatrix":
+        data = [encode_raw(float(v)) for v in values]
         return cls(len(data), 1, data)
 
-    def decode_rows(self, cfg: FixedPointConfig = DEFAULT_CONFIG,
-                    frac_bits: int | None = None) -> list[list[float]]:
-        f = cfg.frac_bits if frac_bits is None else frac_bits
-        div = float(1 << f)
+    def decode_rows(self, frac_bits: int = FRAC_BITS) -> list[list[float]]:
+        """frac_bits overrides f for entries still carrying 2f bits."""
+        div = float(1 << frac_bits)
         out = []
         for r in range(self.rows):
             seg = self.data[r * self.cols:(r + 1) * self.cols]
@@ -256,9 +257,9 @@ def add_const(a: RingMatrix, raw: int) -> RingMatrix:
     return RingMatrix(a.rows, a.cols, [(x + raw) & MASK for x in a.data])
 
 
-def truncate(a: RingMatrix, cfg: FixedPointConfig = DEFAULT_CONFIG) -> RingMatrix:
+def truncate(a: RingMatrix) -> RingMatrix:
     """Restore f fractional bits after a product (entries carry 2f bits)."""
-    return shift_right(a, cfg.frac_bits)
+    return shift_right(a, FRAC_BITS)
 
 
 def transpose(a: RingMatrix) -> RingMatrix:

@@ -10,13 +10,13 @@ fractional bits. Two interchangeable protocols:
   triple and six frames per product.
 
 * smm2_*: no triple. Each side blinds with a fresh uniform matrix and a
-  folded even/odd combination of it; four frames (five when the product is
-  revealed). The savings are paid for with a characterized leak: B learns
-  the adjacent-column sums X_e + X_o of A's input and A learns the
-  adjacent-row differences Y_e - Y_o of B's. extract_leakage recovers
-  exactly those aggregates from a received-frame transcript, and
-  simulate_view reproduces the full view from the leak alone, which is the
-  sense in which nothing else leaks.
+  folded even/odd combination of it; four frames. The savings are paid
+  for with a characterized leak: B learns the adjacent-column sums
+  X_e + X_o of A's input and A learns the adjacent-row differences
+  Y_e - Y_o of B's. extract_leakage recovers exactly those aggregates from
+  a received-frame transcript, and simulate_view reproduces the full view
+  (the two frames a side receives; no product is revealed to either) from the
+  leak alone, which is the sense in which nothing else leaks.
 
 Elementwise variants compute a o b for vectors held by different parties in
 one message round; the smm2 one packs pairs of entries into 2x2 blocks so
@@ -46,7 +46,6 @@ from .transport import (
     KIND_SHARE_DIST,
     KIND_SMM_D,
     KIND_SMM_E,
-    KIND_SMM_N,
     Frame,
 )
 
@@ -321,9 +320,9 @@ def smm1(session, peer: int, side: int, mine: RingMatrix, half: TripleHalf,
 # --- protocol 2: triple-free, leaks folded aggregates ---
 
 
-def smm2_x(session, peer: int, x_mat: RingMatrix, round_no: int,
-           reveal: bool = False) -> RingMatrix:
-    """A's side. Returns A's share M, or the full product when reveal."""
+def smm2_x(session, peer: int, x_mat: RingMatrix,
+           round_no: int) -> RingMatrix:
+    """A's side. Returns A's share M."""
     xt = pad_cols_even(x_mat)
     xp = uniform_matrix(xt.rows, xt.cols, session.rng)
     x1 = mat_add(xt, xp)
@@ -336,16 +335,13 @@ def smm2_x(session, peer: int, x_mat: RingMatrix, round_no: int,
         raise DimensionMismatch(
             f"peer frames {y1.rows}x{y1.cols} / {y2.rows}x{y2.cols} do not "
             f"fit a {xt.rows}x{xt.cols} left operand")
-    m = mat_add(mat_mul_raw(mat_add(xt, mat_mul_scalar(xp, 2)), y1),
-                mat_mul_raw(mat_add(x2, cols_odd(xp)), y2))
-    if reveal:
-        m = mat_add(m, session.recv(peer, KIND_SMM_N, round_no))
-    return m
+    return mat_add(mat_mul_raw(mat_add(xt, mat_mul_scalar(xp, 2)), y1),
+                   mat_mul_raw(mat_add(x2, cols_odd(xp)), y2))
 
 
-def smm2_y(session, peer: int, y_mat: RingMatrix, round_no: int,
-           reveal: bool = False) -> RingMatrix | None:
-    """B's side. Returns B's share N; None when the product went to A."""
+def smm2_y(session, peer: int, y_mat: RingMatrix,
+           round_no: int) -> RingMatrix:
+    """B's side. Returns B's share N."""
     yt = pad_rows_even(y_mat)
     yp = uniform_matrix(yt.rows, yt.cols, session.rng)
     y1 = mat_sub(yp, yt)
@@ -358,12 +354,8 @@ def smm2_y(session, peer: int, y_mat: RingMatrix, round_no: int,
         raise DimensionMismatch(
             f"peer frames {x1.rows}x{x1.cols} / {x2.rows}x{x2.cols} do not "
             f"fit a {yt.rows}x{yt.cols} right operand")
-    n = mat_sub(mat_mul_raw(x1, mat_sub(mat_mul_scalar(yt, 2), yp)),
-                mat_mul_raw(x2, mat_add(y2, rows_even(yp))))
-    if reveal:
-        session.send(peer, KIND_SMM_N, n, round_no)
-        return None
-    return n
+    return mat_sub(mat_mul_raw(x1, mat_sub(mat_mul_scalar(yt, 2), yp)),
+                   mat_mul_raw(x2, mat_add(y2, rows_even(yp))))
 
 
 # --- elementwise products, one message round per call ---
@@ -469,17 +461,17 @@ def extract_leakage(frames: list[Frame]) -> LeakageReport:
     from .errors import MalformedTranscript
 
     frames = [f for f in frames if f.kind in
-              (KIND_SHARE_DIST, KIND_SMM_D, KIND_SMM_E, KIND_SMM_N)]
+              (KIND_SHARE_DIST, KIND_SMM_D, KIND_SMM_E)]
     if not frames:
         raise MalformedTranscript("no protocol frames")
     if any(f.kind == KIND_SHARE_DIST for f in frames):
         return LeakageReport("smm1", None, None)
-    de = [f for f in frames if f.kind in (KIND_SMM_D, KIND_SMM_E)]
-    if len(de) != 2 or de[0].kind != KIND_SMM_D or de[1].kind != KIND_SMM_E:
+    if (len(frames) != 2 or frames[0].kind != KIND_SMM_D
+            or frames[1].kind != KIND_SMM_E):
         raise MalformedTranscript(
             "expected one SMM_D then one SMM_E frame, got "
             + ", ".join(f.describe() for f in frames))
-    p, q = de[0].matrix, de[1].matrix
+    p, q = frames[0].matrix, frames[1].matrix
     if p.rows == 2 * q.rows and p.cols == q.cols:
         # we received the right-operand frames, so we held X
         leak = mat_sub(q, mat_sub(rows_even(p), rows_odd(p)))

@@ -35,7 +35,6 @@ from .ring import RingMatrix
 KIND_SHARE_DIST = 1   # share of a private input
 KIND_SMM_D = 2        # masked/blinded left operand
 KIND_SMM_E = 3        # masked/blinded right operand
-KIND_SMM_N = 4        # revealed product summand
 KIND_Y_SHARE = 5      # share of a label vector
 KIND_W_SHARE = 6      # share of a weight block
 KIND_CONTROL = 7      # policy values and barriers
@@ -44,7 +43,6 @@ KIND_NAMES = {
     KIND_SHARE_DIST: "SHARE_DIST",
     KIND_SMM_D: "SMM_D",
     KIND_SMM_E: "SMM_E",
-    KIND_SMM_N: "SMM_N",
     KIND_Y_SHARE: "Y_SHARE",
     KIND_W_SHARE: "W_SHARE",
     KIND_CONTROL: "CONTROL",

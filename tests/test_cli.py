@@ -67,6 +67,8 @@ def test_spec_accepts_variant_aliases():
     {"dataset": {"kind": "synthetic-linear", "m": 36}},
     {"config": {"learning_rate": -0.5}},
     {"config": {"nonsense": 1}},
+    {"config": {"frac_bits": 26}},
+    {"config": {"sigmoid_coeffs": [0.5, 0.25, 0.0, -0.02]}},
 ])
 def test_spec_schema_rejects(mangle):
     with pytest.raises(cli.ConfigFileError):
@@ -353,6 +355,17 @@ def test_main_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["train", "--spec", str(missing)]) == 2
     capsys.readouterr()
+
+    # the fixed-point format is not a spec setting
+    f26 = tmp_path / "f26.json"
+    f26.write_text(json.dumps(spec_dict(
+        scheme="vertical", smm_variant="OTI",
+        dataset={"kind": "synthetic-linear", "m": 400, "d": 8, "seed": 3},
+        config={"learning_rate": 0.1, "batch_size": 100, "iterations": 20,
+                "seed": 5, "frac_bits": 26},
+        output=str(tmp_path / "o"))))
+    assert cli.main(["train", "--spec", str(f26), "--mode", "processes"]) == 2
+    assert "frac_bits" in capsys.readouterr().err
 
 
 def test_main_protocol_failure_exit_code(tmp_path, capsys):

@@ -38,7 +38,7 @@ from secregress.protocols import (
     vertical_triple_needs,
 )
 from secregress.protocols.base import _EngineBase
-from secregress.ring import FixedPointConfig, RingMatrix
+from secregress.ring import RingMatrix
 from secregress.rng import CounterDrbg
 from secregress.sharing import reconstruct, share_matrix
 from secregress.smm import TriplePool, generate_triple
@@ -46,7 +46,6 @@ from secregress.transport import TransportError, loopback_sessions
 
 ULP = 2.0 ** -20
 TOL = 10 * ULP  # oracle-equivalence budget per coordinate
-FX = FixedPointConfig(20)
 
 
 def run_parties(n, cfg, fns, timeout=60.0):
@@ -192,7 +191,7 @@ def _grid_poly(z):
 def test_sigmoid_shares_track_polynomial(variant):
     zs = [0.0, 1.0, -1.0, 0.5, -0.25, 3.0, -3.0]
     cfg = TrainingConfig(smm_variant=variant, seed="sig")
-    z_enc = RingMatrix.encode_rows([[v] for v in zs], FX)
+    z_enc = RingMatrix.encode_rows([[v] for v in zs])
     shares = share_matrix(z_enc, 2, CounterDrbg("sig-shares"))
     fns = [
         (lambda s, sh=shares[i]:
@@ -201,7 +200,7 @@ def test_sigmoid_shares_track_polynomial(variant):
     ]
     out = run_parties(2, cfg, fns)
     got = [row[0] for row in
-           reconstruct(out).decode_rows(FX, frac_bits=40)]
+           reconstruct(out).decode_rows(frac_bits=40)]
     for z, val in zip(zs, got):
         assert abs(val - _grid_poly(z)) <= 3 * ULP
         if abs(z) <= 1.0:
@@ -270,31 +269,6 @@ def test_one_party_holding_everything_matches_reference():
     _, _, global_rows = horizontal_schedule(cfg, [40, 0])
     w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
     assert max_drift(res[0].weights, w_ref) <= TOL
-
-
-def test_batch_shares_die_with_their_iteration():
-    """Batch share buffers are cleared before control returns, and junk
-    written into the cleared slot must not reach the next iteration."""
-    X, y = make_regression_data(40, 3, seed=21)
-    cfg = TrainingConfig(learning_rate=0.1, batch_size=5, iterations=10,
-                         seed="hygiene")
-    clean = run_horizontal(cfg, X, y, [25])
-
-    seen = []
-
-    def poison(t, engine):
-        seen.append(engine._batch_shares)
-        engine._batch_shares = ("sentinel", t)
-
-    parts = split_rows([list(r) for r in X], list(y), [25])
-    fns = [
-        (lambda s, xi=xi, yi=yi:
-         HorizontalEngine(s, cfg, on_iteration=poison).run(xi, yi))
-        for xi, yi in parts
-    ]
-    poisoned = run_parties(2, cfg, fns)
-    assert all(v is None for v in seen)
-    assert poisoned[0].weights_raw == clean[0].weights_raw
 
 
 def test_config_disagreement_is_detected():

@@ -70,8 +70,6 @@ def test_config_invariant():
     for f in (0, 32, 40, -3):
         with pytest.raises(ValueError):
             FixedPointConfig(frac_bits=f)
-    with pytest.raises(ValueError):
-        FixedPointConfig(ring_bits=32)
 
 
 @given(st.floats(min_value=-1000, max_value=1000, allow_nan=False))

@@ -173,13 +173,13 @@ def run_smm1(x_vals, y_vals, tag):
     ), s
 
 
-def run_smm2(x_vals, y_vals, tag, reveal=False):
+def run_smm2(x_vals, y_vals, tag):
     s = sessions(tag)
     x = RingMatrix.encode_rows(x_vals)
     y = RingMatrix.encode_rows(y_vals)
     return run_pair(
-        lambda: smm2_x(s[0], 1, x, 0, reveal=reveal),
-        lambda: smm2_y(s[1], 0, y, 0, reveal=reveal),
+        lambda: smm2_x(s[0], 1, x, 0),
+        lambda: smm2_y(s[1], 0, y, 0),
     ), s
 
 
@@ -217,14 +217,6 @@ def test_truncated_product_within_tolerance(protocol):
             for k in range(zr):
                 exact = sum(xv[i][j] * yv[j][k] for j in range(yr))
                 assert abs(got[i][k] - exact) <= 2 * ULP
-
-
-def test_smm2_reveal_gives_product_to_a():
-    xv = [[1.5, -2.0], [0.25, 4.0]]
-    yv = [[2.0], [-1.0]]
-    (prod, nothing), _ = run_smm2(xv, yv, "reveal", reveal=True)
-    assert nothing is None
-    assert truncate(prod).decode_rows() == [[5.0], [-3.5]]
 
 
 @pytest.mark.parametrize("elementwise", [False, True])
