@@ -609,13 +609,18 @@ def _spawn_processes(spec: RunSpec, timeout: float):
         spec_path = os.path.join(tmp, "spec.json")
         with open(spec_path, "w") as fh:
             json.dump(child_spec.to_dict(), fh, indent=2)
+        # children import the package from where this process did
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         procs = []
         for i in range(spec.parties):
             procs.append(subprocess.Popen(
                 [sys.executable, "-m", "secregress", "train",
                  "--spec", spec_path, "--party", str(i),
                  "--timeout", str(timeout)],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env))
         _wait_children(procs, timeout)
         manifests, timings = [], []
         for i in range(spec.parties):
@@ -974,6 +979,9 @@ def _cmd_bench(args) -> int:
     if not args.scaling:
         raise ConfigFileError("bench currently offers --scaling")
     sizes = [int(s) for s in args.sizes.split(",")]
+    # each engine also runs at m=8, where the per-iteration work that does
+    # not grow with m (frames, thread hand-offs, call overhead) dominates
+    swept = [8] + sizes
     names, specs = [], []
     for variant in ("TI", "OTI"):
         for scheme in ("horizontal", "vertical"):
@@ -995,19 +1003,30 @@ def _cmd_bench(args) -> int:
                     "iterations": args.iterations,
                     "seed": args.seed,
                 },
-            }) for m in sizes)
+            }) for m in swept)
     best = _scaling_sweep(specs)
     out = {"sizes": sizes, "engines": {}}
     for k, name in enumerate(names):
-        points = [[m, secs] for m, secs in
-                  zip(sizes, best[k * len(sizes):(k + 1) * len(sizes)])]
-        for m, secs in points:
-            print(f"{name} m={m}: {secs:.3f}s")
+        secs = best[k * len(swept):(k + 1) * len(swept)]
+        points = [[m, t] for m, t in zip(sizes, secs[1:])]
+        for m, t in zip(swept, secs):
+            print(f"{name} m={m}: {t:.3f}s")
         ratios = [points[i + 1][1] / points[i][1]
                   for i in range(len(points) - 1)]
-        out["engines"][name] = {"points": points, "ratios": ratios}
+        # seconds per iteration = a + b*m, least squares on relative
+        # residuals: an absolute fit would spend the intercept on the
+        # noise of the largest points, which exceeds a itself
+        y = np.asarray(secs) / args.iterations
+        a, b = np.linalg.lstsq(np.column_stack((1 / y, np.asarray(swept) / y)),
+                               np.ones(len(y)), rcond=None)[0]
+        out["engines"][name] = {
+            "points": points, "ratios": ratios,
+            "fit": {"m": swept, "a_s": a, "b_s": b,
+                    "a_over_b500": a / (b * 500)}}
         print(f"{name} per-doubling ratios: "
-              + ", ".join(f"{r:.2f}" for r in ratios))
+              + ", ".join(f"{r:.2f}" for r in ratios)
+              + f"; per iteration a={a * 1e3:.3f} ms, "
+              f"b={b * 1e6:.3f} us per row, a/(b*500)={a / (b * 500):.3f}")
     if args.out:
         _write_json(args.out, out)
         print(f"artifacts: {args.out}")

@@ -286,14 +286,14 @@ class _EngineBase:
         rows = []
         for p in range(self.n):
             if p == self.me:
-                rows.append(list(mat.data))
+                rows.append(mat.data)
                 continue
             got = self.s.recv(p, KIND_CONTROL, self._round_base)
             if got.rows != 1 or got.cols != len(fields):
                 raise PolicyMismatch(
                     f"party {p} sent a {got.rows}x{got.cols} policy frame, "
                     f"expected 1x{len(fields)}")
-            rows.append(list(got.data))
+            rows.append(got.data)
         return rows
 
     def _reveal_all(self, share: RingMatrix) -> RingMatrix:
@@ -313,7 +313,7 @@ class _EngineBase:
     def _result(self, weights_mat: RingMatrix, block_sizes, schedule,
                 owners, schedule_hash: str,
                 iter_seconds: list[float]) -> TrainResult:
-        raw = list(weights_mat.data)
+        raw = weights_mat.data
         return TrainResult(
             party_id=self.me,
             weights=[decode_raw(x) for x in raw],

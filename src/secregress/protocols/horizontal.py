@@ -56,8 +56,7 @@ class HorizontalEngine(_EngineBase):
         owners, local_rows, global_rows = horizontal_schedule(
             self.cfg, m_list)
         x_enc = RingMatrix.encode_rows(features) if m_local else None
-        y_enc = RingMatrix.encode_rows(
-            [[v] for v in labels]) if m_local else None
+        y_enc = RingMatrix.column(labels) if m_local else None
 
         b = self.cfg.batch_size
         w_2f = RingMatrix.zeros(d, 1)
@@ -70,11 +69,8 @@ class HorizontalEngine(_EngineBase):
             r_x = self._next_round()
             r_y = self._next_round()
             if self.me == owner:
-                data = []
-                for r in local_rows[t]:
-                    data.extend(x_enc.data[r * d:(r + 1) * d])
-                xb = RingMatrix(b, d, data)
-                yb = RingMatrix(b, 1, [y_enc.data[r] for r in local_rows[t]])
+                xb = RingMatrix.wrap(x_enc.arr[local_rows[t]])
+                yb = RingMatrix.wrap(y_enc.arr[local_rows[t]])
                 x_shares = share_matrix(xb, self.n, self.s.rng)
                 y_shares = share_matrix(yb, self.n, self.s.rng)
                 for p in range(self.n):

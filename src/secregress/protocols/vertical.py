@@ -82,8 +82,7 @@ class VerticalEngine(_EngineBase):
         schedule = build_batch_schedule(
             m, b, self.cfg.iterations, self.cfg.seed)
         x_enc = RingMatrix.encode_rows(features)
-        y_enc = RingMatrix.encode_rows(
-            [[v] for v in labels]) if labels is not None else None
+        y_enc = RingMatrix.column(labels) if labels is not None else None
 
         # Every party splits its (zero) weight block over all parties.
         r0 = self._next_round()
@@ -107,14 +106,11 @@ class VerticalEngine(_EngineBase):
         for t, batch in enumerate(schedule):
             timer.start()
             w_f = {i: self._shift(w_2f[i]) for i in range(self.n)}
-            data = []
-            for r in batch:
-                data.extend(x_enc.data[r * d_local:(r + 1) * d_local])
-            xb = RingMatrix(b, d_local, data)
+            xb = RingMatrix.wrap(x_enc.arr[batch])
 
             r_y = self._next_round()
             if self.me == holder:
-                yb = RingMatrix(b, 1, [y_enc.data[r] for r in batch])
+                yb = RingMatrix.wrap(y_enc.arr[batch])
                 y_shares = share_matrix(yb, self.n, self.s.rng)
                 for p in range(self.n):
                     if p != self.me:

@@ -5,38 +5,51 @@ run: share-wise truncation fails more often as f and the value bound grow,
 so a safe f belongs to the format, not to a run. All protocol arithmetic
 happens on the raw words with silent wrapping; two's-complement decode
 recovers the signed value. A product of two f-bit encodings carries 2f
-fractional bits until an explicit truncate. Pure Python ints are used on
-purpose: wrapping is exact by construction and a 128-bit intermediate in the
-inner product costs nothing extra.
+fractional bits until an explicit truncate.
+
+A RingMatrix wraps one C-contiguous (rows, cols) numpy uint64 array.
+Unsigned 64-bit numpy arithmetic wraps modulo 2^64, which is exactly the
+ring: every sum, difference and product, and every partial sum of a matrix
+product, keeps its low 64 bits, so the words equal those of exact integer
+arithmetic reduced mod 2^64 (tests/ring_reference.py is that integer
+arithmetic, and the tests hold the two to the same words). The arithmetic
+shift reads the same bits as int64.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import threading
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DeserializeError, DimensionMismatch, MagnitudeOverflow
 
 MASK = (1 << 64) - 1
 SIGN_BIT = 1 << 63
 
-# Multiplication counter for the complexity tests. Incremented once per
-# matrix product (by x*y*z), so the overhead is per call, not per entry.
-_mul_ops = 0
-_mul_ops_lock = threading.Lock()
+_WORD = np.dtype("<u8")
+_SHAPE = struct.Struct("<II")
+
+# Multiplication counter for the complexity tests: x*y*z per matrix product,
+# so the overhead is per call, not per entry. Each thread adds only to its
+# own entry, so no update is lost between threads, and needs no lock.
+_mul_ops: dict[int, int] = {}
+
+
+def _count_muls(n: int) -> None:
+    me = threading.get_ident()
+    _mul_ops[me] = _mul_ops.get(me, 0) + n
 
 
 def mul_op_count() -> int:
-    return _mul_ops
+    return sum(list(_mul_ops.values()))
 
 
 def reset_mul_op_count() -> None:
-    global _mul_ops
-    with _mul_ops_lock:
-        _mul_ops = 0
+    _mul_ops.clear()
 
 
 def to_signed(raw: int) -> int:
@@ -83,6 +96,18 @@ def encode_raw(v: float) -> int:
     return r & MASK
 
 
+def _encode_array(x: np.ndarray) -> np.ndarray:
+    """encode_raw over a float64 array: the same float64 steps give the
+    same integers, and |v| < 2^(63-f) keeps them inside int64."""
+    ok = np.abs(x) < DEFAULT_CONFIG.max_magnitude  # False for NaN
+    if not ok.all():
+        bad = float(x[~ok].flat[0])
+        raise MagnitudeOverflow(f"|{bad!r}| >= 2^{63 - FRAC_BITS}")
+    s = x * DEFAULT_CONFIG.scale
+    r = np.where(s >= 0, np.floor(s + 0.5), np.ceil(s - 0.5))
+    return r.astype(np.int64).view(np.uint64)
+
+
 def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG,
                frac_bits: int | None = None) -> float:
     """Signed interpretation divided by 2^f.
@@ -94,72 +119,73 @@ def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG,
 
 
 class RingMatrix:
-    """Dense row-major matrix of raw ring words. Treat instances as immutable."""
+    """Dense matrix of raw ring words: `arr` is a C-contiguous (rows, cols)
+    uint64 array. Treat instances and their arrays as immutable; arrays
+    decoded from the wire are read-only views of the received bytes."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "arr")
 
-    def __init__(self, rows: int, cols: int, data: list[int]):
+    def __init__(self, rows: int, cols: int, data):
+        """data: rows*cols words in [0, 2^64), row-major, list or array."""
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"degenerate shape {rows}x{cols}")
-        if len(data) != rows * cols:
+        arr = np.array(data, dtype=np.uint64)
+        if arr.size != rows * cols:
             raise DimensionMismatch(
-                f"data length {len(data)} != {rows}x{cols}")
+                f"data length {arr.size} != {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.arr = arr.reshape(rows, cols)
+
+    @classmethod
+    def wrap(cls, arr: np.ndarray) -> "RingMatrix":
+        """Adopt a C-contiguous 2-d uint64 array without copying it."""
+        out = object.__new__(cls)
+        out.rows, out.cols = arr.shape
+        out.arr = arr
+        return out
+
+    @property
+    def data(self) -> list[int]:
+        """The words in row-major order, as a new list of ints."""
+        return self.arr.ravel().tolist()
 
     # construction helpers
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RingMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls(rows, cols, np.zeros(rows * cols, dtype=np.uint64))
 
     @classmethod
     def identity(cls, n: int) -> "RingMatrix":
-        one = 1 << FRAC_BITS
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = one
-        return cls(n, n, data)
+        return cls(n, n, np.eye(n, dtype=np.uint64) << FRAC_BITS)
 
     @classmethod
     def encode_rows(cls, values) -> "RingMatrix":
         """Encode a nested sequence of reals, one inner sequence per row."""
-        data = []
-        rows = 0
-        cols = None
-        for row in values:
-            row = list(row)
-            if cols is None:
-                cols = len(row)
-            elif len(row) != cols:
-                raise DimensionMismatch("ragged input rows")
-            data.extend(encode_raw(float(v)) for v in row)
-            rows += 1
-        if rows == 0 or not cols:
+        rows = [list(row) for row in values]
+        if len({len(row) for row in rows}) > 1:
+            raise DimensionMismatch("ragged input rows")
+        if not rows or not rows[0]:
             raise DimensionMismatch("empty input")
-        return cls(rows, cols, data)
+        return cls.wrap(_encode_array(np.array(rows, dtype=np.float64)))
 
     @classmethod
     def column(cls, values) -> "RingMatrix":
-        data = [encode_raw(float(v)) for v in values]
-        return cls(len(data), 1, data)
+        x = np.array(list(values), dtype=np.float64)
+        return cls(len(x), 1, _encode_array(x))
 
     def decode_rows(self, frac_bits: int = FRAC_BITS) -> list[list[float]]:
         """frac_bits overrides f for entries still carrying 2f bits."""
-        div = float(1 << frac_bits)
-        out = []
-        for r in range(self.rows):
-            seg = self.data[r * self.cols:(r + 1) * self.cols]
-            out.append([to_signed(w) / div for w in seg])
-        return out
+        return (self.arr.view(np.int64) / float(1 << frac_bits)).tolist()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols
+                and bool(np.array_equal(self.arr, other.arr)))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
+        return hash((self.rows, self.cols, self.arr.tobytes()))
 
     def __repr__(self):
         return f"RingMatrix({self.rows}x{self.cols})"
@@ -168,93 +194,78 @@ class RingMatrix:
     # This exact layout is the wire payload.
 
     def to_bytes(self) -> bytes:
-        return struct.pack("<II", self.rows, self.cols) + struct.pack(
-            f"<{len(self.data)}Q", *self.data)
+        return _SHAPE.pack(self.rows, self.cols) + self.arr.astype(
+            _WORD, copy=False).tobytes()
 
     @classmethod
-    def from_bytes(cls, buf: bytes) -> "RingMatrix":
+    def from_bytes(cls, buf) -> "RingMatrix":
+        """Decode a payload (bytes or a memoryview of them) without copying
+        the words."""
         if len(buf) < 8:
             raise DeserializeError("matrix header truncated")
-        rows, cols = struct.unpack_from("<II", buf, 0)
+        rows, cols = _SHAPE.unpack_from(buf, 0)
         n = rows * cols
         if rows < 1 or cols < 1:
             raise DeserializeError(f"bad shape {rows}x{cols}")
         if len(buf) != 8 + 8 * n:
             raise DeserializeError(
                 f"payload is {len(buf)} bytes, expected {8 + 8 * n}")
-        return cls(rows, cols, list(struct.unpack_from(f"<{n}Q", buf, 8)))
+        words = np.frombuffer(buf, _WORD, count=n, offset=8)
+        return cls.wrap(words.astype(np.uint64, copy=False).reshape(
+            rows, cols))
+
+
+def _same_shape(a: RingMatrix, b: RingMatrix, op: str) -> None:
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatch(f"{a.rows}x{a.cols} {op} {b.rows}x{b.cols}")
 
 
 def mat_add(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} + {b.rows}x{b.cols}")
-    return RingMatrix(a.rows, a.cols,
-                      [(x + y) & MASK for x, y in zip(a.data, b.data)])
+    _same_shape(a, b, "+")
+    return RingMatrix.wrap(a.arr + b.arr)
 
 
 def mat_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} - {b.rows}x{b.cols}")
-    return RingMatrix(a.rows, a.cols,
-                      [(x - y) & MASK for x, y in zip(a.data, b.data)])
+    _same_shape(a, b, "-")
+    return RingMatrix.wrap(a.arr - b.arr)
 
 
 def mat_neg(a: RingMatrix) -> RingMatrix:
-    return RingMatrix(a.rows, a.cols, [(-x) & MASK for x in a.data])
+    return RingMatrix.wrap(np.negative(a.arr))
 
 
 def mat_mul_raw(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Exact ring product; the result carries 2f fractional bits.
-
-    One mask per output entry is sound: sum(x_i*y_i) mod 2^64 equals the
-    masked sum of masked products.
-    """
+    """Exact ring product; the result carries 2f fractional bits."""
     if a.cols != b.rows:
         raise DimensionMismatch(
             f"{a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    global _mul_ops
-    with _mul_ops_lock:
-        _mul_ops += a.rows * a.cols * b.cols
-    bcols = [b.data[c::b.cols] for c in range(b.cols)]
-    data = []
-    mul = operator.mul
-    for r in range(a.rows):
-        row = a.data[r * a.cols:(r + 1) * a.cols]
-        for col in bcols:
-            data.append(sum(map(mul, row, col)) & MASK)
-    return RingMatrix(a.rows, b.cols, data)
+    _count_muls(a.rows * a.cols * b.cols)
+    return RingMatrix.wrap(a.arr @ b.arr)
 
 
 def mat_hadamard(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Entrywise ring product."""
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} o {b.rows}x{b.cols}")
-    global _mul_ops
-    with _mul_ops_lock:
-        _mul_ops += a.rows * a.cols
-    return RingMatrix(a.rows, a.cols,
-                      [(x * y) & MASK for x, y in zip(a.data, b.data)])
+    _same_shape(a, b, "o")
+    _count_muls(a.rows * a.cols)
+    return RingMatrix.wrap(a.arr * b.arr)
 
 
 def mat_mul_scalar(a: RingMatrix, raw: int) -> RingMatrix:
     """Entrywise product with a public ring constant."""
-    raw &= MASK
-    return RingMatrix(a.rows, a.cols, [(x * raw) & MASK for x in a.data])
+    return RingMatrix.wrap(a.arr * np.uint64(raw & MASK))
 
 
 def shift_right(a: RingMatrix, bits: int) -> RingMatrix:
     """Arithmetic right shift of the signed interpretation, entrywise."""
-    return RingMatrix(a.rows, a.cols,
-                      [(to_signed(x) >> bits) & MASK for x in a.data])
+    return RingMatrix.wrap((a.arr.view(np.int64) >> bits).view(np.uint64))
 
 
 def shift_left(a: RingMatrix, bits: int) -> RingMatrix:
-    return RingMatrix(a.rows, a.cols, [(x << bits) & MASK for x in a.data])
+    return RingMatrix.wrap(a.arr << np.uint64(bits))
 
 
 def add_const(a: RingMatrix, raw: int) -> RingMatrix:
-    raw &= MASK
-    return RingMatrix(a.rows, a.cols, [(x + raw) & MASK for x in a.data])
+    return RingMatrix.wrap(a.arr + np.uint64(raw & MASK))
 
 
 def truncate(a: RingMatrix) -> RingMatrix:
@@ -263,12 +274,9 @@ def truncate(a: RingMatrix) -> RingMatrix:
 
 
 def transpose(a: RingMatrix) -> RingMatrix:
-    data = []
-    for c in range(a.cols):
-        data.extend(a.data[c::a.cols])
-    return RingMatrix(a.cols, a.rows, data)
+    return RingMatrix.wrap(np.ascontiguousarray(a.arr.T))
 
 
 def uniform_matrix(rows: int, cols: int, rng) -> RingMatrix:
     """Entries i.i.d. uniform over the full 64-bit range."""
-    return RingMatrix(rows, cols, rng.u64_list(rows * cols))
+    return RingMatrix.wrap(rng.u64_array(rows * cols).reshape(rows, cols))

@@ -39,7 +39,8 @@ class CounterDrbg:
     Chunk c of the stream is SHAKE-256(key || c as 8 big-endian bytes),
     CHUNK bytes long, read as little-endian u64 words. Word i of the stream
     is word i % (CHUNK/8) of chunk i // (CHUNK/8), however the stream is
-    consumed: any mix of u64, u64_list and skip yields the same words.
+    consumed: any mix of u64, u64_array, u64_list and skip yields the same
+    words.
     """
 
     __slots__ = ("_key", "_pos", "_chunk", "_buf")
@@ -86,10 +87,11 @@ class CounterDrbg:
         self._pos += 1
         return _unpack_u64(self._buf, 8 * off)[0]
 
-    def u64_list(self, n: int) -> list[int]:
-        """The next n words, cut from whole chunks in one numpy read."""
+    def u64_array(self, n: int) -> np.ndarray:
+        """The next n words as a read-only uint64 array, cut from whole
+        chunks in one numpy read."""
         if n <= 0:
-            return []
+            return np.zeros(0, dtype=np.uint64)
         first, off = divmod(self._pos, _WORDS)
         last = (self._pos + n - 1) // _WORDS
         parts = [self._buf if first == self._chunk else self._block(first)]
@@ -98,7 +100,12 @@ class CounterDrbg:
         self._chunk = last
         self._pos += n
         data = parts[0] if len(parts) == 1 else b"".join(parts)
-        return np.frombuffer(data, "<u8", count=n, offset=8 * off).tolist()
+        return np.frombuffer(data, "<u8", count=n, offset=8 * off).astype(
+            np.uint64, copy=False)
+
+    def u64_list(self, n: int) -> list[int]:
+        """The next n words as Python ints."""
+        return self.u64_array(n).tolist()
 
     def skip(self, n: int) -> None:
         """Advance past n words without generating the chunks they fill."""

@@ -32,6 +32,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch, TripleExhausted
 from .ring import (
     RingMatrix,
@@ -52,54 +54,30 @@ from .transport import (
 # --- even/odd splits (0-based: even = indices 0, 2, 4, ...) ---
 
 
-def pad_cols_even(m: RingMatrix) -> RingMatrix:
-    if m.cols % 2 == 0:
+def _pad_even(m: RingMatrix, axis: int) -> RingMatrix:
+    """m with one zero row (axis 0) or column (axis 1) appended when that
+    dimension is odd."""
+    if m.arr.shape[axis] % 2 == 0:
         return m
-    data = []
-    for r in range(m.rows):
-        data.extend(m.data[r * m.cols:(r + 1) * m.cols])
-        data.append(0)
-    return RingMatrix(m.rows, m.cols + 1, data)
-
-
-def pad_rows_even(m: RingMatrix) -> RingMatrix:
-    if m.rows % 2 == 0:
-        return m
-    return RingMatrix(m.rows + 1, m.cols, m.data + [0] * m.cols)
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (0, 1)
+    return RingMatrix.wrap(np.pad(m.arr, pad))
 
 
 def cols_even(m: RingMatrix) -> RingMatrix:
-    half = m.cols // 2
-    data = []
-    for r in range(m.rows):
-        row = m.data[r * m.cols:(r + 1) * m.cols]
-        data.extend(row[0::2])
-    return RingMatrix(m.rows, half, data)
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[:, 0::2]))
 
 
 def cols_odd(m: RingMatrix) -> RingMatrix:
-    half = m.cols // 2
-    data = []
-    for r in range(m.rows):
-        row = m.data[r * m.cols:(r + 1) * m.cols]
-        data.extend(row[1::2])
-    return RingMatrix(m.rows, half, data)
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[:, 1::2]))
 
 
 def rows_even(m: RingMatrix) -> RingMatrix:
-    half = m.rows // 2
-    data = []
-    for r in range(0, m.rows, 2):
-        data.extend(m.data[r * m.cols:(r + 1) * m.cols])
-    return RingMatrix(half, m.cols, data)
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[0::2]))
 
 
 def rows_odd(m: RingMatrix) -> RingMatrix:
-    half = m.rows // 2
-    data = []
-    for r in range(1, m.rows, 2):
-        data.extend(m.data[r * m.cols:(r + 1) * m.cols])
-    return RingMatrix(half, m.cols, data)
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[1::2]))
 
 
 # --- Beaver triples ---
@@ -323,7 +301,7 @@ def smm1(session, peer: int, side: int, mine: RingMatrix, half: TripleHalf,
 def smm2_x(session, peer: int, x_mat: RingMatrix,
            round_no: int) -> RingMatrix:
     """A's side. Returns A's share M."""
-    xt = pad_cols_even(x_mat)
+    xt = _pad_even(x_mat, 1)
     xp = uniform_matrix(xt.rows, xt.cols, session.rng)
     x1 = mat_add(xt, xp)
     x2 = mat_add(cols_even(xp), cols_odd(xp))
@@ -342,7 +320,7 @@ def smm2_x(session, peer: int, x_mat: RingMatrix,
 def smm2_y(session, peer: int, y_mat: RingMatrix,
            round_no: int) -> RingMatrix:
     """B's side. Returns B's share N."""
-    yt = pad_rows_even(y_mat)
+    yt = _pad_even(y_mat, 0)
     yp = uniform_matrix(yt.rows, yt.cols, session.rng)
     y1 = mat_sub(yp, yt)
     y2 = mat_sub(rows_even(yp), rows_odd(yp))
@@ -361,12 +339,6 @@ def smm2_y(session, peer: int, y_mat: RingMatrix,
 # --- elementwise products, one message round per call ---
 
 
-def _pad_vec_even(vec: RingMatrix) -> RingMatrix:
-    if vec.rows % 2 == 0:
-        return vec
-    return RingMatrix(vec.rows + 1, 1, vec.data + [0])
-
-
 def smm2_elem_x(session, peer: int, vec: RingMatrix,
                 round_no: int) -> RingMatrix:
     """Triple-free a o b; pairs of entries ride in 2x2 diagonal blocks.
@@ -377,68 +349,52 @@ def smm2_elem_x(session, peer: int, vec: RingMatrix,
     """
     if vec.cols != 1:
         raise DimensionMismatch("elementwise operands are column vectors")
-    a = _pad_vec_even(vec)
-    npairs = a.rows // 2
-    rng = session.rng
-    p = rng.u64_list(4 * npairs)  # per pair: p00 p01 p10 p11
-    av = a.data
-    mask = (1 << 64) - 1
-    x1 = []
-    x2 = []
-    for j in range(npairs):
-        a0, a1v = av[2 * j], av[2 * j + 1]
-        p00, p01, p10, p11 = p[4 * j:4 * j + 4]
-        x1.extend(((a0 + p00) & mask, p01, p10, (a1v + p11) & mask))
-        x2.extend(((p00 + p01) & mask, (p10 + p11) & mask))
-    session.send(peer, KIND_SMM_D, RingMatrix(a.rows, 2, x1), round_no)
-    session.send(peer, KIND_SMM_E, RingMatrix(a.rows, 1, x2), round_no)
+    a = _pad_even(vec, 0).arr[:, 0]
+    n = len(a)
+    # one 2x2 block [[p00, p01], [p10, p11]] per pair, as rows 2j and 2j+1
+    p = session.rng.u64_array(2 * n).reshape(n, 2)
+    x1 = p.copy()
+    x1[0::2, 0] += a[0::2]
+    x1[1::2, 1] += a[1::2]
+    session.send(peer, KIND_SMM_D, RingMatrix.wrap(x1), round_no)
+    session.send(peer, KIND_SMM_E,
+                 RingMatrix.wrap((p[:, 0] + p[:, 1]).reshape(n, 1)), round_no)
     y1 = session.recv(peer, KIND_SMM_D, round_no)
     y2 = session.recv(peer, KIND_SMM_E, round_no)
-    if (y1.rows, y1.cols) != (a.rows, 1) or (y2.rows, y2.cols) != (npairs, 1):
+    if (y1.rows, y1.cols) != (n, 1) or (y2.rows, y2.cols) != (n // 2, 1):
         raise DimensionMismatch("peer frames do not fit the vector length")
-    out = []
-    for j in range(npairs):
-        a0, a1v = av[2 * j], av[2 * j + 1]
-        p00, p01, p10, p11 = p[4 * j:4 * j + 4]
-        c0, c1 = y1.data[2 * j], y1.data[2 * j + 1]   # q - b per entry
-        s = y2.data[j]                                # q0 - q1
-        out.append(((a0 + 2 * p00) * c0 + 2 * p01 * c1
-                    + (p00 + 2 * p01) * s) & mask)
-        out.append((2 * p10 * c0 + (a1v + 2 * p11) * c1
-                    + (p10 + 2 * p11) * s) & mask)
-    return RingMatrix(vec.rows, 1, out[:vec.rows])
+    # per block row: (a + 2p) against the pair's (q - b), plus the fold of
+    # p against q0 - q1
+    c = np.repeat(y1.arr.reshape(n // 2, 2), 2, axis=0)
+    s = np.repeat(y2.arr[:, 0], 2)
+    g = x1 + p
+    out = g[:, 0] * c[:, 0] + g[:, 1] * c[:, 1] + (p[:, 0] + 2 * p[:, 1]) * s
+    return RingMatrix.wrap(out[:vec.rows].reshape(vec.rows, 1))
 
 
 def smm2_elem_y(session, peer: int, vec: RingMatrix,
                 round_no: int) -> RingMatrix:
     if vec.cols != 1:
         raise DimensionMismatch("elementwise operands are column vectors")
-    b = _pad_vec_even(vec)
-    npairs = b.rows // 2
-    q = session.rng.u64_list(2 * npairs)
-    bv = b.data
-    mask = (1 << 64) - 1
-    y1 = [(q[i] - bv[i]) & mask for i in range(b.rows)]
-    y2 = [(q[2 * j] - q[2 * j + 1]) & mask for j in range(npairs)]
-    session.send(peer, KIND_SMM_D, RingMatrix(b.rows, 1, y1), round_no)
-    session.send(peer, KIND_SMM_E, RingMatrix(npairs, 1, y2), round_no)
+    b = _pad_even(vec, 0).arr[:, 0]
+    n = len(b)
+    q = session.rng.u64_array(n)
+    session.send(peer, KIND_SMM_D, RingMatrix.wrap((q - b).reshape(n, 1)),
+                 round_no)
+    session.send(peer, KIND_SMM_E,
+                 RingMatrix.wrap((q[0::2] - q[1::2]).reshape(n // 2, 1)),
+                 round_no)
     x1 = session.recv(peer, KIND_SMM_D, round_no)
     x2 = session.recv(peer, KIND_SMM_E, round_no)
-    if (x1.rows, x1.cols) != (b.rows, 2) or (x2.rows, x2.cols) != (b.rows, 1):
+    if (x1.rows, x1.cols) != (n, 2) or (x2.rows, x2.cols) != (n, 1):
         raise DimensionMismatch("peer frames do not fit the vector length")
-    out = []
-    for j in range(npairs):
-        b0, b1v = bv[2 * j], bv[2 * j + 1]
-        q0, q1 = q[2 * j], q[2 * j + 1]
-        g00, g01 = x1.data[4 * j], x1.data[4 * j + 1]
-        g10, g11 = x1.data[4 * j + 2], x1.data[4 * j + 3]
-        h0, h1 = x2.data[2 * j], x2.data[2 * j + 1]
-        t0 = (2 * b0 - q0) & mask
-        t1 = (2 * b1v - q1) & mask
-        s = (2 * q0 - q1) & mask   # y2 + q_even per block
-        out.append((g00 * t0 + g01 * t1 - h0 * s) & mask)
-        out.append((g10 * t0 + g11 * t1 - h1 * s) & mask)
-    return RingMatrix(vec.rows, 1, out[:vec.rows])
+    # per block row: the peer's 2x2 block against the pair's 2b - q, less
+    # its fold against 2 q0 - q1
+    t = np.repeat((2 * b - q).reshape(n // 2, 2), 2, axis=0)
+    s = np.repeat(2 * q[0::2] - q[1::2], 2)
+    g = x1.arr
+    out = g[:, 0] * t[:, 0] + g[:, 1] * t[:, 1] - x2.arr[:, 0] * s
+    return RingMatrix.wrap(out[:vec.rows].reshape(vec.rows, 1))
 
 
 # --- leakage characterization ---
@@ -505,10 +461,10 @@ def simulate_view(leak: RingMatrix, role: str, rng) -> tuple[RingMatrix, RingMat
 
 def leakage_of_x(x_mat: RingMatrix) -> RingMatrix:
     """The aggregate of X that the triple-free protocol hands to the peer."""
-    xt = pad_cols_even(x_mat)
+    xt = _pad_even(x_mat, 1)
     return mat_add(cols_even(xt), cols_odd(xt))
 
 
 def leakage_of_y(y_mat: RingMatrix) -> RingMatrix:
-    yt = pad_rows_even(y_mat)
+    yt = _pad_even(y_mat, 0)
     return mat_sub(rows_even(yt), rows_odd(yt))

@@ -51,6 +51,8 @@ KIND_NAMES = {
 HEADER_FMT = "<IHHHHI"
 HEADER_LEN = struct.calcsize(HEADER_FMT)  # 16: 12 bytes of fields + pad
 LEN_FMT = ">I"
+_HEADER = struct.Struct(HEADER_FMT)
+_LEN = struct.Struct(LEN_FMT)
 
 _HANDSHAKE_MAGIC = b"SRGW"
 _HANDSHAKE_FMT = ">4sHHHQ"  # magic, version, n_parties, party_id, roster hash
@@ -58,6 +60,13 @@ _HANDSHAKE_LEN = struct.calcsize(_HANDSHAKE_FMT)
 _WIRE_VERSION = 1
 
 DEFAULT_TIMEOUT = 30.0
+
+
+def _stream(round_no: int, kind: int, sender: int, receiver: int,
+            payload: bytes) -> bytes:
+    """One frame as it goes on the wire: length prefix, header, payload."""
+    return b"".join((_LEN.pack(HEADER_LEN + len(payload)), _HEADER.pack(
+        round_no, kind, sender, receiver, 0, 0), payload))
 
 
 @dataclass(frozen=True)
@@ -69,13 +78,12 @@ class Frame:
     payload: bytes
 
     def encode(self) -> bytes:
-        header = struct.pack(HEADER_FMT, self.round_no, self.kind,
-                             self.sender, self.receiver, 0, 0)
-        return header + self.payload
+        return _HEADER.pack(self.round_no, self.kind, self.sender,
+                            self.receiver, 0, 0) + self.payload
 
     def encode_stream(self) -> bytes:
-        body = self.encode()
-        return struct.pack(LEN_FMT, len(body)) + body
+        return _stream(self.round_no, self.kind, self.sender, self.receiver,
+                       self.payload)
 
     @classmethod
     def decode(cls, body: bytes) -> "Frame":
@@ -99,15 +107,20 @@ class Frame:
 
 
 class Transcript:
-    """Received frames in consumption order, with a running hash."""
+    """Received frame bodies in consumption order, with a running hash
+    over each body as it arrived; frames are decoded only when read."""
 
     def __init__(self):
-        self.frames: list[Frame] = []
+        self._bodies: list = []
         self._hash = hashlib.sha256()
 
-    def append(self, frame: Frame) -> None:
-        self.frames.append(frame)
-        self._hash.update(frame.encode())
+    def append(self, body) -> None:
+        self._bodies.append(body)
+        self._hash.update(body)
+
+    @property
+    def frames(self) -> list[Frame]:
+        return [Frame.decode(b) for b in self._bodies]
 
     def digest(self) -> str:
         return self._hash.hexdigest()
@@ -126,7 +139,7 @@ class Transcript:
         return out
 
     def __len__(self):
-        return len(self.frames)
+        return len(self._bodies)
 
 
 def label_hash(label: str) -> int:
@@ -161,8 +174,8 @@ class ProtocolSession(ABC):
              round_no: int) -> None:
         if receiver == self.party_id or not 0 <= receiver < self.n_parties:
             raise TransportError(f"bad receiver {receiver}")
-        frame = Frame(round_no, kind, self.party_id, receiver, mat.to_bytes())
-        data = frame.encode_stream()
+        data = _stream(round_no, kind, self.party_id, receiver,
+                       mat.to_bytes())
         self._send_bytes(receiver, data)
         self.bytes_sent += len(data)
         self.frames_sent += 1
@@ -173,16 +186,16 @@ class ProtocolSession(ABC):
             raise TransportError(f"bad sender {sender}")
         body = self._recv_frame_bytes(
             sender, self.timeout if timeout is None else timeout)
-        frame = Frame.decode(body)
-        if (frame.kind != kind or frame.round_no != round_no
-                or frame.sender != sender or frame.receiver != self.party_id):
+        if (len(body) < HEADER_LEN or _HEADER.unpack_from(body)
+                != (round_no, kind, sender, self.party_id, 0, 0)):
+            frame = Frame.decode(body)  # raises on a malformed header
             raise UnexpectedKind(
                 f"party {self.party_id} expected "
                 f"{KIND_NAMES[kind]} round={round_no} from {sender}, "
                 f"got {frame.describe()}")
-        self.transcript.append(frame)
+        self.transcript.append(body)
         self.bytes_received += 4 + len(body)
-        return frame.matrix
+        return RingMatrix.from_bytes(memoryview(body)[HEADER_LEN:])
 
     def barrier(self, label: str, round_no: int) -> None:
         """All-to-all sync point; also catches protocol divergence early."""
@@ -228,7 +241,7 @@ class LoopbackSession(ProtocolSession):
                 f"after {timeout:.0f}s") from None
         if data == _CLOSE_SENTINEL:
             raise PeerClosed(f"party {sender} closed the channel")
-        return data[4:]  # strip the length prefix
+        return memoryview(data)[4:]  # strip the length prefix, no copy
 
     def close(self):
         for (src, dst), q in self._channels.items():

@@ -304,6 +304,19 @@ def test_process_mode_matches_thread_mode_bitwise(tmp_path):
     assert dump(on_disk) == dump(man_t[1])
 
 
+def test_process_mode_runs_from_an_uninstalled_checkout(tmp_path,
+                                                        monkeypatch):
+    """Children find the package where the orchestrator found it, with no
+    PYTHONPATH and a working directory outside the checkout."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    spec = cli.RunSpec.from_dict(spec_dict(output=str(tmp_path / "o")))
+    procs, _ = cli.spawn_parties(spec, mode="processes", timeout=60.0)
+    threads, _ = cli.spawn_parties(cli.RunSpec.from_dict(spec_dict()),
+                                   mode="threads")
+    assert procs == threads
+
+
 def test_process_mode_party_crash(tmp_path):
     """A party that cannot come up fails the whole run with diagnostics."""
     blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -433,6 +446,11 @@ def test_bench_scaling_smoke(tmp_path, capsys):
         assert len(eng["points"]) == 2
         assert all(s > 0 for _, s in eng["points"])
         assert len(eng["ratios"]) == 1
+        fit = eng["fit"]
+        assert fit["m"] == [8, 32, 64]
+        assert fit["a_over_b500"] == pytest.approx(
+            fit["a_s"] / (fit["b_s"] * 500))
+    assert "a/(b*500)=" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("scheme", ["horizontal", "vertical"])

@@ -1,6 +1,8 @@
 """Fixed-point encoding and ring matrix arithmetic."""
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 from secregress.errors import DeserializeError, DimensionMismatch, MagnitudeOverflow
 from secregress.ring import (
     DEFAULT_CONFIG,
+    FRAC_BITS,
     MASK,
     FixedPointConfig,
     RingMatrix,
+    add_const,
     decode_raw,
     encode_raw,
     mat_add,
+    mat_hadamard,
     mat_mul_raw,
     mat_mul_scalar,
     mat_neg,
@@ -22,12 +27,15 @@ from secregress.ring import (
     mul_op_count,
     reset_mul_op_count,
     shift_left,
+    shift_right,
     to_signed,
     transpose,
     truncate,
     uniform_matrix,
 )
 from secregress.rng import CounterDrbg
+
+import ring_reference as ref
 
 CFG = DEFAULT_CONFIG  # f = 20
 
@@ -249,3 +257,103 @@ def test_matmul_distributes_over_addition(x, y, z, seed):
     left = mat_mul_raw(a, mat_add(b, c))
     right = mat_add(mat_mul_raw(a, b), mat_mul_raw(a, c))
     assert left == right
+
+
+def test_mul_op_counter_loses_no_update_across_threads():
+    one = RingMatrix(1, 1, [1])
+    per_thread = 2000
+    threads = [threading.Thread(
+        target=lambda: [mat_hadamard(one, one) for _ in range(per_thread)])
+        for _ in range(4)]
+    old = sys.getswitchinterval()
+    reset_mul_op_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mul_op_count() == 4 * per_thread
+
+
+# --- numpy kernels against the integer reference ---
+
+EDGE_WORDS = [0, 1, 2, (1 << 63) - 1, 1 << 63, MASK]
+words = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, MASK))
+dims = st.integers(1, 9)
+
+
+def _matrix(data, rows, cols):
+    return rows, cols, data.draw(st.lists(words, min_size=rows * cols,
+                                          max_size=rows * cols))
+
+
+def _same(got: RingMatrix, want) -> None:
+    assert (got.rows, got.cols, got.data) == want
+    assert got.arr.flags["C_CONTIGUOUS"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernels_match_the_integer_reference(data):
+    r, k, c = data.draw(dims), data.draw(dims), data.draw(dims)
+    a, b = _matrix(data, r, k), _matrix(data, r, k)
+    y = _matrix(data, k, c)
+    raw = data.draw(words)
+    bits = data.draw(st.integers(0, 63))
+    ma, mb, my = (RingMatrix(*m) for m in (a, b, y))
+    _same(mat_add(ma, mb), ref.add(a, b))
+    _same(mat_sub(ma, mb), ref.sub(a, b))
+    _same(mat_neg(ma), ref.neg(a))
+    _same(mat_hadamard(ma, mb), ref.hadamard(a, b))
+    _same(mat_mul_raw(ma, my), ref.matmul(a, y))
+    _same(mat_mul_scalar(ma, raw), ref.mul_scalar(a, raw))
+    _same(add_const(ma, raw), ref.add_const(a, raw))
+    _same(shift_right(ma, bits), ref.shift_right(a, bits))
+    _same(shift_left(ma, bits), ref.shift_left(a, bits))
+    _same(truncate(ma), ref.shift_right(a, FRAC_BITS))
+    _same(transpose(ma), ref.transpose(a))
+    assert ma.to_bytes() == ref.to_bytes(a)
+    _same(RingMatrix.from_bytes(ref.to_bytes(a)), a)
+    _same(RingMatrix.from_bytes(memoryview(ref.to_bytes(a))), a)
+    assert ma.decode_rows() == [
+        [ref.to_signed(w) / (1 << FRAC_BITS) for w in a[2][i * k:(i + 1) * k]]
+        for i in range(r)]
+
+
+LIMIT = DEFAULT_CONFIG.max_magnitude  # 2^43
+ties = st.integers(-(1 << 40), 1 << 40).map(lambda n: (n + 0.5) * 2.0 ** -20)
+reals = st.one_of(
+    ties,
+    st.sampled_from([0.0, -0.0, LIMIT, -LIMIT, math.nextafter(LIMIT, 0),
+                     -math.nextafter(LIMIT, 0), math.nan, math.inf,
+                     -math.inf]),
+    st.floats(-1e6, 1e6),
+    st.floats(width=64))
+
+
+def _encode_or_none(v):
+    try:
+        return encode_raw(v)
+    except MagnitudeOverflow:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_encode_rows_matches_encode_raw(data):
+    r, c = data.draw(dims), data.draw(dims)
+    values = data.draw(st.lists(reals, min_size=r * c, max_size=r * c))
+    rows = [values[i * c:(i + 1) * c] for i in range(r)]
+    want = [_encode_or_none(v) for v in values]
+    if None in want:
+        with pytest.raises(MagnitudeOverflow):
+            RingMatrix.encode_rows(rows)
+        with pytest.raises(MagnitudeOverflow):
+            RingMatrix.column(values)
+        return
+    _same(RingMatrix.encode_rows(rows), (r, c, want))
+    _same(RingMatrix.column(values), (r * c, 1, want))
