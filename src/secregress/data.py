@@ -20,7 +20,7 @@ from .errors import (
     TooFewColumns,
     TooFewRows,
 )
-from .ring import FRAC_BITS
+from .ring import FRAC_BITS, MASK
 from .rng import CounterDrbg
 
 
@@ -57,8 +57,11 @@ def _uniform_grid(rng: CounterDrbg, shape, lo: float, hi: float):
     scale = 1 << FRAC_BITS
     steps = int(round((hi - lo) * scale))
     base = int(round(lo * scale))
-    vals = [(base + rng.randrange(steps + 1)) / scale for _ in range(n)]
-    return np.array(vals, dtype=np.float64).reshape(shape)
+    offsets = rng.randranges(np.broadcast_to(np.uint64(steps + 1), n))
+    # base + offset wraps in uint64 and reads back exactly as int64; the
+    # division by a power of two then rounds once, as int / int does
+    words = (offsets + np.uint64(base & MASK)).view(np.int64)
+    return (words / scale).reshape(shape)
 
 
 def make_regression_data(m: int, d: int, seed, noise: float = 0.02):

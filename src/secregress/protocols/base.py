@@ -18,10 +18,15 @@ the first two parties; inputs stay shared over everyone. The privacy trade
 is explicit: those two parties would have to collude to reconstruct an
 aggregate, versus all n for the input shares.
 
-Pairwise products run between fixed pairs in a fixed global order; parties
-outside a pair burn the same round number (and, under the triple variant,
-the same pool slot) so that round counters and triple streams stay aligned
-without extra communication.
+Pairwise products run between fixed pairs in a fixed global order, in
+stages: all the products one step of the pipeline needs (the prediction
+terms of every block, the two cross terms of z^3, every block's gradient)
+are opened together, each party writes each peer all of a step's frames
+at once, and only then receives, so a stage costs one message round
+however many products it holds. Each product still takes its own round
+number; parties outside a pair burn that round number (and, under the
+triple variant, the same pool slot) so that round counters and triple
+streams stay aligned without extra communication.
 """
 
 from __future__ import annotations
@@ -48,11 +53,12 @@ from ..ring import (
 )
 from ..smm import (
     TriplePool,
-    smm1,
-    smm2_elem_x,
-    smm2_elem_y,
-    smm2_x,
-    smm2_y,
+    run_stage,
+    smm1_steps,
+    smm2_elem_x_steps,
+    smm2_elem_y_steps,
+    smm2_x_steps,
+    smm2_y_steps,
 )
 from ..transport import KIND_CONTROL, KIND_SHARE_DIST, KIND_W_SHARE
 from .config import TrainingConfig
@@ -173,64 +179,76 @@ class _EngineBase:
 
     # -- pairwise products ----------------------------------------------
 
-    def _matmul_pair(self, a: int, b: int, dims: tuple[int, int, int],
-                     mine: RingMatrix | None) -> RingMatrix | None:
-        """Secure product between party a's matrix and party b's.
+    def _stage(self, products) -> list[RingMatrix | None]:
+        """Run pairwise secure products side by side as one stage.
 
-        Returns this party's raw 2f share, or None for bystanders, who
-        still advance the round counter and the triple stream.
+        products: (a, b, mine, shape, elementwise) per product, where a
+        holds the left operand, b the right one, mine is this party's
+        operand (or None), and shape is (x, y, z) for a matrix product or
+        the entry count for an elementwise one. Each product takes the next
+        round number and pool slot in the order given, bystanders included;
+        the products this party is in then run together (smm.run_stage).
+        Returns this party's raw 2f share per product, None where it is a
+        bystander.
         """
-        r = self._next_round()
         ti = self.cfg.smm_variant == "smm1"
-        if self.me not in (a, b):
+        mine_at, runs = [], []
+        for k, (a, b, mine, shape, elementwise) in enumerate(products):
+            r = self._next_round()
+            if self.me not in (a, b):
+                if ti and elementwise:
+                    self.pool.skip_elem(shape)
+                elif ti:
+                    self.pool.skip(*shape)
+                continue
+            side, peer = (0, b) if self.me == a else (1, a)
             if ti:
-                self.pool.skip(*dims)
-            return None
-        side, peer = (0, b) if self.me == a else (1, a)
-        if ti:
-            half = self.pool.take(*dims, side=side)
-            return smm1(self.s, peer, side, mine, half, r)
-        return (smm2_x if side == 0 else smm2_y)(self.s, peer, mine, r)
+                half = (self.pool.take_elem(shape, side=side) if elementwise
+                        else self.pool.take(*shape, side=side))
+                steps = smm1_steps(self.s.rng, side, mine, half, elementwise)
+            elif elementwise:
+                steps = (smm2_elem_x_steps if side == 0
+                         else smm2_elem_y_steps)(self.s.rng, mine)
+            else:
+                steps = (smm2_x_steps if side == 0
+                         else smm2_y_steps)(self.s.rng, mine)
+            mine_at.append(k)
+            runs.append((peer, r, steps))
+        out: list = [None] * len(products)
+        for k, share in zip(mine_at, run_stage(self.s, runs)):
+            out[k] = share
+        return out
 
-    def _elem_pair(self, a: int, b: int, n_elems: int,
-                   mine: RingMatrix | None) -> RingMatrix | None:
-        """Elementwise analog of _matmul_pair; output stays at 2f bits."""
-        r = self._next_round()
-        ti = self.cfg.smm_variant == "smm1"
-        if self.me not in (a, b):
-            if ti:
-                self.pool.skip_elem(n_elems)
-            return None
-        side, peer = (0, b) if self.me == a else (1, a)
-        if ti:
-            half = self.pool.take_elem(n_elems, side=side)
-            return smm1(self.s, peer, side, mine, half, r, elementwise=True)
-        return (smm2_elem_x if side == 0 else smm2_elem_y)(
-            self.s, peer, mine, r)
+    def _shared_products(self, *sums) -> list[RingMatrix]:
+        """This party's raw 2f share of each sum, all in one stage.
 
-    def _shared_product(self, lhs, left: RingMatrix | None, rhs,
-                        right: RingMatrix | None,
-                        dims: tuple[int, int, int]) -> RingMatrix:
-        """This party's raw 2f share of the sum of L_a R_b over a in lhs,
-        b in rhs, where L_a is party a's left operand and R_b party b's
-        right one (each party passes its own).
-
-        A term with a == b is a local product on that party; every other
-        term is a pairwise secure product, run in loop order.
+        Each sum is (lhs, left, rhs, right, dims): the sum of L_a R_b over
+        a in lhs, b in rhs, where L_a is party a's left operand and R_b
+        party b's right one (each party passes its own). A term with
+        a == b is a local product on that party; every other term is a
+        pairwise secure product, opened in loop order.
         """
-        total = None
-        for a in lhs:
-            for b in rhs:
-                if a == b:
-                    out = mat_mul_raw(left, right) if self.me == a else None
-                else:
-                    mine = left if self.me == a else (
-                        right if self.me == b else None)
-                    out = self._matmul_pair(a, b, dims, mine)
-                if out is not None:
-                    total = out if total is None else mat_add(total, out)
-        return total if total is not None else RingMatrix.zeros(
-            dims[0], dims[2])
+        totals: list = [None] * len(sums)
+
+        def add(k, term):
+            totals[k] = term if totals[k] is None else mat_add(totals[k], term)
+
+        products, owner = [], []
+        for k, (lhs, left, rhs, right, dims) in enumerate(sums):
+            for a in lhs:
+                for b in rhs:
+                    if a != b:
+                        mine = left if self.me == a else (
+                            right if self.me == b else None)
+                        products.append((a, b, mine, dims, False))
+                        owner.append(k)
+                    elif self.me == a:
+                        add(k, mat_mul_raw(left, right))
+        for k, share in zip(owner, self._stage(products)):
+            if share is not None:
+                add(k, share)
+        return [RingMatrix.zeros(dims[0], dims[2]) if total is None
+                else total for total, (*_, dims) in zip(totals, sums)]
 
     # -- shared pipeline pieces -----------------------------------------
 
@@ -247,14 +265,16 @@ class _EngineBase:
         # z comes out of a truncation, so only parties 0 and 1 hold real
         # shares; all cross terms live between those two.
         z2 = mat_hadamard(z_f, z_f)
-        out = self._elem_pair(0, 1, n_elems, z_f if self.me < 2 else None)
+        (out,) = self._stage(
+            [(0, 1, z_f if self.me < 2 else None, n_elems, True)])
         if out is not None:
             z2 = mat_add(z2, mat_mul_scalar(out, 2))
         z2_f = self._shift(z2, narrow=True)
         z3 = mat_hadamard(z2_f, z_f)
-        for i, k in ((0, 1), (1, 0)):
-            mine = z2_f if self.me == i else (z_f if self.me == k else None)
-            out = self._elem_pair(i, k, n_elems, mine)
+        for out in self._stage(
+                [(i, k, z2_f if self.me == i else (
+                    z_f if self.me == k else None), n_elems, True)
+                 for i, k in ((0, 1), (1, 0))]):
             if out is not None:
                 z3 = mat_add(z3, out)
         z3_f = self._shift(z3, narrow=True)

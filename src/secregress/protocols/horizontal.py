@@ -75,22 +75,23 @@ class HorizontalEngine(_EngineBase):
                 y_shares = share_matrix(yb, self.n, self.s.rng)
                 for p in range(self.n):
                     if p != self.me:
-                        self.s.send(p, KIND_SHARE_DIST, x_shares[p], r_x)
-                        self.s.send(p, KIND_Y_SHARE, y_shares[p], r_y)
+                        self.s.send_many(p, [
+                            (KIND_SHARE_DIST, x_shares[p], r_x),
+                            (KIND_Y_SHARE, y_shares[p], r_y)])
                 my_x, my_y = x_shares[self.me], y_shares[self.me]
             else:
                 my_x = self.s.recv(owner, KIND_SHARE_DIST, r_x)
                 my_y = self.s.recv(owner, KIND_Y_SHARE, r_y)
 
             # z = X_B w, assembled at 2f bits; w shares sit on parties 0,1
-            p_2f = self._shared_product(range(self.n), my_x, (0, 1), w_f,
-                                        (b, d, 1))
+            (p_2f,) = self._shared_products(
+                (range(self.n), my_x, (0, 1), w_f, (b, d, 1)))
 
             err_f = self._shift(self._error_2f(p_2f, my_y))
 
             # grad = X_B^T err, err shares again on parties 0,1
-            g_2f = self._shared_product(range(self.n), transpose(my_x),
-                                        (0, 1), err_f, (d, b, 1))
+            (g_2f,) = self._shared_products(
+                (range(self.n), transpose(my_x), (0, 1), err_f, (d, b, 1)))
 
             w_2f = self._update(w_2f, g_2f)
             timer.stop()

@@ -121,10 +121,11 @@ class VerticalEngine(_EngineBase):
 
             # z = sum_i X^i w_i at 2f bits; truncated w shares sit on
             # parties 0 and 1, so those are the only counterparts.
-            p_2f = RingMatrix.zeros(b, 1)
-            for i in range(self.n):
-                p_2f = mat_add(p_2f, self._shared_product(
-                    (i,), xb, (0, 1), w_f[i], (b, d_list[i], 1)))
+            p_2f, *parts = self._shared_products(
+                *[((i,), xb, (0, 1), w_f[i], (b, d_list[i], 1))
+                  for i in range(self.n)])
+            for part in parts:
+                p_2f = mat_add(p_2f, part)
 
             err_f = self._shift(self._error_2f(p_2f, my_y))
             err_t = transpose(err_f)
@@ -133,11 +134,13 @@ class VerticalEngine(_EngineBase):
             # shares again on parties 0,1. err stays the left operand, so
             # the OTI leak keeps its orientation: adjacent sums of err go
             # to the block owner, adjacent row differences of X^i to the
-            # err holders.
-            for i in range(self.n):
-                g_2f = transpose(self._shared_product(
-                    (0, 1), err_t, (i,), xb, (1, b, d_list[i])))
-                w_2f[i] = self._update(w_2f[i], g_2f)
+            # err holders. Every block's products run in one stage, before
+            # any block's update.
+            grads = self._shared_products(
+                *[((0, 1), err_t, (i,), xb, (1, b, d_list[i]))
+                  for i in range(self.n)])
+            for i, g_t in enumerate(grads):
+                w_2f[i] = self._update(w_2f[i], transpose(g_t))
 
             timer.stop()
 

@@ -123,15 +123,39 @@ class CounterDrbg:
             if w < limit:
                 return w % n
 
+    def randranges(self, bounds) -> np.ndarray:
+        """[randrange(n) for n in bounds] as a uint64 array, same words.
+
+        All words are drawn in one u64_array. From the first word that
+        randrange would reject, the stream rewinds to that word and the
+        rest go word by word, so the result and the stream position are
+        exactly the loop's.
+        """
+        n = np.asarray(bounds, dtype=np.uint64)
+        if not n.all():
+            raise ValueError("randrange needs n >= 1")
+        start = self._pos
+        words = self.u64_array(n.size)
+        out = words % n
+        # randrange rejects w >= 2^64 - (2^64 mod n): exactly the words
+        # whose sum with 2^64 mod n wraps
+        rejected = np.flatnonzero(words + np.negative(n) % n < words)
+        if rejected.size:
+            p = int(rejected[0])
+            self._pos = start + p
+            out[p:] = [self.randrange(b) for b in n[p:].tolist()]
+        return out
+
     def sample(self, m: int, k: int) -> list[int]:
         """k distinct indices from range(m), order of selection preserved."""
         if k > m:
             raise ValueError("sample size exceeds population")
         # Partial Fisher-Yates over a sparse map keeps this O(k).
+        offsets = self.randranges(np.arange(m, m - k, -1, dtype=np.uint64))
         swapped: dict[int, int] = {}
         out = []
-        for i in range(k):
-            j = i + self.randrange(m - i)
+        for i, r in enumerate(offsets.tolist()):
+            j = i + r
             out.append(swapped.get(j, j))
             swapped[j] = swapped.get(i, i)
         return out
@@ -139,7 +163,8 @@ class CounterDrbg:
     def shuffle(self, items: list) -> list:
         """Fisher-Yates permuted copy; the input is left untouched."""
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        picks = self.randranges(
+            np.arange(len(out), 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(len(out) - 1, 0, -1), picks):
             out[i], out[j] = out[j], out[i]
         return out

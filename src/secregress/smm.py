@@ -257,27 +257,68 @@ class TriplePool:
         self.consumed[key] = self.consumed.get(key, 0) + 1
 
 
+# --- running products as steps ---
+#
+# Each product is a step generator: it draws its masks, yields the frames
+# it sends to the peer as [(kind, matrix), ...], and is resumed with the
+# peer's frames of the same kinds, in the same order; its return value is
+# this side's raw 2f share. run_stage drives any number of them together:
+# one write per peer per step, then the receives in product order.
+
+
+def run_stage(session, products) -> list[RingMatrix]:
+    """Run (peer, round_no, steps) products side by side; return each
+    one's share, in the order given.
+
+    Every product is opened (its masks drawn) in the order given; at each
+    step all their frames go out, one send_many per peer, before any
+    frame is received.
+    """
+    out: list = [None] * len(products)
+    live = [(i, peer, r, steps, next(steps))
+            for i, (peer, r, steps) in enumerate(products)]
+    while live:
+        batches: dict[int, list] = {}
+        for _i, peer, r, _steps, frames in live:
+            batches.setdefault(peer, []).extend(
+                (kind, mat, r) for kind, mat in frames)
+        for peer, items in batches.items():
+            session.send_many(peer, items)
+        nxt = []
+        for i, peer, r, steps, frames in live:
+            got = [session.recv(peer, kind, r) for kind, _mat in frames]
+            try:
+                nxt.append((i, peer, r, steps, steps.send(got)))
+            except StopIteration as done:
+                out[i] = done.value
+        live = nxt
+    return out
+
+
+def _run_alone(session, peer: int, round_no: int, steps) -> RingMatrix:
+    return run_stage(session, [(peer, round_no, steps)])[0]
+
+
 # --- protocol 1: Beaver masking ---
 
 
-def smm1(session, peer: int, side: int, mine: RingMatrix, half: TripleHalf,
-         round_no: int, elementwise: bool = False) -> RingMatrix:
+def smm1_steps(rng, side: int, mine: RingMatrix, half: TripleHalf,
+               elementwise: bool = False):
     """This side's raw 2f share of X*Y (or X o Y when elementwise).
 
     Side 0 holds X, side 1 holds Y. Each side splits its input with the
     peer, masks both shares it then holds with its triple half, and opens
     D = X - U and E = Y - V; the product is W + U.E + D.V + D.E, with the
-    public D.E term added on side 0 only.
+    public D.E term added on side 0 only. Two steps.
     """
     own, other = (half.u, half.v) if side == 0 else (half.v, half.u)
     if (own.rows, own.cols) != (mine.rows, mine.cols):
         raise DimensionMismatch(
             f"triple is for {own.rows}x{own.cols}, "
             f"input is {mine.rows}x{mine.cols}")
-    sent = uniform_matrix(mine.rows, mine.cols, session.rng)
+    sent = uniform_matrix(mine.rows, mine.cols, rng)
     kept = mat_sub(mine, sent)
-    session.send(peer, KIND_SHARE_DIST, sent, round_no)
-    got = session.recv(peer, KIND_SHARE_DIST, round_no)
+    (got,) = yield [(KIND_SHARE_DIST, sent)]
     if (got.rows, got.cols) != (other.rows, other.cols):
         raise DimensionMismatch(
             f"peer shared {got.rows}x{got.cols}, triple is for "
@@ -285,30 +326,32 @@ def smm1(session, peer: int, side: int, mine: RingMatrix, half: TripleHalf,
     x, y = (kept, got) if side == 0 else (got, kept)
     d_mine = mat_sub(x, half.u)
     e_mine = mat_sub(y, half.v)
-    session.send(peer, KIND_SMM_D, d_mine, round_no)
-    session.send(peer, KIND_SMM_E, e_mine, round_no)
-    d = mat_add(d_mine, session.recv(peer, KIND_SMM_D, round_no))
-    e = mat_add(e_mine, session.recv(peer, KIND_SMM_E, round_no))
+    d_peer, e_peer = yield [(KIND_SMM_D, d_mine), (KIND_SMM_E, e_mine)]
+    d = mat_add(d_mine, d_peer)
+    e = mat_add(e_mine, e_peer)
     # looked up per call so a wrapped ring kernel sees every product
     op = mat_hadamard if elementwise else mat_mul_raw
     out = mat_add(half.w, mat_add(op(half.u, e), op(d, half.v)))
     return mat_add(out, op(d, e)) if side == 0 else out
 
 
+def smm1(session, peer: int, side: int, mine: RingMatrix, half: TripleHalf,
+         round_no: int, elementwise: bool = False) -> RingMatrix:
+    """One smm1_steps product on its own."""
+    return _run_alone(session, peer, round_no,
+                      smm1_steps(session.rng, side, mine, half, elementwise))
+
+
 # --- protocol 2: triple-free, leaks folded aggregates ---
 
 
-def smm2_x(session, peer: int, x_mat: RingMatrix,
-           round_no: int) -> RingMatrix:
+def smm2_x_steps(rng, x_mat: RingMatrix):
     """A's side. Returns A's share M."""
     xt = _pad_even(x_mat, 1)
-    xp = uniform_matrix(xt.rows, xt.cols, session.rng)
+    xp = uniform_matrix(xt.rows, xt.cols, rng)
     x1 = mat_add(xt, xp)
     x2 = mat_add(cols_even(xp), cols_odd(xp))
-    session.send(peer, KIND_SMM_D, x1, round_no)
-    session.send(peer, KIND_SMM_E, x2, round_no)
-    y1 = session.recv(peer, KIND_SMM_D, round_no)
-    y2 = session.recv(peer, KIND_SMM_E, round_no)
+    y1, y2 = yield [(KIND_SMM_D, x1), (KIND_SMM_E, x2)]
     if y1.rows != xt.cols or y2.rows * 2 != y1.rows or y2.cols != y1.cols:
         raise DimensionMismatch(
             f"peer frames {y1.rows}x{y1.cols} / {y2.rows}x{y2.cols} do not "
@@ -317,17 +360,13 @@ def smm2_x(session, peer: int, x_mat: RingMatrix,
                    mat_mul_raw(mat_add(x2, cols_odd(xp)), y2))
 
 
-def smm2_y(session, peer: int, y_mat: RingMatrix,
-           round_no: int) -> RingMatrix:
+def smm2_y_steps(rng, y_mat: RingMatrix):
     """B's side. Returns B's share N."""
     yt = _pad_even(y_mat, 0)
-    yp = uniform_matrix(yt.rows, yt.cols, session.rng)
+    yp = uniform_matrix(yt.rows, yt.cols, rng)
     y1 = mat_sub(yp, yt)
     y2 = mat_sub(rows_even(yp), rows_odd(yp))
-    session.send(peer, KIND_SMM_D, y1, round_no)
-    session.send(peer, KIND_SMM_E, y2, round_no)
-    x1 = session.recv(peer, KIND_SMM_D, round_no)
-    x2 = session.recv(peer, KIND_SMM_E, round_no)
+    x1, x2 = yield [(KIND_SMM_D, y1), (KIND_SMM_E, y2)]
     if x1.cols != yt.rows or x2.cols * 2 != x1.cols or x2.rows != x1.rows:
         raise DimensionMismatch(
             f"peer frames {x1.rows}x{x1.cols} / {x2.rows}x{x2.cols} do not "
@@ -336,11 +375,22 @@ def smm2_y(session, peer: int, y_mat: RingMatrix,
                    mat_mul_raw(x2, mat_add(y2, rows_even(yp))))
 
 
-# --- elementwise products, one message round per call ---
+def smm2_x(session, peer: int, x_mat: RingMatrix,
+           round_no: int) -> RingMatrix:
+    return _run_alone(session, peer, round_no,
+                      smm2_x_steps(session.rng, x_mat))
 
 
-def smm2_elem_x(session, peer: int, vec: RingMatrix,
-                round_no: int) -> RingMatrix:
+def smm2_y(session, peer: int, y_mat: RingMatrix,
+           round_no: int) -> RingMatrix:
+    return _run_alone(session, peer, round_no,
+                      smm2_y_steps(session.rng, y_mat))
+
+
+# --- elementwise products, one message round each ---
+
+
+def smm2_elem_x_steps(rng, vec: RingMatrix):
     """Triple-free a o b; pairs of entries ride in 2x2 diagonal blocks.
 
     Leak to the peer: the vector a itself (per-block column sums hit the
@@ -352,15 +402,13 @@ def smm2_elem_x(session, peer: int, vec: RingMatrix,
     a = _pad_even(vec, 0).arr[:, 0]
     n = len(a)
     # one 2x2 block [[p00, p01], [p10, p11]] per pair, as rows 2j and 2j+1
-    p = session.rng.u64_array(2 * n).reshape(n, 2)
+    p = rng.u64_array(2 * n).reshape(n, 2)
     x1 = p.copy()
     x1[0::2, 0] += a[0::2]
     x1[1::2, 1] += a[1::2]
-    session.send(peer, KIND_SMM_D, RingMatrix.wrap(x1), round_no)
-    session.send(peer, KIND_SMM_E,
-                 RingMatrix.wrap((p[:, 0] + p[:, 1]).reshape(n, 1)), round_no)
-    y1 = session.recv(peer, KIND_SMM_D, round_no)
-    y2 = session.recv(peer, KIND_SMM_E, round_no)
+    y1, y2 = yield [
+        (KIND_SMM_D, RingMatrix.wrap(x1)),
+        (KIND_SMM_E, RingMatrix.wrap((p[:, 0] + p[:, 1]).reshape(n, 1)))]
     if (y1.rows, y1.cols) != (n, 1) or (y2.rows, y2.cols) != (n // 2, 1):
         raise DimensionMismatch("peer frames do not fit the vector length")
     # per block row: (a + 2p) against the pair's (q - b), plus the fold of
@@ -372,20 +420,15 @@ def smm2_elem_x(session, peer: int, vec: RingMatrix,
     return RingMatrix.wrap(out[:vec.rows].reshape(vec.rows, 1))
 
 
-def smm2_elem_y(session, peer: int, vec: RingMatrix,
-                round_no: int) -> RingMatrix:
+def smm2_elem_y_steps(rng, vec: RingMatrix):
     if vec.cols != 1:
         raise DimensionMismatch("elementwise operands are column vectors")
     b = _pad_even(vec, 0).arr[:, 0]
     n = len(b)
-    q = session.rng.u64_array(n)
-    session.send(peer, KIND_SMM_D, RingMatrix.wrap((q - b).reshape(n, 1)),
-                 round_no)
-    session.send(peer, KIND_SMM_E,
-                 RingMatrix.wrap((q[0::2] - q[1::2]).reshape(n // 2, 1)),
-                 round_no)
-    x1 = session.recv(peer, KIND_SMM_D, round_no)
-    x2 = session.recv(peer, KIND_SMM_E, round_no)
+    q = rng.u64_array(n)
+    x1, x2 = yield [
+        (KIND_SMM_D, RingMatrix.wrap((q - b).reshape(n, 1))),
+        (KIND_SMM_E, RingMatrix.wrap((q[0::2] - q[1::2]).reshape(n // 2, 1)))]
     if (x1.rows, x1.cols) != (n, 2) or (x2.rows, x2.cols) != (n, 1):
         raise DimensionMismatch("peer frames do not fit the vector length")
     # per block row: the peer's 2x2 block against the pair's 2b - q, less
@@ -395,6 +438,18 @@ def smm2_elem_y(session, peer: int, vec: RingMatrix,
     g = x1.arr
     out = g[:, 0] * t[:, 0] + g[:, 1] * t[:, 1] - x2.arr[:, 0] * s
     return RingMatrix.wrap(out[:vec.rows].reshape(vec.rows, 1))
+
+
+def smm2_elem_x(session, peer: int, vec: RingMatrix,
+                round_no: int) -> RingMatrix:
+    return _run_alone(session, peer, round_no,
+                      smm2_elem_x_steps(session.rng, vec))
+
+
+def smm2_elem_y(session, peer: int, vec: RingMatrix,
+                round_no: int) -> RingMatrix:
+    return _run_alone(session, peer, round_no,
+                      smm2_elem_y_steps(session.rng, vec))
 
 
 # --- leakage characterization ---

@@ -13,11 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import queue
+import selectors
 import socket
 import struct
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -165,20 +167,25 @@ class ProtocolSession(ABC):
         self.frames_sent = 0
 
     @abstractmethod
-    def _send_bytes(self, receiver: int, data: bytes) -> None: ...
+    def _send_frames(self, receiver: int, frames: list[bytes]) -> None: ...
 
     @abstractmethod
     def _recv_frame_bytes(self, sender: int, timeout: float) -> bytes: ...
 
     def send(self, receiver: int, kind: int, mat: RingMatrix,
              round_no: int) -> None:
+        self.send_many(receiver, [(kind, mat, round_no)])
+
+    def send_many(self, receiver: int, items) -> None:
+        """Send (kind, matrix, round) frames to one peer, in order, as one
+        write where the transport allows it."""
         if receiver == self.party_id or not 0 <= receiver < self.n_parties:
             raise TransportError(f"bad receiver {receiver}")
-        data = _stream(round_no, kind, self.party_id, receiver,
-                       mat.to_bytes())
-        self._send_bytes(receiver, data)
-        self.bytes_sent += len(data)
-        self.frames_sent += 1
+        frames = [_stream(round_no, kind, self.party_id, receiver,
+                          mat.to_bytes()) for kind, mat, round_no in items]
+        self._send_frames(receiver, frames)
+        self.bytes_sent += sum(map(len, frames))
+        self.frames_sent += len(frames)
 
     def recv(self, sender: int, kind: int, round_no: int,
              timeout: float | None = None) -> RingMatrix:
@@ -229,8 +236,10 @@ class LoopbackSession(ProtocolSession):
         super().__init__(party_id, n_parties, rng, timeout)
         self._channels = channels  # dict[(src, dst)] -> SimpleQueue
 
-    def _send_bytes(self, receiver, data):
-        self._channels[(self.party_id, receiver)].put(data)
+    def _send_frames(self, receiver, frames):
+        put = self._channels[(self.party_id, receiver)].put
+        for data in frames:
+            put(data)
 
     def _recv_frame_bytes(self, sender, timeout):
         try:
@@ -267,6 +276,7 @@ def roster_hash(endpoints: list[tuple[str, int]]) -> int:
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
+    """n bytes from a blocking socket (the connection handshake)."""
     buf = b""
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
@@ -276,13 +286,23 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return buf
 
 
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
+
+
 class TcpSession(ProtocolSession):
     """Socket transport: party i dials every j > i and accepts from j < i.
 
-    One reader thread per peer drains the socket into a queue, so a large
-    send can never deadlock against the peer's own large send: both sides
-    always have someone reading.
+    Once connected, every socket is non-blocking and only the party's own
+    thread touches them; there are no reader threads. Whenever the party
+    waits, in recv for one peer's frame or in a send the kernel cannot take
+    yet, it reads every peer that has bytes ready into that peer's buffer
+    and splits off each complete frame. So a large send can never deadlock
+    against a peer's own large send, nor against a chain of parties each
+    waiting on the next: a party that waits keeps draining everyone.
     """
+
+    _CHUNK = 1 << 16   # bytes asked of the kernel per read
 
     def __init__(self, party_id, n_parties, rng, endpoints,
                  timeout=DEFAULT_TIMEOUT):
@@ -290,13 +310,18 @@ class TcpSession(ProtocolSession):
         self._endpoints = endpoints
         self._roster = roster_hash(endpoints)
         self._socks: dict[int, socket.socket] = {}
-        self._queues = {p: queue.SimpleQueue()
-                        for p in range(n_parties) if p != party_id}
-        self._send_locks = {p: threading.Lock()
-                            for p in range(n_parties) if p != party_id}
-        self._readers: list[threading.Thread] = []
+        self._bufs: dict[int, bytearray] = {}
+        self._frames: dict[int, deque] = {}
+        self._gone: dict[int, str] = {}  # peer -> why it sends no more
         self._closed = False
         self._connect_all()
+        self._selector = selectors.DefaultSelector()
+        for peer, sock in self._socks.items():
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._selector.register(sock, _READ, peer)
+            self._bufs[peer] = bytearray()
+            self._frames[peer] = deque()
 
     # connection setup
 
@@ -318,6 +343,7 @@ class TcpSession(ProtocolSession):
         return pid
 
     def _connect_all(self):
+        """Open every peer socket, or close all those opened and raise."""
         deadline = time.monotonic() + self.timeout
         host, port = self._endpoints[self.party_id]
         listener = None
@@ -326,11 +352,12 @@ class TcpSession(ProtocolSession):
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((host, port))
             listener.listen(self.party_id)
+        accepted: dict[int, socket.socket] = {}
+        given_up = threading.Event()
         try:
             # accept from lower ids while dialing higher ids; lower-id peers
             # are dialing us concurrently so order does not matter
             accept_thread = None
-            accepted: dict[int, socket.socket] = {}
             accept_err: list[Exception] = []
             if listener is not None:
                 def do_accept():
@@ -348,6 +375,8 @@ class TcpSession(ProtocolSession):
                                 conn.close()  # peer sees EOF, not a stall
                                 raise
                             accepted[pid] = conn
+                            if given_up.is_set():  # missed the clean-up
+                                conn.close()
                     except Exception as e:  # surfaced after join
                         accept_err.append(e)
                 accept_thread = threading.Thread(target=do_accept, daemon=True)
@@ -365,17 +394,15 @@ class TcpSession(ProtocolSession):
                         f"party {self.party_id}: only {len(accepted)} of "
                         f"{self.party_id} lower-id peers connected")
                 self._socks.update(accepted)
+        except BaseException:
+            given_up.set()
+            for sock in [*self._socks.values(), *accepted.values()]:
+                sock.close()
+            self._socks.clear()
+            raise
         finally:
             if listener is not None:
                 listener.close()
-
-        for peer, sock in self._socks.items():
-            sock.settimeout(None)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            t = threading.Thread(target=self._reader_loop,
-                                 args=(peer, sock), daemon=True)
-            t.start()
-            self._readers.append(t)
 
     def _dial(self, peer: int, deadline: float) -> socket.socket:
         host, port = self._endpoints[peer]
@@ -393,49 +420,113 @@ class TcpSession(ProtocolSession):
         sock.settimeout(self.timeout)
         try:
             sock.sendall(self._handshake_bytes())
-            data = _read_exact(sock, _HANDSHAKE_LEN)
+            self._check_handshake(_read_exact(sock, _HANDSHAKE_LEN), peer)
         except TimeoutError:
             sock.close()
             raise ConnectTimeout(
                 f"party {peer} did not complete the handshake") from None
-        self._check_handshake(data, peer)
+        except BaseException:
+            sock.close()
+            raise
         return sock
 
     # steady state
 
-    def _reader_loop(self, peer: int, sock: socket.socket):
-        q = self._queues[peer]
+    def _pump(self, peer: int) -> None:
+        """Read whatever the peer's socket holds and queue every frame it
+        completes."""
+        sock, buf = self._socks[peer], self._bufs[peer]
+        gone = None
         try:
             while True:
-                raw_len = _read_exact(sock, 4)
-                (length,) = struct.unpack(LEN_FMT, raw_len)
-                q.put(_read_exact(sock, length))
-        except (PeerClosed, OSError):
-            q.put(_CLOSE_SENTINEL)
+                chunk = sock.recv(self._CHUNK)
+                if not chunk:
+                    gone = "closed the connection"
+                    break
+                buf += chunk
+                if len(chunk) < self._CHUNK:
+                    break
+        except BlockingIOError:
+            pass
+        except OSError as e:
+            gone = f"broke the connection: {e}"
+        frames, off, end = self._frames[peer], 0, len(buf)
+        with memoryview(buf) as view:
+            while end - off >= 4:
+                stop = off + 4 + _LEN.unpack_from(view, off)[0]
+                if stop > end:
+                    break
+                frames.append(bytes(view[off + 4:stop]))
+                off = stop
+        del buf[:off]
+        if gone is not None:
+            self._lose(peer, gone + (" mid-frame" if buf else ""))
 
-    def _send_bytes(self, receiver, data):
+    def _lose(self, peer: int, why: str) -> None:
+        self._gone[peer] = why
+        self._selector.unregister(self._socks[peer])
+
+    def _select(self, deadline: float, what: str) -> set[int]:
+        """One wait on every open socket: read each readable peer and
+        return the peers that can take more bytes."""
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TransportError(f"party {self.party_id}: {what}")
+        writable = set()
+        for key, events in self._selector.select(left):
+            if events & _READ:
+                self._pump(key.data)
+            if events & _WRITE:
+                writable.add(key.data)
+        return writable
+
+    def _send_frames(self, receiver, frames):
         sock = self._socks.get(receiver)
         if sock is None or self._closed:
             raise PeerClosed(f"no open channel to party {receiver}")
-        with self._send_locks[receiver]:
+        view = memoryview(frames[0] if len(frames) == 1 else b"".join(frames))
+        off = 0
+        while True:
             try:
-                sock.sendall(data)
+                off += sock.send(view[off:])
+            except BlockingIOError:
+                pass
             except OSError as e:
                 raise PeerClosed(f"send to party {receiver} failed: {e}") from e
+            if off == len(view):
+                return
+            self._await_writable(receiver)
+
+    def _await_writable(self, receiver: int) -> None:
+        deadline = time.monotonic() + self.timeout
+        what = f"party {receiver} took no bytes for {self.timeout:.0f}s"
+        while True:
+            if receiver in self._gone:
+                raise PeerClosed(
+                    f"party {receiver} {self._gone[receiver]}")
+            sock = self._socks[receiver]
+            self._selector.modify(sock, _READ | _WRITE, receiver)
+            try:
+                if receiver in self._select(deadline, what):
+                    return
+            finally:
+                if receiver not in self._gone:
+                    self._selector.modify(sock, _READ, receiver)
 
     def _recv_frame_bytes(self, sender, timeout):
-        try:
-            data = self._queues[sender].get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(
-                f"party {self.party_id}: nothing from {sender} "
-                f"after {timeout:.0f}s") from None
-        if data == _CLOSE_SENTINEL:
-            raise PeerClosed(f"party {sender} closed the connection")
-        return data
+        frames = self._frames[sender]
+        if not frames:
+            deadline = time.monotonic() + timeout
+            what = f"nothing from {sender} after {timeout:.0f}s"
+            while not frames and sender not in self._gone:
+                self._select(deadline, what)
+        if frames:
+            return frames.popleft()
+        raise PeerClosed(f"party {sender} {self._gone[sender]}")
 
     def close(self):
         self._closed = True
+        self._selector.close()
         for sock in self._socks.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from secregress.data import (
+    _uniform_grid,
     build_batch_schedule,
     kfold,
     load_csv,
@@ -19,6 +20,9 @@ from secregress.errors import (
     TooFewRows,
 )
 from secregress.ring import decode_raw, encode_raw
+from secregress.rng import CounterDrbg
+
+import draw_reference
 
 
 def test_quantize_matches_encoder_rounding():
@@ -123,3 +127,16 @@ def test_kfold():
         kfold(10, 1, seed=0)
     with pytest.raises(ValueError):
         kfold(3, 4, seed=0)
+
+
+@pytest.mark.parametrize("shape,lo,hi", [
+    ((40, 3), 0.0, 1.0), ((7,), -1.0, 1.0), ((13,), -0.02, 0.02),
+    ((1200,), 0.0, 1.0), ((30,), -2.0 ** 42, 2.0 ** 42),
+])
+def test_uniform_grid_matches_word_by_word(shape, lo, hi):
+    fast, slow = CounterDrbg("grid"), CounterDrbg("grid")
+    got = _uniform_grid(fast, shape, lo, hi)
+    want = draw_reference.uniform_grid(slow, shape, lo, hi)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert fast.u64() == slow.u64()

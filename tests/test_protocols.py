@@ -38,10 +38,18 @@ from secregress.protocols import (
     vertical_triple_needs,
 )
 from secregress.protocols.base import _EngineBase
-from secregress.ring import RingMatrix
+from secregress.ring import RingMatrix, mat_add, mat_hadamard, mat_mul_raw
 from secregress.rng import CounterDrbg
 from secregress.sharing import reconstruct, share_matrix
-from secregress.smm import TriplePool, generate_triple
+from secregress.smm import (
+    TriplePool,
+    generate_triple,
+    smm1,
+    smm2_elem_x,
+    smm2_elem_y,
+    smm2_x,
+    smm2_y,
+)
 from secregress.transport import TransportError, loopback_sessions
 
 ULP = 2.0 ** -20
@@ -510,3 +518,83 @@ def test_file_pool_replay_and_exhaustion():
     ]
     with pytest.raises(TripleExhausted):
         run_parties(2, cfg, starved, timeout=5.0)
+
+
+# --- stages against one-product calls ---
+
+# (a, b, shape, elementwise): a holds the left operand, b the right one
+STAGE_PRODUCTS = {
+    2: [(0, 1, (3, 4, 2), False), (1, 0, (2, 5, 1), False),
+        (0, 1, 5, True), (1, 0, 4, True), (0, 1, (3, 4, 2), False)],
+    3: [(0, 1, (3, 4, 2), False), (2, 0, (2, 3, 1), False),
+        (1, 2, 5, True), (2, 1, (1, 3, 3), False), (0, 2, 4, True),
+        (1, 0, (2, 2, 2), False)],
+}
+
+
+def _operand(pid, k, a, shape, elementwise):
+    """Party pid's operand of product k: deterministic random words."""
+    rng = CounterDrbg("stage-operands").child("op", pid, k)
+    if elementwise:
+        rows, cols = shape, 1
+    else:
+        rows, cols = shape[:2] if pid == a else shape[1:]
+    return RingMatrix(rows, cols, rng.u64_list(rows * cols))
+
+
+def _stage_products(pid, products):
+    return [(a, b, _operand(pid, k, a, shape, el) if pid in (a, b) else None,
+             shape, el) for k, (a, b, shape, el) in enumerate(products)]
+
+
+def _one_at_a_time(eng, products):
+    """The products run one smm call each, in order: the reference."""
+    ti = eng.cfg.smm_variant == "smm1"
+    out = []
+    for a, b, mine, shape, el in products:
+        r = eng._next_round()
+        if eng.me not in (a, b):
+            if ti:
+                (eng.pool.skip_elem(shape) if el else eng.pool.skip(*shape))
+            out.append(None)
+            continue
+        side, peer = (0, b) if eng.me == a else (1, a)
+        if ti:
+            half = (eng.pool.take_elem(shape, side=side) if el
+                    else eng.pool.take(*shape, side=side))
+            out.append(smm1(eng.s, peer, side, mine, half, r, elementwise=el))
+        else:
+            fn = ((smm2_elem_x, smm2_elem_y) if el else (smm2_x, smm2_y))[side]
+            out.append(fn(eng.s, peer, mine, r))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("variant", ["smm1", "smm2"])
+def test_stage_matches_one_product_calls(variant, n):
+    cfg = TrainingConfig(smm_variant=variant, seed="stage")
+    products = STAGE_PRODUCTS[n]
+
+    def party(run):
+        def go(s):
+            eng = _EngineBase(s, cfg, "linear", "stage")
+            shares = run(eng, _stage_products(s.party_id, products))
+            bodies = sorted(f.encode() for f in s.transcript.frames)
+            return (shares, s.rng.u64_list(4), dict(eng.pool.consumed)
+                    if eng.pool else None, bodies, s.frames_sent,
+                    s.bytes_sent)
+        return go
+
+    staged = run_parties(n, cfg, [party(_EngineBase._stage)] * n)
+    alone = run_parties(n, cfg, [party(_one_at_a_time)] * n)
+    for pid in range(n):
+        assert staged[pid][1:] == alone[pid][1:]
+        assert staged[pid][0] == alone[pid][0]
+    # every product reconstructs to the plain product of the operands
+    for k, (a, b, shape, el) in enumerate(products):
+        want = (mat_hadamard if el else mat_mul_raw)(
+            _operand(a, k, a, shape, el), _operand(b, k, a, shape, el))
+        got = [staged[pid][0][k] for pid in (a, b)]
+        assert mat_add(*got) == want
+        assert all(staged[pid][0][k] is None
+                   for pid in range(n) if pid not in (a, b))

@@ -8,6 +8,8 @@ import pytest
 
 from secregress.rng import CHUNK, CounterDrbg
 
+import draw_reference
+
 W = CHUNK // 8
 
 
@@ -144,3 +146,52 @@ def test_stream_is_independent_of_how_it_is_read(first):
             assert got == ref[pos:pos + n], (op, n, pos)
         pos += n
     assert r.u64() == ref[pos]
+
+
+# --- one-call draws against the word-by-word loops ---
+
+# near 2^63 about half the words are rejected; near 2^62, a quarter
+HALF_REJECTED = (1 << 63) + 1
+
+
+def _rejects(bound, words):
+    return any(w >= (1 << 64) - (1 << 64) % bound for w in words)
+
+
+@pytest.mark.parametrize("bounds", [
+    [1], [2, 3, 1000], list(range(700, 1, -1)), [HALF_REJECTED] * 40,
+    [5, HALF_REJECTED, 7, (1 << 64) - 1, 3] * 9, [(1 << 62) + 1] * 600,
+])
+def test_randranges_matches_randrange_loop(bounds):
+    fast, slow = CounterDrbg("rr"), CounterDrbg("rr")
+    got = fast.randranges(bounds).tolist()
+    assert got == [slow.randrange(n) for n in bounds]
+    assert fast.u64() == slow.u64()  # same stream position after
+
+
+def test_forced_rejections_are_exercised():
+    words = CounterDrbg("rr").u64_list(40)
+    assert _rejects(HALF_REJECTED, words)
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (10, 0), (100, 30), (20, 20),
+                                 (2000, 500), (HALF_REJECTED, 25)])
+def test_sample_matches_word_by_word(m, k):
+    for seed in range(3):
+        fast, slow = CounterDrbg(seed), CounterDrbg(seed)
+        assert fast.sample(m, k) == draw_reference.sample(slow, m, k)
+        assert fast.u64() == slow.u64()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 1500])
+def test_shuffle_matches_word_by_word(n):
+    for seed in range(3):
+        fast, slow = CounterDrbg(seed), CounterDrbg(seed)
+        items = [f"x{i}" for i in range(n)]
+        assert fast.shuffle(items) == draw_reference.shuffle(slow, items)
+        assert fast.u64() == slow.u64()
+
+
+def test_randranges_rejects_a_zero_bound():
+    with pytest.raises(ValueError):
+        CounterDrbg(1).randranges([3, 0, 2])

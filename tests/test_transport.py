@@ -1,7 +1,10 @@
 """Frame codec, loopback and TCP sessions, transcripts, barriers."""
 
+import os
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -17,6 +20,10 @@ from secregress.errors import (
 from secregress.ring import RingMatrix
 from secregress.rng import CounterDrbg
 from secregress.transport import (
+    _HANDSHAKE_FMT,
+    _HANDSHAKE_LEN,
+    _HANDSHAKE_MAGIC,
+    _WIRE_VERSION,
     KIND_CONTROL,
     KIND_SHARE_DIST,
     KIND_SMM_D,
@@ -25,6 +32,7 @@ from secregress.transport import (
     TcpSession,
     Transcript,
     loopback_sessions,
+    roster_hash,
 )
 
 GOLDEN_FRAME = (
@@ -270,7 +278,8 @@ def test_tcp_three_party_barrier_and_traffic():
 
 
 def test_tcp_large_bidirectional_send():
-    # both sides push ~1.6 MB simultaneously; reader threads must drain
+    # both sides push ~1.6 MB simultaneously; each must keep reading its
+    # socket while its own send waits
     s = tcp_sessions(2, "big")
     big = RingMatrix(400, 500, list(range(200000)))
     try:
@@ -309,3 +318,216 @@ def test_tcp_roster_mismatch():
 
     run_parties(p0, p1)
     assert any(isinstance(e, RosterMismatch) for e in errs)
+
+
+# --- tcp against a raw-socket peer ---
+
+class RawPeer:
+    """A listening socket at endpoints[pid] that answers one dialer's
+    handshake as party claim (default pid) and then hands over the raw
+    connection, so a test can write any bytes it likes."""
+
+    def __init__(self, endpoints, pid, claim=None, roster=None):
+        self.listener = socket.create_server(endpoints[pid])
+        self.reply = struct.pack(
+            _HANDSHAKE_FMT, _HANDSHAKE_MAGIC, _WIRE_VERSION, len(endpoints),
+            pid if claim is None else claim,
+            roster_hash(endpoints) if roster is None else roster)
+        self.conn = None
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        self.listener.settimeout(10)
+        conn, _ = self.listener.accept()
+        conn.settimeout(10)
+        got = b""
+        while len(got) < _HANDSHAKE_LEN:
+            got += conn.recv(_HANDSHAKE_LEN - len(got))
+        conn.sendall(self.reply)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.conn = conn
+
+    def connected(self):
+        self.thread.join(10)
+        return self.conn
+
+    def close(self):
+        self.thread.join(10)
+        for sk in (self.conn, self.listener):
+            if sk is not None:
+                sk.close()
+
+
+def raw_session(tag, timeout=10.0):
+    """Party 0 of two over TCP, with a RawPeer as party 1."""
+    eps = free_endpoints(2)
+    peer = RawPeer(eps, 1)
+    s = TcpSession(0, 2, make_rngs(2, tag)[0], eps, timeout=timeout)
+    return s, peer
+
+
+def wire(round_no, kind, mat):
+    return Frame(round_no, kind, 1, 0, mat.to_bytes()).encode_stream()
+
+
+def test_tcp_frames_split_at_every_byte_boundary():
+    s, peer = raw_session("split")
+    a, b = RingMatrix(1, 2, [5, 6]), RingMatrix(2, 1, [7, 2 ** 64 - 1])
+    cuts = range(1, len(wire(0, KIND_SMM_D, a) + wire(0, KIND_SMM_E, b)))
+    conn = peer.connected()
+
+    def writer():
+        for cut in cuts:
+            data = wire(cut, KIND_SMM_D, a) + wire(cut, KIND_SMM_E, b)
+            conn.sendall(data[:cut])
+            time.sleep(0.002)  # lets the reader take the first part alone
+            conn.sendall(data[cut:])
+
+    t = threading.Thread(target=writer)
+    t.start()
+    try:
+        for cut in cuts:
+            assert s.recv(1, KIND_SMM_D, cut) == a
+            assert s.recv(1, KIND_SMM_E, cut) == b
+    finally:
+        t.join(30)
+        s.close()
+        peer.close()
+    assert len(s.transcript) == 2 * len(cuts)
+
+
+def test_tcp_many_frames_in_one_segment():
+    s, peer = raw_session("burst")
+    mats = [RingMatrix(1, 1 + i % 3, list(range(1 + i % 3)))
+            for i in range(300)]
+    try:
+        peer.connected().sendall(b"".join(
+            wire(i, KIND_SHARE_DIST, m) for i, m in enumerate(mats)))
+        assert [s.recv(1, KIND_SHARE_DIST, i)
+                for i in range(len(mats))] == mats
+    finally:
+        s.close()
+        peer.close()
+
+
+def test_tcp_eof_mid_frame_raises_peer_closed():
+    s, peer = raw_session("eof")
+    data = wire(0, KIND_SMM_D, RingMatrix(2, 2, [1, 2, 3, 4]))
+    try:
+        conn = peer.connected()
+        conn.sendall(data + data[:len(data) // 2])
+        conn.close()
+        assert s.recv(1, KIND_SMM_D, 0) == RingMatrix(2, 2, [1, 2, 3, 4])
+        with pytest.raises(PeerClosed):
+            s.recv(1, KIND_SMM_D, 0)
+    finally:
+        s.close()
+        peer.close()
+
+
+def test_tcp_silent_peer_times_out():
+    s, peer = raw_session("silent", timeout=0.3)
+    try:
+        peer.connected()
+        t0 = time.monotonic()
+        with pytest.raises(TransportError):
+            s.recv(1, KIND_SMM_D, 0)
+        assert 0.25 <= time.monotonic() - t0 < 2.0
+    finally:
+        s.close()
+        peer.close()
+
+
+def test_tcp_chain_with_multi_megabyte_frames_does_not_deadlock():
+    # Party 1 waits on party 2, who waits on party 0, who is pushing 8 MB
+    # to party 1: only if party 1 drains party 0 while waiting on party 2
+    # does party 0's send finish and the chain move.
+    s = tcp_sessions(3, "chain", timeout=10.0)
+    big = RingMatrix(1000, 1000, list(range(1000 * 1000)))
+    small = RingMatrix(1, 1, [9])
+    got = {}
+    try:
+        def p0():
+            s[0].send(1, KIND_SMM_D, big, 0)
+            s[0].send(2, KIND_SMM_E, small, 0)
+
+        def p1():
+            got["small"] = s[1].recv(2, KIND_SMM_E, 0)
+            got["big"] = s[1].recv(0, KIND_SMM_D, 0)
+
+        def p2():
+            s[2].recv(0, KIND_SMM_E, 0)
+            s[2].send(1, KIND_SMM_E, small, 0)
+
+        run_parties(p0, p1, p2)
+    finally:
+        for x in s:
+            x.close()
+    assert got["small"] == small and got["big"] == big
+
+
+def test_send_many_is_one_write_of_ordered_frames():
+    s, peer = raw_session("many")
+    a, b = RingMatrix(1, 1, [3]), RingMatrix(1, 2, [4, 5])
+    try:
+        conn = peer.connected()
+        s.send_many(1, [(KIND_SMM_D, a, 7), (KIND_SMM_E, b, 7)])
+        want = (Frame(7, KIND_SMM_D, 0, 1, a.to_bytes()).encode_stream()
+                + Frame(7, KIND_SMM_E, 0, 1, b.to_bytes()).encode_stream())
+        got = b""
+        while len(got) < len(want):
+            got += conn.recv(4096)
+        assert got == want
+        assert (s.frames_sent, s.bytes_sent) == (2, len(want))
+    finally:
+        s.close()
+        peer.close()
+
+
+# --- sockets of failed connections ---
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case", ["roster", "peer-id", "second-dial",
+                                  "accepted-roster"])
+def test_failed_tcp_session_closes_its_sockets(case):
+    eps = free_endpoints(3)
+    rng = make_rngs(1, "fds")[0]
+    before = open_fds()
+    peers = []
+    if case == "accepted-roster":
+        # party 1 accepts a dialer that names a different roster
+        def dial():
+            sk = socket.create_connection(eps[1], timeout=5)
+            sk.sendall(struct.pack(_HANDSHAKE_FMT, _HANDSHAKE_MAGIC,
+                                   _WIRE_VERSION, 2, 0, 12345))
+            sk.recv(64)
+            sk.close()
+        dialer = threading.Thread(target=dial, daemon=True)
+        dialer.start()
+        with pytest.raises(TransportError) as err:
+            TcpSession(1, 2, rng, eps[:2], timeout=5.0)
+        dialer.join(10)
+    else:
+        if case == "roster":
+            peers = [RawPeer(eps[:2], 1, roster=12345)]
+            n = 2
+        elif case == "peer-id":
+            peers = [RawPeer(eps[:2], 1, claim=0)]
+            n = 2
+        else:  # party 1 answers properly, party 2 claims to be party 1
+            peers = [RawPeer(eps, 1), RawPeer(eps, 2, claim=1)]
+            n = 3
+        with pytest.raises(RosterMismatch) as err:
+            TcpSession(0, n, rng, eps[:n], timeout=5.0)
+        for p in peers:
+            p.close()
+    # err (still alive here) keeps the failed constructor's frames, and so
+    # any socket it only dropped, from being collected
+    assert err.value is not None
+    assert open_fds() - before == set()
