@@ -11,9 +11,11 @@ behind are byte-identical.
 Determinism contract: manifest.json and report.json contain only values
 that replay exactly (seeds, hashes, model words, byte counts). Wall-clock
 measurements go to timings.json and stdout, never into the deterministic
-artifacts. When the triple variant runs, triple generation is offline
-provisioning: its time is metered separately and excluded from the
-reported training seconds, and the manifest flags this.
+artifacts. Under the triple variant each party's engine derives its own
+triple halves from the shared seed as it draws them (smm.triple_halves
+stands in for the trusted initializer), so the reported training seconds,
+the folds' wall time, include that derivation; the manifest flags the
+variant as offline-provisioned.
 
 Exit codes: 0 success, 2 configuration or input error, 3 protocol or
 transport failure, 4 cross-party equivalence-check failure.
@@ -63,14 +65,10 @@ from .errors import (
     TransportError,
 )
 from .protocols import HorizontalEngine, TrainingConfig, VerticalEngine
-from .protocols.config import (
-    horizontal_schedule,
-    horizontal_triple_needs,
-    vertical_triple_needs,
-)
+from .protocols.config import horizontal_schedule, product_plan
 from .ring import decode_raw
 from .rng import CounterDrbg
-from .smm import TriplePool
+from .smm import triple_halves
 from .transport import TcpSession, loopback_sessions
 
 # Engines running consecutive CV folds over one session space their frame
@@ -453,7 +451,6 @@ def _run_party_folds(session, spec: RunSpec, X, y, descriptor):
         fold_timings.append({
             "fold": k,
             "wall_seconds": wall,
-            "triple_seconds": res.triple_seconds,
             "iterations": len(res.iter_seconds),
         })
     manifest = {
@@ -476,10 +473,7 @@ def _run_party_folds(session, spec: RunSpec, X, y, descriptor):
     timings = {
         "party": me,
         "folds": fold_timings,
-        "offline_provisioning": spec.smm_variant == "smm1",
-        "train_seconds": sum(t["wall_seconds"] - t["triple_seconds"]
-                             for t in fold_timings),
-        "triple_seconds": sum(t["triple_seconds"] for t in fold_timings),
+        "train_seconds": sum(t["wall_seconds"] for t in fold_timings),
     }
     return manifest, timings
 
@@ -638,31 +632,44 @@ def _spawn_processes(spec: RunSpec, timeout: float):
 
 def _wait_children(procs: list, timeout: float) -> None:
     """Wait for every party child; the first nonzero exit (or the
-    deadline) kills the survivors and raises PartyCrashed with the
+    deadline) kills the survivors. A child that exited 2 rejected its
+    configuration or input: that becomes a ConfigFileError carrying the
+    child's message. Any other failure raises PartyCrashed with the
     failing child's diagnostics."""
     deadline = time.monotonic() + timeout
     pending = dict(enumerate(procs))
 
-    def fail(i: int, what: str, errtxt: str):
+    def fail(i: int, code: int | None, errtxt: str):
         for p in pending.values():
             p.kill()
             p.communicate()
-        tail = "\n".join(errtxt.strip().splitlines()[-4:])
+        lines = errtxt.strip().splitlines()
+        if code == 2 and lines:
+            raise ConfigFileError(
+                f"party {i}: {lines[-1].removeprefix('error: ')}")
+        what = "timed out" if code is None else f"exited {code}"
+        tail = "\n".join(lines[-4:])
         raise PartyCrashed(f"party {i} {what}" + (f"\n{tail}" if tail
                                                   else ""))
 
     while pending:
+        failed = []
         for i in list(pending):
             if pending[i].poll() is None:
                 continue
             p = pending.pop(i)
             _, errtxt = p.communicate()
             if p.returncode != 0:
-                fail(i, f"exited {p.returncode}", errtxt)
+                failed.append((p.returncode != 2, i, p.returncode, errtxt))
+        if failed:
+            # a party that rejects its config drops its connections, so
+            # its peers fail too; report the rejection, which is the cause
+            _, i, code, errtxt = min(failed)
+            fail(i, code, errtxt)
         if pending and time.monotonic() > deadline:
             i = next(iter(pending))
             pending.pop(i).kill()
-            fail(i, "timed out", "")
+            fail(i, None, "")
         if pending:
             time.sleep(0.02)
 
@@ -758,8 +765,7 @@ def run_plaintext(spec: RunSpec):
             "bytes_received": 0,
             "frames_sent": 0,
         })
-        fold_timings.append({"fold": k, "wall_seconds": wall,
-                             "triple_seconds": 0.0})
+        fold_timings.append({"fold": k, "wall_seconds": wall})
     manifest = {
         "format": "secregress.manifest.v1",
         "spec_hash": spec.spec_hash(),
@@ -780,9 +786,7 @@ def run_plaintext(spec: RunSpec):
     timings = {
         "party": 0,
         "folds": fold_timings,
-        "offline_provisioning": False,
         "train_seconds": sum(t["wall_seconds"] for t in fold_timings),
-        "triple_seconds": 0.0,
     }
     return [manifest], [timings]
 
@@ -855,8 +859,7 @@ def run(spec: RunSpec, mode: str = "threads", timeout: float = 300.0):
 
 
 def _train_seconds(timings: list[dict]) -> float:
-    """Wall time attributable to the protocol itself. Triple generation
-    is offline provisioning and excluded (the loopback parties share one
+    """Wall time of the folds (the loopback parties share one
     interpreter, so per-party seconds overlap; the max is the run)."""
     return max(t["train_seconds"] for t in timings)
 
@@ -907,10 +910,6 @@ def _cmd_train(args) -> int:
     where = _persist_run(spec, row, manifests, timings)
     secs = {spec.model_name(): _train_seconds(timings)}
     print(_format_table([row], secs))
-    if manifests[0].get("offline_provisioning"):
-        offline = max(t["triple_seconds"] for t in timings)
-        print(f"offline triple provisioning: {offline:.2f}s "
-              f"(excluded from seconds)")
     if where:
         print(f"artifacts: {where}")
     return 0
@@ -1048,16 +1047,17 @@ def _scaling_sweep(specs: list[RunSpec], reps: int = 2) -> list[float]:
     return best
 
 
-def _scaling_point(spec: RunSpec, provision: bool = True):
-    """Train one fold-0-style LiRe run; return (seconds, results, pools).
+def _scaling_point(spec: RunSpec, halves=None):
+    """Train one fold-0-style LiRe run; return (seconds, results, halves).
 
     Before the clock starts, each party's slice is converted to the lists
-    the engines take and, under TI, each party's pool is stocked with
-    exactly the triples the run draws (see _provision_pools). The seconds
-    are then one wall-clock span from starting the party threads to the
-    last join: online protocol time only, with nothing subtracted.
-    provision=False leaves the engines on seed-backed pools, which derive
-    each triple when it is drawn, inside the span.
+    the engines take and, under TI, the dealer hands each party the list
+    of its own triple halves for the run's product plan. halves, when
+    given, replaces that dealing: one iterable per party, None leaving the
+    engine to derive its halves inside the span. The seconds are one
+    wall-clock span from starting the party threads to the last join, with
+    nothing subtracted. The returned halves are the per-party streams the
+    engines drew from, so a caller can check that each was drained.
     """
     X, y, _descriptor = load_dataset(spec)
     n = spec.parties
@@ -1068,45 +1068,35 @@ def _scaling_point(spec: RunSpec, provision: bool = True):
     if spec.scheme == "horizontal":
         inputs = [([list(r) for r in X[lo:hi]], list(y[lo:hi]))
                   for lo, hi in spans]
-        needs = horizontal_triple_needs(spec.config, task, n, X.shape[1])
+        widths = [X.shape[1]] * n
         engine = HorizontalEngine
     else:
         labels = list(y)
         inputs = [([list(r[lo:hi]) for r in X],
                    labels if i == spec.config.label_party else None)
                   for i, (lo, hi) in enumerate(spans)]
-        needs = vertical_triple_needs(spec.config, task,
-                                      [hi - lo for lo, hi in spans])
+        widths = [hi - lo for lo, hi in spans]
         engine = VerticalEngine
-    if provision and spec.smm_variant == "smm1":
-        pools = _provision_pools(spec, needs)
-    else:
-        pools = [None] * n
+    if halves is None and spec.smm_variant == "smm1":
+        plan = product_plan(spec.config, task, spec.scheme, widths)
+        halves = [list(triple_halves(spec.config.seed, plan, i))
+                  for i in range(n)]
+    streams = [None if h is None else iter(h) for h in halves or [None] * n]
     rngs = [spec.config.private_rng(i) for i in range(n)]
     sessions = loopback_sessions(n, rngs, timeout=600.0)
-    engines = [engine(sessions[i], spec.config, task, pools[i])
+    engines = [engine(sessions[i], spec.config, task, streams[i])
                for i in range(n)]
     outs, seconds = _run_threads(
         sessions, [lambda e=e, a=a: e.run(*a)
                    for e, a in zip(engines, inputs)], 600.0)
-    return seconds, outs, pools
-
-
-def _provision_pools(spec: RunSpec, needs: dict) -> list[TriplePool]:
-    """One pool per party, stocked with the triples a run draws.
-
-    The triples come from a seed-backed pool on the same trusted-initializer
-    path each engine would otherwise derive them from, so the stocked pools
-    replay the seed-backed run bit for bit. Only matrix shapes are supported
-    (the scaling runs are LiRe, which draws no elementwise triples).
-    """
-    source = TriplePool.from_seed(spec.config.seed)
-    triples = [source.take(*key)
-               for key, count in needs.items() for _ in range(count)]
-    return [TriplePool.from_triples(triples) for _ in range(spec.parties)]
+    return seconds, outs, streams
 
 
 def _cmd_partition(args) -> int:
+    if args.scheme == "vertical" and not 0 <= args.label_party < args.parties:
+        raise ConfigFileError(
+            f"--label-party {args.label_party} out of range for "
+            f"{args.parties} parties")
     X, y, names = load_csv(args.csv, args.label)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -58,7 +58,7 @@ class BarrierTimeout(TransportError):
 # smm
 
 class TripleExhausted(SecregressError):
-    """Beaver triple pool has no fresh triple of the required shape."""
+    """A party's triple halves ran out before its products did."""
 
 
 class MalformedTranscript(SecregressError):

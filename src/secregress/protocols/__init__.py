@@ -4,10 +4,9 @@ from .base import TrainResult
 from .config import (
     TrainingConfig,
     horizontal_schedule,
-    horizontal_triple_needs,
+    product_plan,
     schedule_digest,
     select_batch_owner,
-    vertical_triple_needs,
 )
 from .horizontal import HorizontalEngine
 from .vertical import VerticalEngine
@@ -18,8 +17,7 @@ __all__ = [
     "TrainingConfig",
     "VerticalEngine",
     "horizontal_schedule",
-    "horizontal_triple_needs",
+    "product_plan",
     "schedule_digest",
     "select_batch_owner",
-    "vertical_triple_needs",
 ]

@@ -24,9 +24,11 @@ terms of every block, the two cross terms of z^3, every block's gradient)
 are opened together, each party writes each peer all of a step's frames
 at once, and only then receives, so a stage costs one message round
 however many products it holds. Each product still takes its own round
-number; parties outside a pair burn that round number (and, under the
-triple variant, the same pool slot) so that round counters and triple
-streams stay aligned without extra communication.
+number; parties outside a pair burn that round number so that round
+counters stay aligned without extra communication. Under the triple
+variant each party draws, in order, only the triple halves of the products
+it is in: the dealer (smm.triple_halves) walks the run's product plan
+(config.product_plan) and leaves the bystanders out.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import time
 from dataclasses import dataclass
 
 from ..baseline import SIGMOID_POLY
-from ..errors import InvalidPartyCount, PolicyMismatch
+from ..errors import InvalidPartyCount, PolicyMismatch, TripleExhausted
 from ..ring import (
     FRAC_BITS,
     RingMatrix,
@@ -52,16 +54,16 @@ from ..ring import (
     uniform_matrix,
 )
 from ..smm import (
-    TriplePool,
     run_stage,
     smm1_steps,
     smm2_elem_x_steps,
     smm2_elem_y_steps,
     smm2_x_steps,
     smm2_y_steps,
+    triple_halves,
 )
 from ..transport import KIND_CONTROL, KIND_SHARE_DIST, KIND_W_SHARE
-from .config import TrainingConfig
+from .config import TrainingConfig, product_plan
 
 # Rounds 0..15 are reserved for setup traffic; _next_round starts above.
 _FIRST_ROUND = 16
@@ -75,9 +77,7 @@ class TrainResult:
     this party's own feature block for column-partitioned ones (the other
     blocks stay with their owners). weights_raw holds the same vector as
     f-bit ring words, the form manifests hash. iter_seconds (wall clock)
-    and triple_seconds (this thread's CPU clock, so per-party figures stay
-    additive when parties share an interpreter) are the only
-    non-deterministic fields.
+    is the only non-deterministic field.
     """
 
     party_id: int
@@ -93,13 +93,19 @@ class TrainResult:
     bytes_received: int
     frames_sent: int
     iter_seconds: list[float]
-    triple_seconds: float
 
 
 class _EngineBase:
+    """State and steps the training engines share.
+
+    halves is, under the triple variant, this party's triple halves in
+    draw order (smm.triple_halves over the run's product plan). When it is
+    None, run derives them lazily from the config seed once the policy
+    exchange has fixed the shapes.
+    """
+
     def __init__(self, session, config: TrainingConfig, task: str,
-                 layout: str, pool: TriplePool | None = None,
-                 round_base: int = 0):
+                 layout: str, halves=None, round_base: int = 0):
         if session.n_parties < 2:
             raise InvalidPartyCount("training needs at least 2 parties")
         if task not in ("linear", "logistic"):
@@ -120,11 +126,7 @@ class _EngineBase:
         q0, q1, q2, q3 = (encode_raw(q) for q in SIGMOID_POLY)
         # q0 sits at 2f so it can be added straight into the 2f aggregate.
         self._coeff_words = (q0 << self.f, q1, q2, q3)
-        if config.smm_variant == "smm1":
-            self.pool = pool if pool is not None else TriplePool.from_seed(
-                config.seed)
-        else:
-            self.pool = None
+        self._halves = iter(halves) if halves is not None else None
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -177,6 +179,14 @@ class _EngineBase:
         grad_f = self._shift(grad_2f)
         return mat_sub(w_2f, mat_mul_scalar(grad_f, self._lr_word))
 
+    def _deal(self, widths: list[int]) -> None:
+        """Start the lazy triple-half stream when none was handed in."""
+        if self.cfg.smm_variant == "smm1" and self._halves is None:
+            self._halves = triple_halves(
+                self.cfg.seed,
+                product_plan(self.cfg, self.task, self.layout, widths),
+                self.me)
+
     # -- pairwise products ----------------------------------------------
 
     def _stage(self, products) -> list[RingMatrix | None]:
@@ -186,9 +196,10 @@ class _EngineBase:
         holds the left operand, b the right one, mine is this party's
         operand (or None), and shape is (x, y, z) for a matrix product or
         the entry count for an elementwise one. Each product takes the next
-        round number and pool slot in the order given, bystanders included;
-        the products this party is in then run together (smm.run_stage).
-        Returns this party's raw 2f share per product, None where it is a
+        round number in the order given, bystanders included; under the
+        triple variant each product this party is in draws its next triple
+        half. Those products then run together (smm.run_stage). Returns
+        this party's raw 2f share per product, None where it is a
         bystander.
         """
         ti = self.cfg.smm_variant == "smm1"
@@ -196,15 +207,14 @@ class _EngineBase:
         for k, (a, b, mine, shape, elementwise) in enumerate(products):
             r = self._next_round()
             if self.me not in (a, b):
-                if ti and elementwise:
-                    self.pool.skip_elem(shape)
-                elif ti:
-                    self.pool.skip(*shape)
                 continue
             side, peer = (0, b) if self.me == a else (1, a)
             if ti:
-                half = (self.pool.take_elem(shape, side=side) if elementwise
-                        else self.pool.take(*shape, side=side))
+                half = next(self._halves, None)
+                if half is None:
+                    raise TripleExhausted(
+                        f"no triple half left for the {a}-{b} product "
+                        f"of shape {shape}")
                 steps = smm1_steps(self.s.rng, side, mine, half, elementwise)
             elif elementwise:
                 steps = (smm2_elem_x_steps if side == 0
@@ -349,7 +359,6 @@ class _EngineBase:
             bytes_received=self.s.bytes_received,
             frames_sent=self.s.frames_sent,
             iter_seconds=iter_seconds,
-            triple_seconds=self.pool.gen_seconds if self.pool else 0.0,
         )
 
 

@@ -163,35 +163,30 @@ def schedule_digest(schedule: list[list[int]]) -> str:
         b"secregress.schedule.v1\x00" + canon.encode()).hexdigest()
 
 
-def horizontal_triple_needs(cfg: TrainingConfig, task: str, n_parties: int,
-                            n_features: int) -> dict:
-    """Triple shapes and counts one horizontal run draws from a pool.
+def product_plan(cfg: TrainingConfig, task: str, layout: str,
+                 widths: list[int]) -> list[tuple]:
+    """Every pairwise secure product of one run, in the order the engines
+    open them (protocols.base: _shared_products, then _sigmoid_from_zf).
 
-    Every party consumes (or skips past) the same sequence, so these counts
-    size a stocked pool for any single party. Elementwise entries
-    only apply to the logistic task.
+    Each entry is (a, b, shape, elementwise): party a holds the left
+    operand, party b the right one, and shape is (x, y, z) for a matrix
+    product or the entry count of an elementwise one. widths[i] is the
+    feature count of party i's batch operand: the full width for every
+    party of a horizontal run, block i's width in a vertical one. Terms a
+    party multiplies locally are not listed. This is what a triple dealer
+    needs to know (smm.triple_halves).
     """
-    b, t, n, d = cfg.batch_size, cfg.iterations, n_parties, n_features
-    # Ordered pairs between any share holder and the two parties carrying
-    # the truncated aggregate (see protocols.base).
-    pairs = 2 * (n - 1)
-    needs = {(b, d, 1): pairs * t, (d, b, 1): pairs * t}
-    if task == "logistic":
-        needs[("elem", b)] = 3 * t
-    return needs
-
-
-def vertical_triple_needs(cfg: TrainingConfig, task: str,
-                          block_sizes: list[int]) -> dict:
-    b, t = cfg.batch_size, cfg.iterations
-    needs: dict = {}
-    for i, d_i in enumerate(block_sizes):
-        # Block i pairs with aggregate holders 0 and 1, minus itself.
-        count = 1 if i < 2 else 2
-        key_p = (b, d_i, 1)
-        key_g = (1, b, d_i)
-        needs[key_p] = needs.get(key_p, 0) + count * t
-        needs[key_g] = needs.get(key_g, 0) + count * t
-    if task == "logistic":
-        needs[("elem", b)] = 3 * t
-    return needs
+    b = cfg.batch_size
+    # Truncated aggregates (weights, errors) live on parties 0 and 1, so
+    # every batch operand pairs with those two, minus itself.
+    pairs = [(i, h, w) for i, w in enumerate(widths) for h in (0, 1)
+             if i != h]
+    predict = [(i, h, (b, w, 1), False) for i, h, w in pairs]
+    if layout == "horizontal":
+        grad = [(i, h, (w, b, 1), False) for i, h, w in pairs]
+    else:
+        # err^T stays the left operand (see protocols.vertical)
+        grad = [(h, i, (1, b, w), False) for i, h, w in pairs]
+    sigmoid = ([(0, 1, b, True), (0, 1, b, True), (1, 0, b, True)]
+               if task == "logistic" else [])
+    return (predict + sigmoid + grad) * cfg.iterations

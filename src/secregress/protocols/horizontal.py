@@ -24,8 +24,8 @@ from .config import TrainingConfig, horizontal_schedule, schedule_digest
 
 class HorizontalEngine(_EngineBase):
     def __init__(self, session, config: TrainingConfig, task: str = "linear",
-                 pool=None, round_base: int = 0):
-        super().__init__(session, config, task, "horizontal", pool,
+                 halves=None, round_base: int = 0):
+        super().__init__(session, config, task, "horizontal", halves,
                          round_base)
 
     def run(self, features: list[list[float]],
@@ -52,6 +52,7 @@ class HorizontalEngine(_EngineBase):
             raise PolicyMismatch(
                 f"parties disagree on feature width: {sorted(widths)}")
         d = widths.pop()
+        self._deal([d] * self.n)
 
         owners, local_rows, global_rows = horizontal_schedule(
             self.cfg, m_list)

@@ -32,8 +32,8 @@ from .config import TrainingConfig, schedule_digest
 
 class VerticalEngine(_EngineBase):
     def __init__(self, session, config: TrainingConfig, task: str = "linear",
-                 pool=None, round_base: int = 0):
-        super().__init__(session, config, task, "vertical", pool,
+                 halves=None, round_base: int = 0):
+        super().__init__(session, config, task, "vertical", halves,
                          round_base)
 
     def run(self, features: list[list[float]],
@@ -75,6 +75,7 @@ class VerticalEngine(_EngineBase):
             if row[1] == 0:
                 raise PolicyMismatch(f"party {pid} reports an empty block")
         d_list = [row[1] for row in rows]
+        self._deal(d_list)
         b = self.cfg.batch_size
         if b > m:
             raise BatchTooLarge(f"batch {b} exceeds {m} samples")

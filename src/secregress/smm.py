@@ -4,19 +4,20 @@ Party A holds X (x by y), party B holds Y (y by z); they end with additive
 shares M, N with M + N = X*Y exactly in the ring, the product carrying 2f
 fractional bits. Two interchangeable protocols:
 
-* smm1: Beaver masking against a precomputed triple (U, V, W=U*V) from a
-  trusted initializer. One routine serves both sides and both the matrix
-  and the elementwise product. Nothing about the inputs leaks; costs one
-  triple and six frames per product.
+* smm1_steps: Beaver masking against a precomputed triple (U, V, W=U*V)
+  from a trusted initializer (triple_halves hands each party its own
+  halves). One routine serves both sides and both the matrix and the
+  elementwise product. Nothing about the inputs leaks; costs one triple
+  and six frames per product.
 
-* smm2_*: no triple. Each side blinds with a fresh uniform matrix and a
-  folded even/odd combination of it; four frames. The savings are paid
-  for with a characterized leak: B learns the adjacent-column sums
+* smm2_*_steps: no triple. Each side blinds with a fresh uniform matrix
+  and a folded even/odd combination of it; four frames. The savings are
+  paid for with a characterized leak: B learns the adjacent-column sums
   X_e + X_o of A's input and A learns the adjacent-row differences
   Y_e - Y_o of B's. extract_leakage recovers exactly those aggregates from
   a received-frame transcript, and simulate_view reproduces the full view
-  (the two frames a side receives; no product is revealed to either) from the
-  leak alone, which is the sense in which nothing else leaks.
+  (the two frames a side receives; no product is revealed to either) from
+  the leak alone, which is the sense in which nothing else leaks.
 
 Elementwise variants compute a o b for vectors held by different parties in
 one message round; the smm2 one packs pairs of entries into 2x2 blocks so
@@ -29,12 +30,11 @@ aggregate and truncate once (see protocols.base._EngineBase._shift).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TripleExhausted
+from .errors import DimensionMismatch
 from .ring import (
     RingMatrix,
     mat_add,
@@ -44,6 +44,7 @@ from .ring import (
     mat_sub,
     uniform_matrix,
 )
+from .rng import CounterDrbg
 from .transport import (
     KIND_SHARE_DIST,
     KIND_SMM_D,
@@ -101,10 +102,6 @@ class Triple:
     w1: RingMatrix
     w2: RingMatrix
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.u1.rows, self.u1.cols, self.v1.cols)
-
     def half(self, side: int) -> TripleHalf:
         if side == 0:
             return TripleHalf(self.u1, self.v1, self.w1)
@@ -158,103 +155,36 @@ def verify_triple(t: Triple, elementwise: bool = False) -> bool:
     return prod == w
 
 
-class TriplePool:
-    """Hands out triples, or one side's half of them, by dimension.
+def triple_halves(seed, plan, party: int):
+    """This party's halves of the triples a product plan consumes, in order.
 
-    Seed-backed pools derive triple i for given dims from a fixed path, so
-    two parties built from the same seed draw identical triples and each
-    keeps its half; this stands in for the initializer's offline delivery.
-    Asked for side 0 only, they derive just (U1, V1, W1); side 1's half
-    needs U, V and W = U*V, so it is cut from the whole triple.
-    Stocked pools (from_triples) replay the given triples FIFO and raise
-    TripleExhausted when a requested shape runs out.
+    The trusted initializer's offline delivery: plan is the ordered
+    (a, b, shape, elementwise) list of pairwise products (see
+    protocols.config.product_plan). Triple k of a given shape is derived
+    from its own path under the seed, so every party's halves come from
+    the same triples; a party yields a half only for the products it is in
+    (side 0 when it holds the left operand, side 1 the right). Side 0
+    derives just (U1, V1, W1); side 1's half needs U, V and W = U*V, so it
+    is cut from the whole triple. Lazy: each half is derived when drawn.
     """
-
-    def __init__(self):
-        self._rng = None
-        self._stock: dict[tuple, list[Triple]] = {}
-        self.consumed: dict[tuple, int] = {}
-        # Offline-provisioning cost, kept apart from protocol time. Measured
-        # on the thread CPU clock: party threads share the interpreter lock,
-        # so a wall clock here would also count the peers' work and the
-        # per-party figures would sum to more than the run itself.
-        self.gen_seconds = 0.0
-
-    @classmethod
-    def from_seed(cls, seed) -> "TriplePool":
-        from .rng import CounterDrbg
-        pool = cls()
-        pool._rng = seed if isinstance(seed, CounterDrbg) else CounterDrbg(
-            seed, label="trusted-initializer")
-        return pool
-
-    @classmethod
-    def from_triples(cls, triples: list[Triple]) -> "TriplePool":
-        pool = cls()
-        for t in triples:
-            pool._stock.setdefault(t.dims, []).append(t)
-        return pool
-
-    def take(self, x: int, y: int, z: int,
-             side: int | None = None) -> Triple | TripleHalf:
-        """The next x by y by z triple; with side, only that side's half."""
-        key = (x, y, z)
-        n = self.consumed.get(key, 0)
-        self.consumed[key] = n + 1
-        if self._rng is None:
-            stock = self._stock.get(key)
-            if not stock:
-                raise TripleExhausted(f"no triple of shape {x}x{y}x{z} left")
-            out = stock.pop(0)
-            return out if side is None else out.half(side)
-        t0 = time.thread_time()
-        rng = self._rng.child("triple", x, y, z, n)
-        if side == 0:
-            out = _half0(rng, (x, y), (y, z), (x, z))
+    root = CounterDrbg(seed, label="trusted-initializer")
+    counts: dict[tuple, int] = {}
+    for a, b, shape, elementwise in plan:
+        key = ("elem", shape) if elementwise else shape
+        k = counts.get(key, 0)
+        counts[key] = k + 1
+        if party not in (a, b):
+            continue
+        if elementwise:
+            rng = root.child("etriple", shape, k)
+            col = (shape, 1)
+            yield (_half0(rng, col, col, col) if party == a
+                   else generate_elem_triple(shape, rng).half(1))
         else:
-            out = generate_triple(x, y, z, rng)
-            if side is not None:
-                out = out.half(side)
-        self.gen_seconds += time.thread_time() - t0
-        return out
-
-    def take_elem(self, n_elems: int,
-                  side: int | None = None) -> Triple | TripleHalf:
-        """The next elementwise triple over n_elems entries, or one half."""
-        key = ("elem", n_elems)
-        n = self.consumed.get(key, 0)
-        self.consumed[key] = n + 1
-        if self._rng is None:
-            raise TripleExhausted("stocked pools hold no elementwise triples")
-        t0 = time.thread_time()
-        rng = self._rng.child("etriple", n_elems, n)
-        if side == 0:
-            out = _half0(rng, (n_elems, 1), (n_elems, 1), (n_elems, 1))
-        else:
-            out = generate_elem_triple(n_elems, rng)
-            if side is not None:
-                out = out.half(side)
-        self.gen_seconds += time.thread_time() - t0
-        return out
-
-    def skip(self, x: int, y: int, z: int) -> None:
-        """Advance past one triple without using it.
-
-        A party sitting out a pairwise product still calls this so its
-        derivation counters stay aligned with the two parties that did
-        consume the triple.
-        """
-        key = (x, y, z)
-        self.consumed[key] = self.consumed.get(key, 0) + 1
-        if self._rng is None:
-            stock = self._stock.get(key)
-            if not stock:
-                raise TripleExhausted(f"no triple of shape {x}x{y}x{z} left")
-            stock.pop(0)
-
-    def skip_elem(self, n_elems: int) -> None:
-        key = ("elem", n_elems)
-        self.consumed[key] = self.consumed.get(key, 0) + 1
+            x, y, z = shape
+            rng = root.child("triple", x, y, z, k)
+            yield (_half0(rng, (x, y), (y, z), (x, z)) if party == a
+                   else generate_triple(x, y, z, rng).half(1))
 
 
 # --- running products as steps ---
@@ -295,10 +225,6 @@ def run_stage(session, products) -> list[RingMatrix]:
     return out
 
 
-def _run_alone(session, peer: int, round_no: int, steps) -> RingMatrix:
-    return run_stage(session, [(peer, round_no, steps)])[0]
-
-
 # --- protocol 1: Beaver masking ---
 
 
@@ -335,13 +261,6 @@ def smm1_steps(rng, side: int, mine: RingMatrix, half: TripleHalf,
     return mat_add(out, op(d, e)) if side == 0 else out
 
 
-def smm1(session, peer: int, side: int, mine: RingMatrix, half: TripleHalf,
-         round_no: int, elementwise: bool = False) -> RingMatrix:
-    """One smm1_steps product on its own."""
-    return _run_alone(session, peer, round_no,
-                      smm1_steps(session.rng, side, mine, half, elementwise))
-
-
 # --- protocol 2: triple-free, leaks folded aggregates ---
 
 
@@ -373,18 +292,6 @@ def smm2_y_steps(rng, y_mat: RingMatrix):
             f"fit a {yt.rows}x{yt.cols} right operand")
     return mat_sub(mat_mul_raw(x1, mat_sub(mat_mul_scalar(yt, 2), yp)),
                    mat_mul_raw(x2, mat_add(y2, rows_even(yp))))
-
-
-def smm2_x(session, peer: int, x_mat: RingMatrix,
-           round_no: int) -> RingMatrix:
-    return _run_alone(session, peer, round_no,
-                      smm2_x_steps(session.rng, x_mat))
-
-
-def smm2_y(session, peer: int, y_mat: RingMatrix,
-           round_no: int) -> RingMatrix:
-    return _run_alone(session, peer, round_no,
-                      smm2_y_steps(session.rng, y_mat))
 
 
 # --- elementwise products, one message round each ---
@@ -438,18 +345,6 @@ def smm2_elem_y_steps(rng, vec: RingMatrix):
     g = x1.arr
     out = g[:, 0] * t[:, 0] + g[:, 1] * t[:, 1] - x2.arr[:, 0] * s
     return RingMatrix.wrap(out[:vec.rows].reshape(vec.rows, 1))
-
-
-def smm2_elem_x(session, peer: int, vec: RingMatrix,
-                round_no: int) -> RingMatrix:
-    return _run_alone(session, peer, round_no,
-                      smm2_elem_x_steps(session.rng, vec))
-
-
-def smm2_elem_y(session, peer: int, vec: RingMatrix,
-                round_no: int) -> RingMatrix:
-    return _run_alone(session, peer, round_no,
-                      smm2_elem_y_steps(session.rng, vec))
 
 
 # --- leakage characterization ---

@@ -32,17 +32,18 @@ from secregress.rng import CounterDrbg
 from secregress.sharing import share_raw
 from secregress.smm import (
     LeakageReport,
-    TriplePool,
     extract_leakage,
     generate_triple,
     leakage_of_x,
     leakage_of_y,
-    smm1,
-    smm2_x,
-    smm2_y,
+    smm1_steps,
+    smm2_x_steps,
+    smm2_y_steps,
     verify_triple,
 )
 from secregress.transport import Frame, loopback_sessions
+
+from one_product import run_one
 
 ULP = 2.0 ** -20
 
@@ -136,27 +137,29 @@ def test_criterion_1_smm_product_accuracy():
             cases.append((_grid_matrix(xr, yr, rng),
                           _grid_matrix(yr, zr, rng)))
         s = _pair(f"c1-{proto}")
-        pool_a = TriplePool.from_seed("c1-ti")
-        pool_b = TriplePool.from_seed("c1-ti")
+        ti = CounterDrbg("c1-ti")
+        triples = [generate_triple(ex.rows, ex.cols, ey.cols,
+                                   ti.child("triple", i))
+                   for i, ((ex, _), (ey, _)) in enumerate(cases)]
 
         def side_x():
             outs = []
-            for i, ((ex, _), (ey, _)) in enumerate(cases):
+            for i, ((ex, _), _) in enumerate(cases):
                 if proto == "smm1":
-                    half = pool_a.take(ex.rows, ex.cols, ey.cols).half(0)
-                    outs.append(smm1(s[0], 1, 0, ex, half, i))
+                    outs.append(run_one(s[0], 1, i, smm1_steps, 0, ex,
+                                        triples[i].half(0)))
                 else:
-                    outs.append(smm2_x(s[0], 1, ex, i))
+                    outs.append(run_one(s[0], 1, i, smm2_x_steps, ex))
             return outs
 
         def side_y():
             outs = []
-            for i, ((ex, _), (ey, _)) in enumerate(cases):
+            for i, (_, (ey, _)) in enumerate(cases):
                 if proto == "smm1":
-                    half = pool_b.take(ex.rows, ex.cols, ey.cols).half(1)
-                    outs.append(smm1(s[1], 0, 1, ey, half, i))
+                    outs.append(run_one(s[1], 0, i, smm1_steps, 1, ey,
+                                        triples[i].half(1)))
                 else:
-                    outs.append(smm2_y(s[1], 0, ey, i))
+                    outs.append(run_one(s[1], 0, i, smm2_y_steps, ey))
             return outs
 
         ms, ns = _both(side_x, side_y)
@@ -322,8 +325,10 @@ def test_criterion_5_leakage_characterization():
                       _grid_matrix(yr, zr, rng)[0]))
 
     s2 = _pair("c5-smm2")
-    _both(lambda: [smm2_x(s2[0], 1, ex, i) for i, (ex, _) in enumerate(cases)],
-          lambda: [smm2_y(s2[1], 0, ey, i) for i, (_, ey) in enumerate(cases)])
+    _both(lambda: [run_one(s2[0], 1, i, smm2_x_steps, ex)
+                   for i, (ex, _) in enumerate(cases)],
+          lambda: [run_one(s2[1], 0, i, smm2_y_steps, ey)
+                   for i, (_, ey) in enumerate(cases)])
     for i, (ex, ey) in enumerate(cases):
         got_x = extract_leakage(s2[0].transcript.select(round_no=i))
         if got_x != LeakageReport("smm2", "x", leakage_of_y(ey)):
@@ -333,17 +338,17 @@ def test_criterion_5_leakage_characterization():
             failures.append(f"run #{i}: Y-holder leak is not X_e + X_o")
 
     s1 = _pair("c5-smm1")
-    pool_a, pool_b = (TriplePool.from_seed("c5-ti") for _ in range(2))
+    ti = CounterDrbg("c5-ti")
+    triples = [generate_triple(ex.rows, ex.cols, ey.cols,
+                               ti.child("triple", i))
+               for i, (ex, ey) in enumerate(cases)]
 
-    def one_sided(side, sess, pool):
-        outs = []
-        for i, (ex, ey) in enumerate(cases):
-            half = pool.take(ex.rows, ex.cols, ey.cols).half(side)
-            outs.append(smm1(sess, 1 - side, side, (ex, ey)[side], half, i))
-        return outs
+    def one_sided(side, sess):
+        return [run_one(sess, 1 - side, i, smm1_steps, side, (ex, ey)[side],
+                        triples[i].half(side))
+                for i, (ex, ey) in enumerate(cases)]
 
-    _both(lambda: one_sided(0, s1[0], pool_a),
-          lambda: one_sided(1, s1[1], pool_b))
+    _both(lambda: one_sided(0, s1[0]), lambda: one_sided(1, s1[1]))
     empty = LeakageReport("smm1", None, None)
     for i in range(len(cases)):
         for sess in s1:

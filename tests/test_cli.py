@@ -25,10 +25,8 @@ from secregress.errors import (
     TooFewRows,
     TripleExhausted,
 )
-from secregress.protocols import (
-    horizontal_triple_needs,
-    vertical_triple_needs,
-)
+from secregress.protocols import product_plan
+from secregress.smm import triple_halves
 
 BASE_SPEC = {
     "task": "LiRe",
@@ -199,6 +197,20 @@ def test_partition_cli_round_trip(tmp_path):
     meta = json.loads((out_v / "partition.json").read_text())
     assert meta["bounds"] == [0, 3, 4]
     assert meta["label_party"] == 1
+
+
+@pytest.mark.parametrize("label_party", ["5", "-1"])
+def test_partition_cli_label_party_out_of_range(tmp_path, label_party):
+    # no slice could hold the label column: refused before anything is
+    # written
+    src = tmp_path / "data.csv"
+    src.write_text("a,b,label\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    out = tmp_path / "v"
+    rc = cli.main(["partition", "--csv", str(src), "--label", "label",
+                   "--scheme", "vertical", "--parties", "2",
+                   "--label-party", label_party, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_partition_cli_too_few_columns_exit_code(tmp_path):
@@ -381,6 +393,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "frac_bits" in capsys.readouterr().err
 
 
+def test_unservable_batch_exits_2_in_both_modes(tmp_path, capsys):
+    # 16 rows over 2 folds leave 4 training rows per party, so no party
+    # can serve a batch of 12; each child finds that out on its own
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_dict(
+        dataset={"kind": "synthetic-linear", "m": 16, "d": 3, "seed": 5},
+        config=dict(BASE_SPEC["config"], batch_size=12),
+        output=str(tmp_path / "o"))))
+    for mode in ("threads", "processes"):
+        assert cli.main(["train", "--spec", str(path), "--mode", mode]) == 2
+        assert "no party holds 12 rows" in capsys.readouterr().err
+
+
 def test_main_protocol_failure_exit_code(tmp_path, capsys):
     # one lone party dialing a roster nobody serves
     roster = cli._free_ports(2)
@@ -456,21 +481,20 @@ def test_bench_scaling_smoke(tmp_path, capsys):
 @pytest.mark.parametrize("scheme", ["horizontal", "vertical"])
 def test_scaling_point_stocks_exactly_the_triples_it_draws(scheme):
     spec = cli.RunSpec.from_dict(spec_dict(scheme=scheme))
-    secs, stocked, pools = cli._scaling_point(spec)
-    _, seeded, _ = cli._scaling_point(spec, provision=False)
+    secs, dealt, streams = cli._scaling_point(spec)
+    _, lazy, _ = cli._scaling_point(spec, halves=[None, None])
     assert secs > 0
-    # stocked pools replay the seed-backed run bit for bit
-    for got, ref in zip(stocked, seeded):
+    # halves dealt before the clock replay the engines' own derivation
+    # bit for bit
+    for got, ref in zip(dealt, lazy):
         assert got.weights_raw == ref.weights_raw
         assert got.transcript_hash == ref.transcript_hash
-    # nothing is generated inside the timed span, and nothing is left over
-    assert all(r.triple_seconds == 0.0 for r in stocked)
+    # each party's list is drained exactly
+    assert all(next(s, None) is None for s in streams)
     # d=3 splits into column blocks of 2 and 1
-    want = (horizontal_triple_needs(spec.config, "linear", 2, 3)
-            if scheme == "horizontal"
-            else vertical_triple_needs(spec.config, "linear", [2, 1]))
-    for pool in pools:
-        assert pool.consumed == want
-        for key in want:
-            with pytest.raises(TripleExhausted):
-                pool.take(*key)
+    widths = [3, 3] if scheme == "horizontal" else [2, 1]
+    plan = product_plan(spec.config, "linear", scheme, widths)
+    halves = [list(triple_halves(spec.config.seed, plan, i))
+              for i in range(2)]
+    with pytest.raises(TripleExhausted):
+        cli._scaling_point(spec, halves=[halves[0], halves[1][:-1]])

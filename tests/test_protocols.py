@@ -6,6 +6,7 @@ batch schedule. Truncation puts each run a few 2^-20 ulps away from the
 reference, never bit-equal, so tolerances here are stated in ulps.
 """
 
+import itertools
 import threading
 
 import numpy as np
@@ -27,30 +28,30 @@ from secregress.data import (
     make_regression_data,
     quantize,
 )
-from secregress.errors import BatchTooLarge, PolicyMismatch, TripleExhausted
+from secregress.errors import BatchTooLarge, PolicyMismatch
 from secregress.protocols import (
     HorizontalEngine,
     TrainingConfig,
     VerticalEngine,
     horizontal_schedule,
-    horizontal_triple_needs,
+    product_plan,
     select_batch_owner,
-    vertical_triple_needs,
 )
 from secregress.protocols.base import _EngineBase
 from secregress.ring import RingMatrix, mat_add, mat_hadamard, mat_mul_raw
 from secregress.rng import CounterDrbg
 from secregress.sharing import reconstruct, share_matrix
 from secregress.smm import (
-    TriplePool,
-    generate_triple,
-    smm1,
-    smm2_elem_x,
-    smm2_elem_y,
-    smm2_x,
-    smm2_y,
+    smm1_steps,
+    smm2_elem_x_steps,
+    smm2_elem_y_steps,
+    smm2_x_steps,
+    smm2_y_steps,
+    triple_halves,
 )
 from secregress.transport import TransportError, loopback_sessions
+
+from one_product import run_one
 
 ULP = 2.0 ** -20
 TOL = 10 * ULP  # oracle-equivalence budget per coordinate
@@ -201,9 +202,14 @@ def test_sigmoid_shares_track_polynomial(variant):
     cfg = TrainingConfig(smm_variant=variant, seed="sig")
     z_enc = RingMatrix.encode_rows([[v] for v in zs])
     shares = share_matrix(z_enc, 2, CounterDrbg("sig-shares"))
+    # the sigmoid's three elementwise products, as a plan for the dealer
+    n = len(zs)
+    plan = [(0, 1, n, True), (0, 1, n, True), (1, 0, n, True)]
     fns = [
         (lambda s, sh=shares[i]:
-         _EngineBase(s, cfg, "logistic", "sigmoid")._sigmoid_from_zf(sh))
+         _EngineBase(s, cfg, "logistic", "sigmoid",
+                     triple_halves(cfg.seed, plan, s.party_id)
+                     )._sigmoid_from_zf(sh))
         for i in range(2)
     ]
     out = run_parties(2, cfg, fns)
@@ -442,82 +448,50 @@ def test_variants_land_on_the_same_model():
     assert max_drift(out["smm1"], out["smm2"]) <= 2 * TOL
 
 
-# -- triple accounting and stocked pools -----------------------------------
+# -- the product plan and the triple dealer ---------------------------------
 
-def test_triple_draws_match_the_projection():
-    X, y = make_classification_data(40, 3, seed=81)
-    cfg = TrainingConfig(learning_rate=0.5, batch_size=6, iterations=8,
-                         seed="draws")
-    parts = split_rows([list(r) for r in X], list(y), [22])
-    pools = []
+def test_triple_draws_match_the_projection(monkeypatch):
+    # every engine opens exactly the plan's products, in the plan's order,
+    # and each party draws exactly its own halves of it, to the last one
+    opened = {}
+    stage = _EngineBase._stage
 
-    def party(s, xi, yi):
-        eng = HorizontalEngine(s, cfg, "logistic")
-        pools.append(eng.pool)
-        return eng.run(xi, yi)
+    def recording_stage(self, products):
+        opened.setdefault(self.me, []).extend(
+            (a, b, shape, el) for a, b, _mine, shape, el in products)
+        return stage(self, products)
 
-    fns = [(lambda s, xi=xi, yi=yi: party(s, xi, yi)) for xi, yi in parts]
-    run_parties(2, cfg, fns)
-    need = horizontal_triple_needs(cfg, "logistic", 2, 3)
-    for pool in pools:
-        assert pool.consumed == need
-
-
-def test_vertical_triple_draws_match_the_projection():
-    X, y = make_regression_data(30, 5, seed=83)
-    cfg = TrainingConfig(learning_rate=0.1, batch_size=5, iterations=6,
-                         seed="vdraws")
-    bounds = [0, 2, 4, 5]
-    blocks = [[list(r[bounds[i]:bounds[i + 1]]) for r in X]
-              for i in range(3)]
-    pools = []
-
-    def party(s, i, xb):
-        eng = VerticalEngine(s, cfg, "linear")
-        pools.append(eng.pool)
-        return eng.run(xb, list(y) if i == cfg.label_party else None)
-
-    fns = [(lambda s, i=i, xb=xb: party(s, i, xb))
-           for i, xb in enumerate(blocks)]
-    run_parties(3, cfg, fns)
-    need = vertical_triple_needs(cfg, "linear", [2, 2, 1])
-    for pool in pools:
-        assert pool.consumed == need
-
-
-def test_file_pool_replay_and_exhaustion():
-    # a stocked pool replays its triples FIFO and starves when one is short
-    X, y = make_regression_data(20, 2, seed=91)
-    cfg = TrainingConfig(learning_rate=0.1, batch_size=4, iterations=6,
-                         seed="filepool")
-    need = horizontal_triple_needs(cfg, "linear", 2, 2)
-    gen = CounterDrbg("filepool-gen")
-    triples = []
-    for (x_dim, y_dim, z_dim), count in sorted(need.items()):
-        for i in range(count):
-            triples.append(generate_triple(x_dim, y_dim, z_dim,
-                                           gen.child("t", x_dim, y_dim, i)))
-
-    parts = split_rows([list(r) for r in X], list(y), [12])
-    fns = [
-        (lambda s, xi=xi, yi=yi:
-         HorizontalEngine(
-             s, cfg, pool=TriplePool.from_triples(triples)).run(xi, yi))
-        for xi, yi in parts
-    ]
-    res = run_parties(2, cfg, fns)
-    _, _, global_rows = horizontal_schedule(cfg, [12, 8])
-    w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
-    assert max_drift(res[0].weights, w_ref) <= TOL
-
-    starved = [
-        (lambda s, xi=xi, yi=yi:
-         HorizontalEngine(
-             s, cfg, pool=TriplePool.from_triples(triples[:-1])).run(xi, yi))
-        for xi, yi in parts
-    ]
-    with pytest.raises(TripleExhausted):
-        run_parties(2, cfg, starved, timeout=5.0)
+    monkeypatch.setattr(_EngineBase, "_stage", recording_stage)
+    for task, layout, n in itertools.product(
+            ("linear", "logistic"), ("horizontal", "vertical"), (2, 3)):
+        make = (make_regression_data if task == "linear"
+                else make_classification_data)
+        X, y = make(24, 5, seed=81)
+        cfg = TrainingConfig(learning_rate=0.1, batch_size=4, iterations=3,
+                             seed="draws")
+        if layout == "horizontal":
+            widths = [5] * n
+            inputs = split_rows([list(r) for r in X], list(y),
+                                [10, 18][:n - 1])
+            engine = HorizontalEngine
+        else:
+            bounds = [0, 2, 4, 5] if n == 3 else [0, 3, 5]
+            spans = list(zip(bounds, bounds[1:]))
+            widths = [hi - lo for lo, hi in spans]
+            inputs = [([list(r[lo:hi]) for r in X],
+                       list(y) if i == cfg.label_party else None)
+                      for i, (lo, hi) in enumerate(spans)]
+            engine = VerticalEngine
+        plan = product_plan(cfg, task, layout, widths)
+        halves = [iter(list(triple_halves(cfg.seed, plan, i)))
+                  for i in range(n)]
+        opened.clear()
+        run_parties(n, cfg, [
+            (lambda s, i=i: engine(s, cfg, task, halves[i]).run(*inputs[i]))
+            for i in range(n)])
+        for i in range(n):
+            assert opened[i] == plan, (task, layout, n, i)
+            assert next(halves[i], None) is None, (task, layout, n, i)
 
 
 # --- stages against one-product calls ---
@@ -547,25 +521,22 @@ def _stage_products(pid, products):
              shape, el) for k, (a, b, shape, el) in enumerate(products)]
 
 
-def _one_at_a_time(eng, products):
-    """The products run one smm call each, in order: the reference."""
-    ti = eng.cfg.smm_variant == "smm1"
+def _one_at_a_time(eng, products, halves):
+    """The products run one at a time, in order: the reference."""
     out = []
     for a, b, mine, shape, el in products:
         r = eng._next_round()
         if eng.me not in (a, b):
-            if ti:
-                (eng.pool.skip_elem(shape) if el else eng.pool.skip(*shape))
             out.append(None)
             continue
         side, peer = (0, b) if eng.me == a else (1, a)
-        if ti:
-            half = (eng.pool.take_elem(shape, side=side) if el
-                    else eng.pool.take(*shape, side=side))
-            out.append(smm1(eng.s, peer, side, mine, half, r, elementwise=el))
+        if halves is not None:
+            out.append(run_one(eng.s, peer, r, smm1_steps, side, mine,
+                               next(halves), elementwise=el))
         else:
-            fn = ((smm2_elem_x, smm2_elem_y) if el else (smm2_x, smm2_y))[side]
-            out.append(fn(eng.s, peer, mine, r))
+            fn = ((smm2_elem_x_steps, smm2_elem_y_steps) if el
+                  else (smm2_x_steps, smm2_y_steps))[side]
+            out.append(run_one(eng.s, peer, r, fn, mine))
     return out
 
 
@@ -577,19 +548,25 @@ def test_stage_matches_one_product_calls(variant, n):
 
     def party(run):
         def go(s):
-            eng = _EngineBase(s, cfg, "linear", "stage")
-            shares = run(eng, _stage_products(s.party_id, products))
+            # STAGE_PRODUCTS is itself a product plan for the dealer
+            halves = (triple_halves(cfg.seed, products, s.party_id)
+                      if variant == "smm1" else None)
+            eng = _EngineBase(s, cfg, "linear", "stage", halves)
+            shares = run(eng, _stage_products(s.party_id, products), halves)
             bodies = sorted(f.encode() for f in s.transcript.frames)
-            return (shares, s.rng.u64_list(4), dict(eng.pool.consumed)
-                    if eng.pool else None, bodies, s.frames_sent,
+            left = None if halves is None else list(halves)
+            return (shares, s.rng.u64_list(4), left, bodies, s.frames_sent,
                     s.bytes_sent)
         return go
 
-    staged = run_parties(n, cfg, [party(_EngineBase._stage)] * n)
+    staged = run_parties(
+        n, cfg, [party(lambda eng, prods, _h: eng._stage(prods))] * n)
     alone = run_parties(n, cfg, [party(_one_at_a_time)] * n)
     for pid in range(n):
         assert staged[pid][1:] == alone[pid][1:]
         assert staged[pid][0] == alone[pid][0]
+        # each party drew all its halves, and no more
+        assert staged[pid][2] == ([] if variant == "smm1" else None)
     # every product reconstructs to the plain product of the operands
     for k, (a, b, shape, el) in enumerate(products):
         want = (mat_hadamard if el else mat_mul_raw)(

@@ -4,11 +4,7 @@ import threading
 
 import pytest
 
-from secregress.errors import (
-    DimensionMismatch,
-    MalformedTranscript,
-    TripleExhausted,
-)
+from secregress.errors import DimensionMismatch, MalformedTranscript
 from secregress.ring import (
     RingMatrix,
     mat_add,
@@ -23,21 +19,23 @@ from secregress.rng import CounterDrbg
 from secregress.smm import (
     LeakageReport,
     Triple,
-    TriplePool,
     extract_leakage,
     generate_elem_triple,
     generate_triple,
     leakage_of_x,
     leakage_of_y,
     simulate_view,
-    smm1,
-    smm2_elem_x,
-    smm2_elem_y,
-    smm2_x,
-    smm2_y,
+    smm1_steps,
+    smm2_elem_x_steps,
+    smm2_elem_y_steps,
+    smm2_x_steps,
+    smm2_y_steps,
+    triple_halves,
     verify_triple,
 )
 from secregress.transport import loopback_sessions
+
+from one_product import run_one
 
 ULP = 2.0 ** -20
 
@@ -79,7 +77,7 @@ def rand_real_matrix(rows, cols, rng, span=8.0):
 
 def test_triple_reconstructs_and_verifies():
     t = generate_triple(3, 4, 2, CounterDrbg("t1"))
-    assert t.dims == (3, 4, 2)
+    assert (t.u1.rows, t.u1.cols, t.v1.cols) == (3, 4, 2)
     assert verify_triple(t)
     u = mat_add(t.u1, t.u2)
     v = mat_add(t.v1, t.v2)
@@ -93,28 +91,21 @@ def test_elem_triple():
         Triple(t.u1, t.u2, t.v1, t.v2, t.w1, t.u2), elementwise=True)
 
 
-def test_pool_from_seed_is_shared():
-    a = TriplePool.from_seed("common")
-    b = TriplePool.from_seed("common")
-    ta, tb = a.take(2, 2, 2), b.take(2, 2, 2)
-    assert ta == tb
-    assert a.take(2, 2, 2) != ta          # consumption advances
-    assert a.consumed[(2, 2, 2)] == 2
-    assert verify_triple(a.take_elem(5), elementwise=True)
-
-
-def test_pool_from_file_fifo_and_exhaustion():
-    t1 = generate_triple(2, 2, 2, CounterDrbg(1))
-    t2 = generate_triple(2, 2, 2, CounterDrbg(2))
-    pool = TriplePool.from_triples([t1, t2])
-    assert pool.take(2, 2, 2) == t1
-    assert pool.take(2, 2, 2) == t2
-    with pytest.raises(TripleExhausted):
-        pool.take(2, 2, 2)
-    with pytest.raises(TripleExhausted):
-        pool.take(9, 9, 9)
-    with pytest.raises(TripleExhausted):
-        pool.take_elem(4)
+def test_halves_from_one_seed_reassemble():
+    # every party's halves of one plan come from the same triples, and a
+    # shape's next draw is a fresh triple
+    plan = [(0, 1, (2, 2, 2), False), (0, 1, (2, 2, 2), False),
+            (1, 0, 5, True)]
+    h0 = list(triple_halves("common", plan, 0))
+    h1 = list(triple_halves("common", plan, 1))
+    assert h0 == list(triple_halves("common", plan, 0))
+    whole = []
+    for (a, *_), x, y in zip(plan, h0, h1):
+        s0, s1 = (x, y) if a == 0 else (y, x)
+        whole.append(Triple(s0.u, s1.u, s0.v, s1.v, s0.w, s1.w))
+    assert verify_triple(whole[0]) and verify_triple(whole[1])
+    assert whole[0] != whole[1]
+    assert verify_triple(whole[2], elementwise=True)
 
 
 @pytest.mark.parametrize("dims", [(500, 8, 1), (8, 500, 1), (3, 5, 7),
@@ -125,18 +116,15 @@ def test_side0_half_is_the_whole_triples_half(dims):
     root = CounterDrbg("halves", label="trusted-initializer")
     whole = [generate_triple(*dims, root.child("triple", *dims, i))
              for i in range(3)]
-    side0 = TriplePool.from_seed("halves")
-    side1 = TriplePool.from_seed("halves")
-    assert [side0.take(*dims, side=0) for _ in range(3)] == [
+    plan = [(0, 1, dims, False)] * 3
+    assert list(triple_halves("halves", plan, 0)) == [
         t.half(0) for t in whole]
-    assert [side1.take(*dims, side=1) for _ in range(3)] == [
+    assert list(triple_halves("halves", plan, 1)) == [
         t.half(1) for t in whole]
-    # a party that sat out draw 1 stays aligned
-    sat_out = TriplePool.from_seed("halves")
-    sat_out.take(*dims, side=0)
-    sat_out.skip(*dims)
-    assert sat_out.take(*dims, side=0) == whole[2].half(0)
-    assert sat_out.consumed == side0.consumed == {dims: 3}
+    # a party that sits out draw 1 gets nothing for it and stays aligned
+    sat_out = [(2, 1, dims, False), (0, 1, dims, False), (2, 1, dims, False)]
+    assert list(triple_halves("halves", sat_out, 2)) == [
+        whole[0].half(0), whole[2].half(0)]
 
 
 @pytest.mark.parametrize("n", [1, 16, 17])
@@ -144,17 +132,14 @@ def test_side0_elem_half_is_the_whole_triples_half(n):
     root = CounterDrbg("ehalves", label="trusted-initializer")
     whole = [generate_elem_triple(n, root.child("etriple", n, i))
              for i in range(3)]
-    side0 = TriplePool.from_seed("ehalves")
-    side1 = TriplePool.from_seed("ehalves")
-    assert [side0.take_elem(n, side=0) for _ in range(3)] == [
+    plan = [(0, 1, n, True)] * 3
+    assert list(triple_halves("ehalves", plan, 0)) == [
         t.half(0) for t in whole]
-    assert [side1.take_elem(n, side=1) for _ in range(3)] == [
+    assert list(triple_halves("ehalves", plan, 1)) == [
         t.half(1) for t in whole]
-    sat_out = TriplePool.from_seed("ehalves")
-    sat_out.take_elem(n, side=0)
-    sat_out.skip_elem(n)
-    assert sat_out.take_elem(n, side=0) == whole[2].half(0)
-    assert sat_out.consumed == side0.consumed == {("elem", n): 3}
+    sat_out = [(2, 1, n, True), (0, 1, n, True), (2, 1, n, True)]
+    assert list(triple_halves("ehalves", sat_out, 2)) == [
+        whole[0].half(0), whole[2].half(0)]
 
 
 # --- protocol harness ---
@@ -163,13 +148,10 @@ def run_smm1(x_vals, y_vals, tag):
     s = sessions(tag)
     x = RingMatrix.encode_rows(x_vals)
     y = RingMatrix.encode_rows(y_vals)
-    pool_a = TriplePool.from_seed(tag + "-ti")
-    pool_b = TriplePool.from_seed(tag + "-ti")
-    ha = pool_a.take(x.rows, x.cols, y.cols).half(0)
-    hb = pool_b.take(x.rows, x.cols, y.cols).half(1)
+    t = generate_triple(x.rows, x.cols, y.cols, CounterDrbg(tag + "-ti"))
     return run_pair(
-        lambda: smm1(s[0], 1, 0, x, ha, 0),
-        lambda: smm1(s[1], 0, 1, y, hb, 0),
+        lambda: run_one(s[0], 1, 0, smm1_steps, 0, x, t.half(0)),
+        lambda: run_one(s[1], 0, 0, smm1_steps, 1, y, t.half(1)),
     ), s
 
 
@@ -178,8 +160,8 @@ def run_smm2(x_vals, y_vals, tag):
     x = RingMatrix.encode_rows(x_vals)
     y = RingMatrix.encode_rows(y_vals)
     return run_pair(
-        lambda: smm2_x(s[0], 1, x, 0),
-        lambda: smm2_y(s[1], 0, y, 0),
+        lambda: run_one(s[0], 1, 0, smm2_x_steps, x),
+        lambda: run_one(s[1], 0, 0, smm2_y_steps, y),
     ), s
 
 
@@ -225,16 +207,15 @@ def test_smm1_triple_shape_guard(side, elementwise):
     # an operand that does not fit this side's half is refused before any
     # frame leaves
     s = sessions("guard")
-    pool = TriplePool.from_seed("g")
     if elementwise:
         x = RingMatrix.column([1.0, 2.0])
-        bad = pool.take_elem(3)
+        bad = generate_elem_triple(3, CounterDrbg("g"))
     else:
         x = RingMatrix.encode_rows([[1.0, 2.0]])
-        bad = pool.take(3, 3, 3)
+        bad = generate_triple(3, 3, 3, CounterDrbg("g"))
     with pytest.raises(DimensionMismatch):
-        smm1(s[side], 1 - side, side, x, bad.half(side), 0,
-             elementwise=elementwise)
+        run_one(s[side], 1 - side, 0, smm1_steps, side, x, bad.half(side),
+                elementwise=elementwise)
     assert s[side].frames_sent == 0
 
 
@@ -242,16 +223,14 @@ def test_smm1_mismatched_operands_detected():
     s = sessions("mismatch")
     x = RingMatrix.encode_rows([[1.0, 2.0]])        # 1x2
     y = RingMatrix.encode_rows([[1.0], [2.0], [3.0]])  # 3x1, inner dim off
-    pa = TriplePool.from_seed("mm")
-    pb = TriplePool.from_seed("mm")
-    ha = pa.take(1, 2, 1).half(0)
-    hb = pb.take(3, 3, 1)  # wrong shape for y too
+    ha = generate_triple(1, 2, 1, CounterDrbg("mm")).half(0)
+    hb = generate_triple(3, 3, 1, CounterDrbg("mm"))  # wrong shape for y too
 
     def a():
-        return smm1(s[0], 1, 0, x, ha, 0)
+        return run_one(s[0], 1, 0, smm1_steps, 0, x, ha)
 
     def b():
-        return smm1(s[1], 0, 1, y, hb.half(1), 0)
+        return run_one(s[1], 0, 0, smm1_steps, 1, y, hb.half(1))
 
     with pytest.raises(DimensionMismatch):
         run_pair(a, b)
@@ -339,11 +318,12 @@ def test_smm1_elementwise(n):
     s = sessions(f"ew1-{n}")
     a = RingMatrix.column(av)
     b = RingMatrix.column(bv)
-    pa = TriplePool.from_seed(f"ew1-{n}-ti")
-    pb = TriplePool.from_seed(f"ew1-{n}-ti")
-    ha, hb = pa.take_elem(n).half(0), pb.take_elem(n).half(1)
-    m, nn = run_pair(lambda: smm1(s[0], 1, 0, a, ha, 0, elementwise=True),
-                     lambda: smm1(s[1], 0, 1, b, hb, 0, elementwise=True))
+    t = generate_elem_triple(n, CounterDrbg(f"ew1-{n}-ti"))
+    m, nn = run_pair(
+        lambda: run_one(s[0], 1, 0, smm1_steps, 0, a, t.half(0),
+                        elementwise=True),
+        lambda: run_one(s[1], 0, 0, smm1_steps, 1, b, t.half(1),
+                        elementwise=True))
     got = mat_add(m, nn).decode_rows(frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
@@ -355,8 +335,8 @@ def test_smm2_elementwise(n):
     s = sessions(f"ew2-{n}")
     a = RingMatrix.column(av)
     b = RingMatrix.column(bv)
-    m, nn = run_pair(lambda: smm2_elem_x(s[0], 1, a, 0),
-                     lambda: smm2_elem_y(s[1], 0, b, 0))
+    m, nn = run_pair(lambda: run_one(s[0], 1, 0, smm2_elem_x_steps, a),
+                     lambda: run_one(s[1], 0, 0, smm2_elem_y_steps, b))
     got = mat_add(m, nn).decode_rows(frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
@@ -368,8 +348,8 @@ def test_smm2_elementwise_leak_is_vector_and_differences():
     s = sessions("ewleak")
     a = RingMatrix.column(av)
     b = RingMatrix.column(bv)
-    run_pair(lambda: smm2_elem_x(s[0], 1, a, 0),
-             lambda: smm2_elem_y(s[1], 0, b, 0))
+    run_pair(lambda: run_one(s[0], 1, 0, smm2_elem_x_steps, a),
+             lambda: run_one(s[1], 0, 0, smm2_elem_y_steps, b))
 
     # y-holder's transcript exposes the x vector itself
     rep_b = extract_leakage(s[1].transcript.frames)
@@ -387,8 +367,9 @@ def test_elementwise_communication_is_linear():
         rng = CounterDrbg(f"lin-{n}")
         av, bv = vec_vals(n, rng), vec_vals(n, rng)
         s = sessions(f"lin-{n}")
-        run_pair(lambda: smm2_elem_x(s[0], 1, RingMatrix.column(av), 0),
-                 lambda: smm2_elem_y(s[1], 0, RingMatrix.column(bv), 0))
+        a, b = RingMatrix.column(av), RingMatrix.column(bv)
+        run_pair(lambda: run_one(s[0], 1, 0, smm2_elem_x_steps, a),
+                 lambda: run_one(s[1], 0, 0, smm2_elem_y_steps, b))
         return s[0].bytes_sent + s[1].bytes_sent
 
     b64, b128 = bytes_for(64), bytes_for(128)
@@ -401,7 +382,9 @@ def test_padding_odd_lengths():
         av, bv = vec_vals(n, rng), vec_vals(n, rng)
         s = sessions(f"oddpad-{n}")
         m, nn = run_pair(
-            lambda: smm2_elem_x(s[0], 1, RingMatrix.column(av), 0),
-            lambda: smm2_elem_y(s[1], 0, RingMatrix.column(bv), 0))
+            lambda: run_one(s[0], 1, 0, smm2_elem_x_steps,
+                            RingMatrix.column(av)),
+            lambda: run_one(s[1], 0, 0, smm2_elem_y_steps,
+                            RingMatrix.column(bv)))
         got = mat_add(m, nn).decode_rows(frac_bits=40)
         assert got == [[av[i] * bv[i]] for i in range(n)]
