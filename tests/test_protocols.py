@@ -28,7 +28,7 @@ from secregress.data import (
     make_regression_data,
     quantize,
 )
-from secregress.errors import BatchTooLarge, PolicyMismatch
+from secregress.errors import BatchTooLarge, PolicyMismatch, TripleExhausted
 from secregress.protocols import (
     HorizontalEngine,
     TrainingConfig,
@@ -42,6 +42,7 @@ from secregress.ring import RingMatrix, mat_add, mat_hadamard, mat_mul_raw
 from secregress.rng import CounterDrbg
 from secregress.sharing import reconstruct, share_matrix
 from secregress.smm import (
+    generate_triple,
     smm1_steps,
     smm2_elem_x_steps,
     smm2_elem_y_steps,
@@ -492,6 +493,61 @@ def test_triple_draws_match_the_projection(monkeypatch):
         for i in range(n):
             assert opened[i] == plan, (task, layout, n, i)
             assert next(halves[i], None) is None, (task, layout, n, i)
+
+
+def test_vertical_triple_draws_match_the_projection():
+    # each party of a 3-party vertical run draws one half per plan product
+    # it is in, and the run uses up its dealt list exactly
+    X, y = make_regression_data(30, 5, seed=83)
+    cfg = TrainingConfig(learning_rate=0.1, batch_size=5, iterations=6,
+                         seed="vdraws")
+    bounds = [0, 2, 4, 5]
+    blocks = [[list(r[bounds[i]:bounds[i + 1]]) for r in X]
+              for i in range(3)]
+    plan = product_plan(cfg, "linear", "vertical", [2, 2, 1])
+    dealt = [list(triple_halves(cfg.seed, plan, i)) for i in range(3)]
+    halves = [iter(d) for d in dealt]
+
+    def party(s, i, xb):
+        eng = VerticalEngine(s, cfg, "linear", halves[i])
+        return eng.run(xb, list(y) if i == cfg.label_party else None)
+
+    run_parties(3, cfg, [(lambda s, i=i, xb=xb: party(s, i, xb))
+                         for i, xb in enumerate(blocks)])
+    for i in range(3):
+        assert len(dealt[i]) == sum(i in (a, b) for a, b, _, _ in plan)
+        assert next(halves[i], None) is None
+
+
+def test_file_pool_replay_and_exhaustion():
+    # halves cut from triples made outside the seed's dealer replay in plan
+    # order to the plain model, and a list one half short runs dry
+    X, y = make_regression_data(20, 2, seed=91)
+    cfg = TrainingConfig(learning_rate=0.1, batch_size=4, iterations=6,
+                         seed="filepool")
+    plan = product_plan(cfg, "linear", "horizontal", [2, 2])
+    gen = CounterDrbg("filepool-gen")
+    dealt = [[], []]
+    for k, (a, b, shape, elementwise) in enumerate(plan):
+        assert not elementwise
+        t = generate_triple(*shape, gen.child("t", k))
+        dealt[a].append(t.half(0))
+        dealt[b].append(t.half(1))
+
+    parts = split_rows([list(r) for r in X], list(y), [12])
+
+    def fns(lists):
+        return [(lambda s, i=i, xi=xi, yi=yi:
+                 HorizontalEngine(s, cfg, "linear", lists[i]).run(xi, yi))
+                for i, (xi, yi) in enumerate(parts)]
+
+    res = run_parties(2, cfg, fns(dealt))
+    _, _, global_rows = horizontal_schedule(cfg, [12, 8])
+    w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
+    assert max_drift(res[0].weights, w_ref) <= TOL
+
+    with pytest.raises(TripleExhausted):
+        run_parties(2, cfg, fns([dealt[0], dealt[1][:-1]]), timeout=5.0)
 
 
 # --- stages against one-product calls ---
