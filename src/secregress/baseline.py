@@ -18,8 +18,6 @@ from .errors import EmptyInput, NonFiniteLoss, SingleClassError
 # strictly increasing, so rankings (and AUC) are preserved.
 SIGMOID_POLY = (0.5, 0.197, 0.0, 0.004)
 
-TASKS = ("linear", "logistic-poly", "logistic-true")
-
 
 def poly_sigmoid(z):
     q0, q1, q2, q3 = SIGMOID_POLY
@@ -59,17 +57,6 @@ def train_plain(X, y, schedule, lr: float, task: str = "linear") -> np.ndarray:
     return w
 
 
-def surrogate_loss(z, y) -> float:
-    """Antiderivative of poly_sigmoid(z) - y; exists only for the gradient
-    check, its z-derivative is exactly the training residual."""
-    q0, q1, q2, q3 = SIGMOID_POLY
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    per = (q0 * z + q1 * z ** 2 / 2 + q2 * z ** 3 / 3 + q3 * z ** 4 / 4
-           - y * z)
-    return float(np.mean(per))
-
-
 def rmse(y_true, y_pred) -> float:
     a = np.asarray(y_true, dtype=np.float64)
     b = np.asarray(y_pred, dtype=np.float64)
@@ -102,26 +89,3 @@ def auc(y_true, scores) -> float:
     ranks = _rank_average_ties(s)
     pos_rank_sum = float(np.sum(ranks[y == 1.0]))
     return (pos_rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg)
-
-
-def pick_learning_rate(X, y, schedule, task: str,
-                       grid=(0.001, 0.01, 0.1)) -> float:
-    """Plaintext sweep; best by RMSE for linear, AUC otherwise."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    best, best_score = None, None
-    for lr in grid:
-        try:
-            w = train_plain(X, y, schedule, lr, task)
-        except NonFiniteLoss:
-            continue
-        z = X @ w
-        if task == "linear":
-            score = -rmse(y, z)
-        else:
-            score = auc(y, z)
-        if best_score is None or score > best_score:
-            best, best_score = lr, score
-    if best is None:
-        raise NonFiniteLoss("every learning rate in the grid diverged")
-    return best

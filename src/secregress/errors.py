@@ -9,9 +9,13 @@ class SecregressError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InputError(SecregressError):
+    """A configuration or input the program cannot run with (exit 2)."""
+
+
 # ring / fixed point
 
-class MagnitudeOverflow(SecregressError):
+class MagnitudeOverflow(InputError):
     """Value too large for the fixed-point encoding window."""
 
 
@@ -51,10 +55,6 @@ class DeserializeError(TransportError):
     pass
 
 
-class BarrierTimeout(TransportError):
-    """A party failed to arrive at the barrier, or labels diverged."""
-
-
 # smm
 
 class TripleExhausted(SecregressError):
@@ -67,7 +67,7 @@ class MalformedTranscript(SecregressError):
 
 # protocols
 
-class PolicyMismatch(SecregressError):
+class PolicyMismatch(InputError):
     """Parties disagree on schedule, owner policy, or training config."""
 
 
@@ -75,11 +75,11 @@ class SampleCountMismatch(SecregressError):
     """Vertically partitioned inputs must hold the same aligned rows."""
 
 
-class LabelDomainError(SecregressError):
+class LabelDomainError(InputError):
     """Logistic labels must be 0/1."""
 
 
-class BatchTooLarge(SecregressError):
+class BatchTooLarge(InputError):
     pass
 
 
@@ -89,7 +89,7 @@ class NonFiniteLoss(SecregressError):
     """Divergence guard for the plaintext SGD reference."""
 
 
-class EmptyInput(SecregressError):
+class EmptyInput(InputError):
     pass
 
 
@@ -99,23 +99,23 @@ class SingleClassError(SecregressError):
 
 # cli / ingestion
 
-class ParseError(SecregressError):
+class ParseError(InputError):
     """CSV cell failed to parse; message names the row/column."""
 
 
-class MissingLabelColumn(SecregressError):
+class MissingLabelColumn(InputError):
     pass
 
 
-class TooFewRows(SecregressError):
+class TooFewRows(InputError):
     pass
 
 
-class TooFewColumns(SecregressError):
+class TooFewColumns(InputError):
     pass
 
 
-class SpecHashMismatch(SecregressError):
+class SpecHashMismatch(InputError):
     """Party processes were launched with different run specs."""
 
 

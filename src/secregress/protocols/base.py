@@ -33,13 +33,13 @@ it is in: the dealer (smm.triple_halves) walks the run's product plan
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..baseline import SIGMOID_POLY
 from ..errors import InvalidPartyCount, PolicyMismatch, TripleExhausted
 from ..ring import (
     FRAC_BITS,
+    MASK,
     RingMatrix,
     add_const,
     decode_raw,
@@ -53,6 +53,7 @@ from ..ring import (
     shift_right,
     uniform_matrix,
 )
+from ..sharing import share_matrix
 from ..smm import (
     run_stage,
     smm1_steps,
@@ -84,14 +85,10 @@ class TrainResult:
     weights: list[float]
     weights_raw: list[int]
     block_sizes: list[int] | None
-    schedule: list[list[int]]
     owners: list[int] | None
     config_hash: str
     schedule_hash: str
     transcript_hash: str
-    bytes_sent: int
-    bytes_received: int
-    frames_sent: int
     iter_seconds: list[float]
 
 
@@ -104,8 +101,10 @@ class _EngineBase:
     exchange has fixed the shapes.
     """
 
-    def __init__(self, session, config: TrainingConfig, task: str,
-                 layout: str, halves=None, round_base: int = 0):
+    layout: str  # "horizontal" or "vertical", set by each engine
+
+    def __init__(self, session, config: TrainingConfig, task: str = "linear",
+                 halves=None, round_base: int = 0):
         if session.n_parties < 2:
             raise InvalidPartyCount("training needs at least 2 parties")
         if task not in ("linear", "logistic"):
@@ -113,7 +112,6 @@ class _EngineBase:
         self.s = session
         self.cfg = config
         self.task = task
-        self.layout = layout
         self.me = session.party_id
         self.n = session.n_parties
         self.f = FRAC_BITS
@@ -307,9 +305,15 @@ class _EngineBase:
     # -- setup / teardown exchanges --------------------------------------
 
     def _policy_exchange(self, fields: list[int]) -> list[list[int]]:
-        """Round-0 all-to-all broadcast of local policy words."""
-        mat = RingMatrix(1, len(fields),
-                         [x & ((1 << 64) - 1) for x in fields])
+        """Round-0 all-to-all broadcast of local policy words.
+
+        The config hash word rides along as the last word; a party whose
+        word differs was launched with a different config. Returns every
+        party's fields, in party order, without it.
+        """
+        hash_word = self.cfg.hash_word(self.task, self.layout, self.n)
+        mat = RingMatrix(1, len(fields) + 1,
+                         [x & MASK for x in fields] + [hash_word])
         for p in range(self.n):
             if p != self.me:
                 self.s.send(p, KIND_CONTROL, mat, self._round_base)
@@ -319,12 +323,34 @@ class _EngineBase:
                 rows.append(mat.data)
                 continue
             got = self.s.recv(p, KIND_CONTROL, self._round_base)
-            if got.rows != 1 or got.cols != len(fields):
+            if got.rows != 1 or got.cols != mat.cols:
                 raise PolicyMismatch(
                     f"party {p} sent a {got.rows}x{got.cols} policy frame, "
-                    f"expected 1x{len(fields)}")
+                    f"expected 1x{mat.cols}")
             rows.append(got.data)
-        return rows
+        for p, row in enumerate(rows):
+            if row[-1] != hash_word:
+                raise PolicyMismatch(
+                    f"party {p} was launched with a different config")
+        return [row[:-1] for row in rows]
+
+    def _share_out(self, owner: int, kinds, mats) -> list[RingMatrix]:
+        """This party's shares of the owner's matrices, one round each.
+
+        The owner (the one party passing mats) splits each matrix over
+        all parties and writes every peer its shares at once; the others
+        receive theirs, one frame of the given kind per matrix.
+        """
+        rounds = [self._next_round() for _ in kinds]
+        if self.me != owner:
+            return [self.s.recv(owner, kind, r)
+                    for kind, r in zip(kinds, rounds)]
+        shares = [share_matrix(m, self.n, self.s.rng) for m in mats]
+        for p in range(self.n):
+            if p != self.me:
+                self.s.send_many(p, [(kind, sh[p], r) for kind, sh, r
+                                     in zip(kinds, shares, rounds)])
+        return [sh[self.me] for sh in shares]
 
     def _reveal_all(self, share: RingMatrix) -> RingMatrix:
         """All-to-all weight-share broadcast; everyone reconstructs."""
@@ -340,37 +366,18 @@ class _EngineBase:
 
     # -- result assembly --------------------------------------------------
 
-    def _result(self, weights_mat: RingMatrix, block_sizes, schedule,
-                owners, schedule_hash: str,
-                iter_seconds: list[float]) -> TrainResult:
+    def _result(self, weights_mat: RingMatrix, block_sizes, owners,
+                schedule_hash: str, iter_seconds: list[float]) -> TrainResult:
         raw = weights_mat.data
         return TrainResult(
             party_id=self.me,
             weights=[decode_raw(x) for x in raw],
             weights_raw=raw,
             block_sizes=block_sizes,
-            schedule=schedule,
             owners=owners,
             config_hash=self.cfg.config_digest(
                 self.task, self.layout, self.n).hex(),
             schedule_hash=schedule_hash,
             transcript_hash=self.s.transcript.digest(),
-            bytes_sent=self.s.bytes_sent,
-            bytes_received=self.s.bytes_received,
-            frames_sent=self.s.frames_sent,
             iter_seconds=iter_seconds,
         )
-
-
-class _IterTimer:
-    """Per-iteration wall clock, one sample per loop pass."""
-
-    def __init__(self):
-        self.samples: list[float] = []
-        self._t0 = None
-
-    def start(self):
-        self._t0 = time.perf_counter()
-
-    def stop(self):
-        self.samples.append(time.perf_counter() - self._t0)

@@ -13,23 +13,22 @@ the data reproduces the single-machine trajectory.
 
 from __future__ import annotations
 
+import time
+
 from ..data import check_binary_labels
 from ..errors import DimensionMismatch, EmptyInput, PolicyMismatch
 from ..ring import RingMatrix, transpose
-from ..sharing import share_matrix
 from ..transport import KIND_SHARE_DIST, KIND_Y_SHARE
-from .base import TrainResult, _EngineBase, _IterTimer
-from .config import TrainingConfig, horizontal_schedule, schedule_digest
+from .base import TrainResult, _EngineBase
+from .config import horizontal_schedule, schedule_digest
 
 
 class HorizontalEngine(_EngineBase):
-    def __init__(self, session, config: TrainingConfig, task: str = "linear",
-                 halves=None, round_base: int = 0):
-        super().__init__(session, config, task, "horizontal", halves,
-                         round_base)
+    layout = "horizontal"
 
-    def run(self, features: list[list[float]],
-            labels: list[float]) -> TrainResult:
+    def run(self, features, labels) -> TrainResult:
+        """features: this party's rows (m_local x d, a 2-d array or nested
+        sequence, m_local may be 0); labels: their m_local labels."""
         m_local = len(features)
         if len(labels) != m_local:
             raise DimensionMismatch(
@@ -40,12 +39,7 @@ class HorizontalEngine(_EngineBase):
         if self.task == "logistic" and m_local:
             check_binary_labels(labels)
 
-        hash_word = self.cfg.hash_word(self.task, self.layout, self.n)
-        rows = self._policy_exchange([m_local, d_local, hash_word])
-        for pid, row in enumerate(rows):
-            if row[2] != hash_word:
-                raise PolicyMismatch(
-                    f"party {pid} was launched with a different config")
+        rows = self._policy_exchange([m_local, d_local])
         m_list = [row[0] for row in rows]
         widths = {row[1] for row in rows if row[1]}
         if len(widths) != 1:
@@ -61,28 +55,17 @@ class HorizontalEngine(_EngineBase):
 
         b = self.cfg.batch_size
         w_2f = RingMatrix.zeros(d, 1)
-        timer = _IterTimer()
+        iter_seconds = []
         for t in range(self.cfg.iterations):
-            timer.start()
+            t0 = time.perf_counter()
             # w_2f only ever changes on parties 0 and 1, so the cheap path
             w_f = self._shift(w_2f, narrow=True)
-            owner = owners[t]
-            r_x = self._next_round()
-            r_y = self._next_round()
-            if self.me == owner:
-                xb = RingMatrix.wrap(x_enc.arr[local_rows[t]])
-                yb = RingMatrix.wrap(y_enc.arr[local_rows[t]])
-                x_shares = share_matrix(xb, self.n, self.s.rng)
-                y_shares = share_matrix(yb, self.n, self.s.rng)
-                for p in range(self.n):
-                    if p != self.me:
-                        self.s.send_many(p, [
-                            (KIND_SHARE_DIST, x_shares[p], r_x),
-                            (KIND_Y_SHARE, y_shares[p], r_y)])
-                my_x, my_y = x_shares[self.me], y_shares[self.me]
-            else:
-                my_x = self.s.recv(owner, KIND_SHARE_DIST, r_x)
-                my_y = self.s.recv(owner, KIND_Y_SHARE, r_y)
+            batch = None
+            if self.me == owners[t]:
+                batch = [RingMatrix.wrap(enc.arr[local_rows[t]])
+                         for enc in (x_enc, y_enc)]
+            my_x, my_y = self._share_out(
+                owners[t], (KIND_SHARE_DIST, KIND_Y_SHARE), batch)
 
             # z = X_B w, assembled at 2f bits; w shares sit on parties 0,1
             (p_2f,) = self._shared_products(
@@ -95,8 +78,8 @@ class HorizontalEngine(_EngineBase):
                 (range(self.n), transpose(my_x), (0, 1), err_f, (d, b, 1)))
 
             w_2f = self._update(w_2f, g_2f)
-            timer.stop()
+            iter_seconds.append(time.perf_counter() - t0)
 
         w_full = self._reveal_all(self._shift(w_2f, narrow=True))
-        return self._result(w_full, None, global_rows, owners,
-                            schedule_digest(global_rows), timer.samples)
+        return self._result(w_full, None, owners,
+                            schedule_digest(global_rows), iter_seconds)

@@ -15,6 +15,8 @@ features it does not hold.
 
 from __future__ import annotations
 
+import time
+
 from ..data import build_batch_schedule, check_binary_labels
 from ..errors import (
     BatchTooLarge,
@@ -24,20 +26,19 @@ from ..errors import (
     SampleCountMismatch,
 )
 from ..ring import RingMatrix, mat_add, transpose
-from ..sharing import share_matrix, zero_shares
+from ..sharing import zero_shares
 from ..transport import KIND_W_SHARE, KIND_Y_SHARE
-from .base import TrainResult, _EngineBase, _IterTimer
-from .config import TrainingConfig, schedule_digest
+from .base import TrainResult, _EngineBase
+from .config import schedule_digest
 
 
 class VerticalEngine(_EngineBase):
-    def __init__(self, session, config: TrainingConfig, task: str = "linear",
-                 halves=None, round_base: int = 0):
-        super().__init__(session, config, task, "vertical", halves,
-                         round_base)
+    layout = "vertical"
 
-    def run(self, features: list[list[float]],
-            labels: list[float] | None = None) -> TrainResult:
+    def run(self, features, labels=None) -> TrainResult:
+        """features: this party's column block (m x d_i, a 2-d array or
+        nested sequence); labels: all m labels on the label party, None
+        elsewhere."""
         m = len(features)
         if m == 0:
             raise EmptyInput("no rows")
@@ -59,13 +60,8 @@ class VerticalEngine(_EngineBase):
             if self.task == "logistic":
                 check_binary_labels(labels)
 
-        hash_word = self.cfg.hash_word(self.task, self.layout, self.n)
-        rows = self._policy_exchange(
-            [m, d_local, int(self.me == holder), hash_word])
+        rows = self._policy_exchange([m, d_local, int(self.me == holder)])
         for pid, row in enumerate(rows):
-            if row[3] != hash_word:
-                raise PolicyMismatch(
-                    f"party {pid} was launched with a different config")
             if row[0] != m:
                 raise SampleCountMismatch(
                     f"party {pid} holds {row[0]} rows, this party {m}")
@@ -103,22 +99,13 @@ class VerticalEngine(_EngineBase):
                     f"block, expected {d_list[i]}x1")
             w_2f[i] = got
 
-        timer = _IterTimer()
-        for t, batch in enumerate(schedule):
-            timer.start()
+        iter_seconds = []
+        for batch in schedule:
+            t0 = time.perf_counter()
             w_f = {i: self._shift(w_2f[i]) for i in range(self.n)}
             xb = RingMatrix.wrap(x_enc.arr[batch])
-
-            r_y = self._next_round()
-            if self.me == holder:
-                yb = RingMatrix.wrap(y_enc.arr[batch])
-                y_shares = share_matrix(yb, self.n, self.s.rng)
-                for p in range(self.n):
-                    if p != self.me:
-                        self.s.send(p, KIND_Y_SHARE, y_shares[p], r_y)
-                my_y = y_shares[self.me]
-            else:
-                my_y = self.s.recv(holder, KIND_Y_SHARE, r_y)
+            yb = None if y_enc is None else [RingMatrix.wrap(y_enc.arr[batch])]
+            (my_y,) = self._share_out(holder, (KIND_Y_SHARE,), yb)
 
             # z = sum_i X^i w_i at 2f bits; truncated w shares sit on
             # parties 0 and 1, so those are the only counterparts.
@@ -142,8 +129,7 @@ class VerticalEngine(_EngineBase):
                   for i in range(self.n)])
             for i, g_t in enumerate(grads):
                 w_2f[i] = self._update(w_2f[i], transpose(g_t))
-
-            timer.stop()
+            iter_seconds.append(time.perf_counter() - t0)
 
         # Each block's shares converge on the block's owner.
         w_f = {i: self._shift(w_2f[i]) for i in range(self.n)}
@@ -159,5 +145,5 @@ class VerticalEngine(_EngineBase):
             else:
                 self.s.send(i, KIND_W_SHARE, w_f[i], r)
 
-        return self._result(my_block, d_list, schedule, None,
-                            schedule_digest(schedule), timer.samples)
+        return self._result(my_block, d_list, None,
+                            schedule_digest(schedule), iter_seconds)

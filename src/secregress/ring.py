@@ -108,14 +108,9 @@ def _encode_array(x: np.ndarray) -> np.ndarray:
     return r.astype(np.int64).view(np.uint64)
 
 
-def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG,
-               frac_bits: int | None = None) -> float:
-    """Signed interpretation divided by 2^f.
-
-    frac_bits overrides the config scale for values still carrying 2f bits.
-    """
-    f = cfg.frac_bits if frac_bits is None else frac_bits
-    return to_signed(raw & MASK) / (1 << f)
+def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG) -> float:
+    """Signed interpretation divided by 2^f."""
+    return to_signed(raw & MASK) / cfg.scale
 
 
 class RingMatrix:
@@ -157,27 +152,21 @@ class RingMatrix:
         return cls(rows, cols, np.zeros(rows * cols, dtype=np.uint64))
 
     @classmethod
-    def identity(cls, n: int) -> "RingMatrix":
-        return cls(n, n, np.eye(n, dtype=np.uint64) << FRAC_BITS)
-
-    @classmethod
     def encode_rows(cls, values) -> "RingMatrix":
-        """Encode a nested sequence of reals, one inner sequence per row."""
-        rows = [list(row) for row in values]
-        if len({len(row) for row in rows}) > 1:
-            raise DimensionMismatch("ragged input rows")
-        if not rows or not rows[0]:
-            raise DimensionMismatch("empty input")
-        return cls.wrap(_encode_array(np.array(rows, dtype=np.float64)))
+        """Encode a 2-d array of reals, or a nested sequence of them with
+        one inner sequence per row."""
+        try:
+            x = np.ascontiguousarray(values, dtype=np.float64)
+        except ValueError:
+            raise DimensionMismatch("ragged input rows") from None
+        if x.ndim != 2 or x.size == 0:
+            raise DimensionMismatch(f"need nonempty 2-d input, got {x.shape}")
+        return cls.wrap(_encode_array(x))
 
     @classmethod
     def column(cls, values) -> "RingMatrix":
         x = np.array(list(values), dtype=np.float64)
         return cls(len(x), 1, _encode_array(x))
-
-    def decode_rows(self, frac_bits: int = FRAC_BITS) -> list[list[float]]:
-        """frac_bits overrides f for entries still carrying 2f bits."""
-        return (self.arr.view(np.int64) / float(1 << frac_bits)).tolist()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingMatrix) and self.rows == other.rows
@@ -230,10 +219,6 @@ def mat_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix.wrap(a.arr - b.arr)
 
 
-def mat_neg(a: RingMatrix) -> RingMatrix:
-    return RingMatrix.wrap(np.negative(a.arr))
-
-
 def mat_mul_raw(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Exact ring product; the result carries 2f fractional bits."""
     if a.cols != b.rows:
@@ -266,11 +251,6 @@ def shift_left(a: RingMatrix, bits: int) -> RingMatrix:
 
 def add_const(a: RingMatrix, raw: int) -> RingMatrix:
     return RingMatrix.wrap(a.arr + np.uint64(raw & MASK))
-
-
-def truncate(a: RingMatrix) -> RingMatrix:
-    """Restore f fractional bits after a product (entries carry 2f bits)."""
-    return shift_right(a, FRAC_BITS)
 
 
 def transpose(a: RingMatrix) -> RingMatrix:

@@ -6,8 +6,8 @@ jointly uniform, so nothing short of the full set carries information.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, InvalidPartyCount
-from .ring import MASK, RingMatrix, mat_add, mat_sub, uniform_matrix
+from .errors import InvalidPartyCount
+from .ring import MASK, RingMatrix, mat_sub, uniform_matrix
 
 
 def share_matrix(x: RingMatrix, n: int, rng) -> list[RingMatrix]:
@@ -20,18 +20,6 @@ def share_matrix(x: RingMatrix, n: int, rng) -> list[RingMatrix]:
         last = mat_sub(last, s)
     shares.append(last)
     return shares
-
-
-def reconstruct(shares: list[RingMatrix]) -> RingMatrix:
-    if not shares:
-        raise InvalidPartyCount("no shares to reconstruct from")
-    acc = shares[0]
-    for s in shares[1:]:
-        if s.rows != acc.rows or s.cols != acc.cols:
-            raise DimensionMismatch(
-                f"share shapes differ: {acc.rows}x{acc.cols} vs {s.rows}x{s.cols}")
-        acc = mat_add(acc, s)
-    return acc
 
 
 def zero_shares(rows: int, cols: int, n: int, rng) -> list[RingMatrix]:

@@ -147,14 +147,6 @@ def _half0(rng, u_shape: tuple[int, int], v_shape: tuple[int, int],
                       uniform_matrix(wr, wc, rng))
 
 
-def verify_triple(t: Triple, elementwise: bool = False) -> bool:
-    u = mat_add(t.u1, t.u2)
-    v = mat_add(t.v1, t.v2)
-    w = mat_add(t.w1, t.w2)
-    prod = mat_hadamard(u, v) if elementwise else mat_mul_raw(u, v)
-    return prod == w
-
-
 def triple_halves(seed, plan, party: int):
     """This party's halves of the triples a product plan consumes, in order.
 

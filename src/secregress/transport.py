@@ -23,10 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
-    BarrierTimeout,
     ConnectTimeout,
     DeserializeError,
-    HashMismatch,
     PeerClosed,
     RosterMismatch,
     TransportError,
@@ -39,7 +37,7 @@ KIND_SMM_D = 2        # masked/blinded left operand
 KIND_SMM_E = 3        # masked/blinded right operand
 KIND_Y_SHARE = 5      # share of a label vector
 KIND_W_SHARE = 6      # share of a weight block
-KIND_CONTROL = 7      # policy values and barriers
+KIND_CONTROL = 7      # policy values
 
 KIND_NAMES = {
     KIND_SHARE_DIST: "SHARE_DIST",
@@ -127,28 +125,8 @@ class Transcript:
     def digest(self) -> str:
         return self._hash.hexdigest()
 
-    def select(self, kind: int | None = None, round_no: int | None = None,
-               sender: int | None = None) -> list[Frame]:
-        out = []
-        for f in self.frames:
-            if kind is not None and f.kind != kind:
-                continue
-            if round_no is not None and f.round_no != round_no:
-                continue
-            if sender is not None and f.sender != sender:
-                continue
-            out.append(f)
-        return out
-
     def __len__(self):
         return len(self._bodies)
-
-
-def label_hash(label: str) -> int:
-    """Stable u64 tag for barrier labels."""
-    return int.from_bytes(
-        hashlib.sha256(b"secregress.label\x00" + label.encode()).digest()[:8],
-        "little")
 
 
 class ProtocolSession(ABC):
@@ -203,24 +181,6 @@ class ProtocolSession(ABC):
         self.transcript.append(body)
         self.bytes_received += 4 + len(body)
         return RingMatrix.from_bytes(memoryview(body)[HEADER_LEN:])
-
-    def barrier(self, label: str, round_no: int) -> None:
-        """All-to-all sync point; also catches protocol divergence early."""
-        tag = RingMatrix(1, 1, [label_hash(label)])
-        for p in range(self.n_parties):
-            if p != self.party_id:
-                self.send(p, KIND_CONTROL, tag, round_no)
-        for p in range(self.n_parties):
-            if p == self.party_id:
-                continue
-            try:
-                got = self.recv(p, KIND_CONTROL, round_no)
-            except TransportError as e:
-                raise BarrierTimeout(
-                    f"barrier '{label}' round {round_no}: {e}") from e
-            if got.data[0] != tag.data[0]:
-                raise HashMismatch(
-                    f"barrier '{label}': party {p} is at a different point")
 
     def close(self) -> None:
         pass
@@ -377,6 +337,8 @@ class TcpSession(ProtocolSession):
                             accepted[pid] = conn
                             if given_up.is_set():  # missed the clean-up
                                 conn.close()
+                    except TimeoutError:
+                        pass  # reported below as peers that never connected
                     except Exception as e:  # surfaced after join
                         accept_err.append(e)
                 accept_thread = threading.Thread(target=do_accept, daemon=True)

@@ -26,10 +26,6 @@ def sub(a, b):
     return a[0], a[1], [(x - y) & MASK for x, y in zip(a[2], b[2])]
 
 
-def neg(a):
-    return a[0], a[1], [(-x) & MASK for x in a[2]]
-
-
 def hadamard(a, b):
     return a[0], a[1], [(x * y) & MASK for x, y in zip(a[2], b[2])]
 

@@ -26,7 +26,6 @@ from secregress.ring import (
     RingMatrix,
     mat_add,
     mat_mul_raw,
-    truncate,
 )
 from secregress.rng import CounterDrbg
 from secregress.sharing import share_raw
@@ -39,11 +38,11 @@ from secregress.smm import (
     smm1_steps,
     smm2_x_steps,
     smm2_y_steps,
-    verify_triple,
 )
 from secregress.transport import Frame, loopback_sessions
 
 from one_product import run_one
+from oracles import decode_rows, select, truncate, verify_triple
 
 ULP = 2.0 ** -20
 
@@ -171,7 +170,7 @@ def test_criterion_1_smm_product_accuracy():
                 continue
             # share-wise truncation: each party truncates its own raw
             # share locally, as the engines do once per aggregate
-            got = mat_add(truncate(m), truncate(n)).decode_rows()
+            got = decode_rows(mat_add(truncate(m), truncate(n)))
             inner = ex.cols
             tol = inner * ULP
             for r in range(ex.rows):
@@ -330,10 +329,10 @@ def test_criterion_5_leakage_characterization():
           lambda: [run_one(s2[1], 0, i, smm2_y_steps, ey)
                    for i, (_, ey) in enumerate(cases)])
     for i, (ex, ey) in enumerate(cases):
-        got_x = extract_leakage(s2[0].transcript.select(round_no=i))
+        got_x = extract_leakage(select(s2[0].transcript, round_no=i))
         if got_x != LeakageReport("smm2", "x", leakage_of_y(ey)):
             failures.append(f"run #{i}: X-holder leak is not Y_e - Y_o")
-        got_y = extract_leakage(s2[1].transcript.select(round_no=i))
+        got_y = extract_leakage(select(s2[1].transcript, round_no=i))
         if got_y != LeakageReport("smm2", "y", leakage_of_x(ex)):
             failures.append(f"run #{i}: Y-holder leak is not X_e + X_o")
 
@@ -352,7 +351,7 @@ def test_criterion_5_leakage_characterization():
     empty = LeakageReport("smm1", None, None)
     for i in range(len(cases)):
         for sess in s1:
-            if extract_leakage(sess.transcript.select(round_no=i)) != empty:
+            if extract_leakage(select(sess.transcript, round_no=i)) != empty:
                 failures.append(f"run #{i}: triple-based transcript "
                                 "yielded a non-empty profile")
     _verdict("criterion 5", t0, 10.0, failures,

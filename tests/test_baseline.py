@@ -8,16 +8,16 @@ import pytest
 from secregress.baseline import (
     SIGMOID_POLY,
     auc,
-    pick_learning_rate,
     poly_sigmoid,
     rmse,
-    surrogate_loss,
     train_plain,
     true_sigmoid,
 )
 from secregress.data import build_batch_schedule, make_classification_data, \
     make_regression_data
 from secregress.errors import EmptyInput, NonFiniteLoss, SingleClassError
+
+from oracles import surrogate_loss
 
 
 def test_single_update_by_hand():
@@ -123,12 +123,3 @@ def test_logistic_training_reaches_high_auc():
     for task in ("logistic-poly", "logistic-true"):
         w = train_plain(X, y, sched, lr=0.5, task=task)
         assert auc(y, X @ w) >= 0.95, task
-
-
-def test_pick_learning_rate():
-    X, y = make_regression_data(150, 4, seed=2)
-    sched = build_batch_schedule(150, 16, 120, seed=3)
-    lr = pick_learning_rate(X, y, sched, "linear")
-    assert lr in (0.001, 0.01, 0.1)
-    # bigger steps help on this easy normalized problem
-    assert lr == 0.1

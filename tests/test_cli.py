@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from secregress import cli
+from secregress import cli, orchestration
 from secregress.data import load_csv
 from secregress.errors import (
     HashMismatch,
@@ -91,6 +91,10 @@ def test_spec_semantic_rejects():
             config=dict(BASE_SPEC["config"], label_party=2)))
     with pytest.raises(cli.ConfigFileError, match="ratios"):
         cli.RunSpec.from_dict(spec_dict(partition={"ratios": [1, 1, 1]}))
+    for port in ("0", "65536", "99999"):
+        with pytest.raises(cli.ConfigFileError, match="port"):
+            cli.RunSpec.from_dict(spec_dict(
+                roster=["127.0.0.1:9001", f"127.0.0.1:{port}"]))
 
 
 def test_spec_task_dataset_pairing():
@@ -213,6 +217,18 @@ def test_partition_cli_label_party_out_of_range(tmp_path, label_party):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["-1:2", "0:0"])
+def test_partition_cli_rejects_ratio_below_one(tmp_path, ratio):
+    src = tmp_path / "data.csv"
+    src.write_text("a,label\n" + "".join(f"{i}.0,{i}.0\n" for i in range(6)))
+    out = tmp_path / "h"
+    rc = cli.main(["partition", "--csv", str(src), "--label", "label",
+                   "--scheme", "horizontal", "--parties", "2",
+                   f"--ratio={ratio}", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_partition_cli_too_few_columns_exit_code(tmp_path):
     src = tmp_path / "narrow.csv"
     src.write_text("a,label\n1.0,2.0\n3.0,4.0\n")
@@ -290,11 +306,11 @@ def test_verify_manifests_flags_divergence():
     doctored = json.loads(json.dumps(manifests))
     doctored[1]["folds"][1]["model_hash"] = "f" * 64
     with pytest.raises(HashMismatch, match="fold 1"):
-        cli._verify_manifests(spec, doctored)
+        orchestration._verify_manifests(spec, doctored)
     doctored = json.loads(json.dumps(manifests))
     doctored[0]["spec_hash"] = "e" * 64
     with pytest.raises(SpecHashMismatch):
-        cli._verify_manifests(spec, doctored)
+        orchestration._verify_manifests(spec, doctored)
 
 
 # -- process mode ------------------------------------------------------------
@@ -336,7 +352,7 @@ def test_process_mode_party_crash(tmp_path):
     blocker.listen(1)
     port = blocker.getsockname()[1]
     try:
-        other = cli._free_ports(1)[0]
+        other = orchestration._free_ports(1)[0]
         raw = spec_dict(roster=[other, f"127.0.0.1:{port}"],
                         output=str(tmp_path / "o"))
         spec = cli.RunSpec.from_dict(raw)
@@ -349,7 +365,7 @@ def test_process_mode_party_crash(tmp_path):
 def test_killed_child_exits_nonzero(tmp_path):
     """SIGKILL one party mid-run; the surviving party must exit nonzero
     rather than hang or report success."""
-    roster = cli._free_ports(2)
+    roster = orchestration._free_ports(2)
     raw = spec_dict(roster=roster, output=str(tmp_path / "o"),
                     config=dict(BASE_SPEC["config"], iterations=2000))
     path = tmp_path / "spec.json"
@@ -407,15 +423,18 @@ def test_unservable_batch_exits_2_in_both_modes(tmp_path, capsys):
 
 
 def test_main_protocol_failure_exit_code(tmp_path, capsys):
-    # one lone party dialing a roster nobody serves
-    roster = cli._free_ports(2)
+    # one lone party: party 0 dials a roster nobody serves, party 1
+    # listens for a peer that never dials
+    roster = orchestration._free_ports(2)
     raw = spec_dict(roster=roster, output=str(tmp_path / "o"))
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(raw))
-    rc = cli.main(["train", "--spec", str(path), "--party", "0",
-                   "--timeout", "4"])
-    assert rc == 3
-    assert "protocol failure" in capsys.readouterr().err
+    for party, timeout in (("0", "4"), ("1", "2")):
+        rc = cli.main(["train", "--spec", str(path), "--party", party,
+                       "--timeout", timeout])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "protocol failure" in err and "ConnectTimeout" in err
 
 
 def test_main_equivalence_failure_exit_code(tmp_path, capsys, monkeypatch):

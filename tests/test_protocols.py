@@ -19,7 +19,6 @@ from secregress.baseline import (
     auc,
     poly_sigmoid,
     rmse,
-    surrogate_loss,
     train_plain,
 )
 from secregress.data import (
@@ -40,7 +39,7 @@ from secregress.protocols import (
 from secregress.protocols.base import _EngineBase
 from secregress.ring import RingMatrix, mat_add, mat_hadamard, mat_mul_raw
 from secregress.rng import CounterDrbg
-from secregress.sharing import reconstruct, share_matrix
+from secregress.sharing import share_matrix
 from secregress.smm import (
     generate_triple,
     smm1_steps,
@@ -53,6 +52,7 @@ from secregress.smm import (
 from secregress.transport import TransportError, loopback_sessions
 
 from one_product import run_one
+from oracles import decode_rows, reconstruct, surrogate_loss
 
 ULP = 2.0 ** -20
 TOL = 10 * ULP  # oracle-equivalence budget per coordinate
@@ -208,14 +208,14 @@ def test_sigmoid_shares_track_polynomial(variant):
     plan = [(0, 1, n, True), (0, 1, n, True), (1, 0, n, True)]
     fns = [
         (lambda s, sh=shares[i]:
-         _EngineBase(s, cfg, "logistic", "sigmoid",
+         _EngineBase(s, cfg, "logistic",
                      triple_halves(cfg.seed, plan, s.party_id)
                      )._sigmoid_from_zf(sh))
         for i in range(2)
     ]
     out = run_parties(2, cfg, fns)
     got = [row[0] for row in
-           reconstruct(out).decode_rows(frac_bits=40)]
+           decode_rows(reconstruct(out), frac_bits=40)]
     for z, val in zip(zs, got):
         assert abs(val - _grid_poly(z)) <= 3 * ULP
         if abs(z) <= 1.0:
@@ -607,7 +607,7 @@ def test_stage_matches_one_product_calls(variant, n):
             # STAGE_PRODUCTS is itself a product plan for the dealer
             halves = (triple_halves(cfg.seed, products, s.party_id)
                       if variant == "smm1" else None)
-            eng = _EngineBase(s, cfg, "linear", "stage", halves)
+            eng = _EngineBase(s, cfg, "linear", halves)
             shares = run(eng, _stage_products(s.party_id, products), halves)
             bodies = sorted(f.encode() for f in s.transcript.frames)
             left = None if halves is None else list(halves)

@@ -12,7 +12,6 @@ from secregress.ring import (
     mat_mul_raw,
     mat_sub,
     to_signed,
-    truncate,
     uniform_matrix,
 )
 from secregress.rng import CounterDrbg
@@ -31,11 +30,11 @@ from secregress.smm import (
     smm2_x_steps,
     smm2_y_steps,
     triple_halves,
-    verify_triple,
 )
 from secregress.transport import loopback_sessions
 
 from one_product import run_one
+from oracles import decode_rows, truncate, verify_triple
 
 ULP = 2.0 ** -20
 
@@ -177,7 +176,7 @@ def test_product_exact_before_truncation(protocol):
         _, xv = rand_real_matrix(xr, yr, rng)
         _, yv = rand_real_matrix(yr, zr, rng)
         (m, n), _ = runner(xv, yv, f"{protocol}-{idx}")
-        got = mat_add(m, n).decode_rows(frac_bits=40)
+        got = decode_rows(mat_add(m, n), frac_bits=40)
         for i in range(xr):
             for k in range(zr):
                 exact = sum(xv[i][j] * yv[j][k] for j in range(yr))
@@ -194,7 +193,7 @@ def test_truncated_product_within_tolerance(protocol):
         _, xv = rand_real_matrix(xr, yr, rng)
         _, yv = rand_real_matrix(yr, zr, rng)
         (m, n), _ = runner(xv, yv, f"{protocol}t-{idx}")
-        got = mat_add(truncate(m), truncate(n)).decode_rows()
+        got = decode_rows(mat_add(truncate(m), truncate(n)))
         for i in range(xr):
             for k in range(zr):
                 exact = sum(xv[i][j] * yv[j][k] for j in range(yr))
@@ -324,7 +323,7 @@ def test_smm1_elementwise(n):
                         elementwise=True),
         lambda: run_one(s[1], 0, 0, smm1_steps, 1, b, t.half(1),
                         elementwise=True))
-    got = mat_add(m, nn).decode_rows(frac_bits=40)
+    got = decode_rows(mat_add(m, nn), frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
 
@@ -337,7 +336,7 @@ def test_smm2_elementwise(n):
     b = RingMatrix.column(bv)
     m, nn = run_pair(lambda: run_one(s[0], 1, 0, smm2_elem_x_steps, a),
                      lambda: run_one(s[1], 0, 0, smm2_elem_y_steps, b))
-    got = mat_add(m, nn).decode_rows(frac_bits=40)
+    got = decode_rows(mat_add(m, nn), frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
 
@@ -386,5 +385,5 @@ def test_padding_odd_lengths():
                             RingMatrix.column(av)),
             lambda: run_one(s[1], 0, 0, smm2_elem_y_steps,
                             RingMatrix.column(bv)))
-        got = mat_add(m, nn).decode_rows(frac_bits=40)
+        got = decode_rows(mat_add(m, nn), frac_bits=40)
         assert got == [[av[i] * bv[i]] for i in range(n)]

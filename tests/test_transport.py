@@ -1,4 +1,4 @@
-"""Frame codec, loopback and TCP sessions, transcripts, barriers."""
+"""Frame codec, loopback and TCP sessions, transcripts."""
 
 import os
 import socket
@@ -9,9 +9,8 @@ import time
 import pytest
 
 from secregress.errors import (
-    BarrierTimeout,
+    ConnectTimeout,
     DeserializeError,
-    HashMismatch,
     PeerClosed,
     RosterMismatch,
     TransportError,
@@ -34,6 +33,8 @@ from secregress.transport import (
     loopback_sessions,
     roster_hash,
 )
+
+from oracles import select
 
 GOLDEN_FRAME = (
     b"\x00\x00\x00\x20"                      # length 32, big-endian
@@ -154,7 +155,7 @@ def test_transcript_records_received_only():
     s[1].recv(0, KIND_SHARE_DIST, 0)
     s[1].recv(0, KIND_SMM_D, 1)
     assert len(s[1].transcript) == 2
-    assert s[1].transcript.select(kind=KIND_SMM_D)[0].round_no == 1
+    assert select(s[1].transcript, kind=KIND_SMM_D)[0].round_no == 1
     empty = Transcript().digest()
     assert s[1].transcript.digest() != empty
 
@@ -168,37 +169,15 @@ def test_transcript_digest_is_order_sensitive():
     assert a.digest() != b.digest()
 
 
-def test_barrier_three_parties():
-    s = loopback_sessions(3, make_rngs(3, "barrier"))
-    run_parties(*(lambda i=i: s[i].barrier("after-setup", 9) for i in range(3)))
-    # every party consumed n-1 control frames
-    assert all(len(x.transcript.select(kind=KIND_CONTROL)) == 2 for x in s)
-
-
-def test_barrier_label_mismatch():
-    s = loopback_sessions(2, make_rngs(2, "bmis"))
-    errs = []
-
-    def p0():
-        try:
-            s[0].barrier("phase-a", 0)
-        except HashMismatch as e:
-            errs.append(e)
-
-    def p1():
-        try:
-            s[1].barrier("phase-b", 0)
-        except HashMismatch as e:
-            errs.append(e)
-
-    run_parties(p0, p1)
-    assert len(errs) == 2
-
-
-def test_barrier_timeout():
-    s = loopback_sessions(2, make_rngs(2, "btmo"), timeout=0.05)
-    with pytest.raises(BarrierTimeout):
-        s[0].barrier("alone", 0)
+def barrier(session, round_no):
+    """All-to-all exchange of one control frame: no party gets past it
+    before every party has reached it."""
+    tag = RingMatrix(1, 1, [round_no])
+    peers = [p for p in range(session.n_parties) if p != session.party_id]
+    for p in peers:
+        session.send(p, KIND_CONTROL, tag, round_no)
+    for p in peers:
+        assert session.recv(p, KIND_CONTROL, round_no) == tag
 
 
 # --- tcp ---
@@ -235,12 +214,12 @@ def test_tcp_exchange_matches_loopback_transcript():
         def p0():
             sessions[0].send(1, KIND_SHARE_DIST, m1, 0)
             sessions[0].recv(1, KIND_SMM_D, 1)
-            sessions[0].barrier("done", 2)
+            barrier(sessions[0], 2)
 
         def p1():
             sessions[1].recv(0, KIND_SHARE_DIST, 0)
             sessions[1].send(0, KIND_SMM_D, m2, 1)
-            sessions[1].barrier("done", 2)
+            barrier(sessions[1], 2)
 
         run_parties(p0, p1)
         return [x.transcript.digest() for x in sessions]
@@ -261,14 +240,14 @@ def test_tcp_three_party_barrier_and_traffic():
     try:
         def party(i):
             def go():
-                s[i].barrier("start", 0)
+                barrier(s[i], 0)
                 for j in range(3):
                     if j != i:
                         s[i].send(j, KIND_SMM_E, m, 1)
                 for j in range(3):
                     if j != i:
                         assert s[i].recv(j, KIND_SMM_E, 1) == m
-                s[i].barrier("end", 2)
+                barrier(s[i], 2)
             return go
 
         run_parties(*(party(i) for i in range(3)))
@@ -295,6 +274,15 @@ def test_tcp_large_bidirectional_send():
     finally:
         for x in s:
             x.close()
+
+
+def test_tcp_listener_without_dialer_times_out():
+    # party 1 listens for party 0, which never dials
+    t0 = time.monotonic()
+    with pytest.raises(ConnectTimeout):
+        TcpSession(1, 2, make_rngs(2, "lonely")[1], free_endpoints(2),
+                   timeout=0.5)
+    assert time.monotonic() - t0 < 3.0
 
 
 def test_tcp_roster_mismatch():
@@ -501,16 +489,25 @@ def test_failed_tcp_session_closes_its_sockets(case):
     before = open_fds()
     peers = []
     if case == "accepted-roster":
-        # party 1 accepts a dialer that names a different roster
+        # party 1 accepts a dialer that names a different roster; the
+        # dialer retries until party 1's listener is up
         def dial():
-            sk = socket.create_connection(eps[1], timeout=5)
-            sk.sendall(struct.pack(_HANDSHAKE_FMT, _HANDSHAKE_MAGIC,
-                                   _WIRE_VERSION, 2, 0, 12345))
-            sk.recv(64)
-            sk.close()
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    sk = socket.create_connection(eps[1], timeout=5)
+                    break
+                except ConnectionRefusedError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            with sk:
+                sk.sendall(struct.pack(_HANDSHAKE_FMT, _HANDSHAKE_MAGIC,
+                                       _WIRE_VERSION, 2, 0, 12345))
+                sk.recv(64)
         dialer = threading.Thread(target=dial, daemon=True)
         dialer.start()
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(RosterMismatch) as err:
             TcpSession(1, 2, rng, eps[:2], timeout=5.0)
         dialer.join(10)
     else:

@@ -21,14 +21,13 @@ import itertools
 import json
 import sys
 
-from secregress.cli import (
+from secregress.data import kfold
+from secregress.orchestration import (
     ROUND_STRIDE,
-    RunSpec,
     _run_party_folds,
     _run_threads,
-    load_dataset,
 )
-from secregress.data import kfold
+from secregress.spec import RunSpec, load_dataset
 from secregress.transport import loopback_sessions
 
 
