@@ -6,15 +6,22 @@ how it splits across parties, and, for process runs, the roster and the
 output directory. RunSpec validates it against RUNSPEC_SCHEMA and the
 checks the schema cannot express; load_dataset materializes its dataset
 and partition cuts it into per-party row or column ranges.
+
+RUNSPEC_SCHEMA is a JSON Schema document and the one place the spec's
+shape is written. check_schema enforces it in-tree, implementing exactly
+the keywords in SCHEMA_KEYWORDS with their JSON Schema meaning, with one
+rule made strict: an integer is a JSON integer, so a bool or a float
+(even 2.0) is not one. A float count would otherwise pass and fail deep
+inside training, or reach the spec hash as a float.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .data import (
@@ -93,6 +100,72 @@ class ConfigFileError(InputError):
     """Run spec failed schema or semantic validation."""
 
 
+SCHEMA_KEYWORDS = frozenset({
+    "type", "enum", "minimum", "maximum", "required", "properties",
+    "additionalProperties", "items", "minItems", "pattern"})
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+               "number": (int, float)}
+
+
+def _is_json_type(value, name: str) -> bool:
+    # bool subclasses int, but JSON true is neither integer nor number
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[name])
+
+
+def check_schema(value, schema: dict, path: tuple = ()) -> None:
+    """Raise ConfigFileError at the first place value breaks schema.
+
+    schema may use only SCHEMA_KEYWORDS (additionalProperties only as
+    false). As in JSON Schema, a keyword for one type ignores values of
+    another type; the message names the failing location as a
+    slash-joined path.
+    """
+    def fail(message: str):
+        where = "/".join(str(p) for p in path) or "(top level)"
+        raise ConfigFileError(f"spec invalid at {where}: {message}")
+
+    if "type" in schema:
+        kinds = schema["type"]
+        kinds = [kinds] if isinstance(kinds, str) else kinds
+        if not any(_is_json_type(value, k) for k in kinds):
+            fail(f"{value!r} is not of type "
+                 f"{' or '.join(repr(k) for k in kinds)}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _is_json_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            fail(f"{value!r} is less than the minimum of "
+                 f"{schema['minimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            fail(f"{value!r} is greater than the maximum of "
+                 f"{schema['maximum']!r}")
+    if (isinstance(value, str) and "pattern" in schema
+            and not re.search(schema["pattern"], value)):
+        fail(f"{value!r} does not match {schema['pattern']!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} should have at least {schema['minItems']} "
+                 f"items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                check_schema(item, schema["items"], (*path, i))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        if schema.get("additionalProperties", True) is False:
+            extra = [k for k in value if k not in props]
+            if extra:
+                fail(f"additional properties are not allowed "
+                     f"({', '.join(repr(k) for k in extra)} unexpected)")
+        for key, sub in props.items():
+            if key in value:
+                check_schema(value[key], sub, (*path, key))
+
+
 @dataclass(frozen=True)
 class RunSpec:
     task: str
@@ -109,11 +182,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSpec":
-        try:
-            jsonschema.validate(raw, RUNSPEC_SCHEMA)
-        except jsonschema.ValidationError as e:
-            where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-            raise ConfigFileError(f"spec invalid at {where}: {e.message}")
+        check_schema(raw, RUNSPEC_SCHEMA)
         scheme = raw["scheme"]
         variant = raw.get("smm_variant")
         if scheme == "plaintext":

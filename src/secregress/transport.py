@@ -378,7 +378,9 @@ class TcpSession(ProtocolSession):
                     raise ConnectTimeout(
                         f"party {self.party_id} could not reach party {peer} "
                         f"at {host}:{port}") from None
-                time.sleep(0.05)
+                # a refused connect returns at once and the peer may bind
+                # at any moment while it starts up, so retry soon
+                time.sleep(0.003)
         sock.settimeout(self.timeout)
         try:
             sock.sendall(self._handshake_bytes())

@@ -14,7 +14,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import secregress
 from secregress import cli, orchestration
 from secregress.data import load_csv
 from secregress.errors import (
@@ -27,6 +30,7 @@ from secregress.errors import (
 )
 from secregress.protocols import product_plan
 from secregress.smm import triple_halves
+from secregress.spec import RUNSPEC_SCHEMA, SCHEMA_KEYWORDS, check_schema
 
 BASE_SPEC = {
     "task": "LiRe",
@@ -67,10 +71,168 @@ def test_spec_accepts_variant_aliases():
     {"config": {"nonsense": 1}},
     {"config": {"frac_bits": 26}},
     {"config": {"sigmoid_coeffs": [0.5, 0.25, 0.0, -0.02]}},
+    # an integer is a JSON integer: an integral float is not one
+    {"parties": 2.0},
+    {"folds": 2.0},
+    {"dataset": {"kind": "synthetic-linear", "m": 40.0, "d": 3, "seed": 5}},
+    {"partition": {"ratios": [1.0, 2]}},
 ])
 def test_spec_schema_rejects(mangle):
     with pytest.raises(cli.ConfigFileError):
         cli.RunSpec.from_dict(spec_dict(**mangle))
+
+
+# Every property RUNSPEC_SCHEMA names, so mutations can reach each rule.
+FULL_SPEC = {
+    "task": "LoRe", "scheme": "vertical", "smm_variant": "OTI",
+    "sigmoid": "poly", "parties": 3, "folds": 2,
+    "config": {"learning_rate": 0.5, "batch_size": 4, "iterations": 10,
+               "seed": 7, "owner_policy": "random", "label_party": 0},
+    "dataset": {"kind": "csv", "m": 36, "d": 3, "seed": "s",
+                "path": "data.csv", "label_column": "y", "subsample": 8,
+                "sha256": "ab"},
+    "partition": {"ratios": [1, 2, 1]},
+    "roster": ["127.0.0.1:9001", "h:9002", "h:9003"],
+    "output": "out",
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.sampled_from([0.0, 1.0, 2.0, 1.5, -0.5]) | st.floats()
+    | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+
+def _keywords(schema):
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from _keywords(sub)
+    if "items" in schema:
+        yield from _keywords(schema["items"])
+
+
+def _nodes(doc, path=()):
+    """(path, value) of doc and of everything inside it."""
+    yield path, doc
+    inner = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in inner:
+        yield from _nodes(value, (*path, key))
+
+
+def _schema_at(path):
+    schema = RUNSPEC_SCHEMA
+    for key in path:
+        schema = (schema.get("items", {}) if isinstance(key, int)
+                  else schema.get("properties", {}).get(key, {}))
+    return schema
+
+
+def _strict_jsonschema():
+    """jsonschema's Draft 2020-12 validator with an int-only integer."""
+    jsonschema = pytest.importorskip("jsonschema")
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    return jsonschema.validators.extend(base, type_checker=checker)(
+        RUNSPEC_SCHEMA)
+
+
+def test_schema_uses_only_checked_keywords():
+    assert set(_keywords(RUNSPEC_SCHEMA)) <= SCHEMA_KEYWORDS
+    check_schema(FULL_SPEC, RUNSPEC_SCHEMA)
+    assert not list(_strict_jsonschema().iter_errors(FULL_SPEC))
+
+
+def _near_misses(schema):
+    """Values just outside what schema accepts: a bool or an integral
+    float where an integer is due, another JSON type, each bound stepped
+    past, and roster entries that break the pattern."""
+    out = [True, False, 2.0, 8.0, "2", None, []]
+    out += [schema[k] + d for k in ("minimum", "maximum") if k in schema
+            for d in (-1, -0.5, 0, 1)]
+    if "pattern" in schema:
+        out += ["host", "h:", ":9", "h:9x", "h:1\n", "a:b:12", ""]
+    return out
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _assert_check_agrees_with_jsonschema(doc):
+    """The in-tree check rejects doc exactly when jsonschema (with a
+    strict integer) does, at a place jsonschema reports too."""
+    expected = {"/".join(str(p) for p in e.absolute_path) or "(top level)"
+                for e in _strict_jsonschema().iter_errors(doc)}
+    try:
+        check_schema(doc, RUNSPEC_SCHEMA)
+    except cli.ConfigFileError as e:
+        where = str(e).removeprefix("spec invalid at ").split(": ", 1)[0]
+        assert where in expected, (doc, str(e), expected)
+    else:
+        assert not expected, (doc, expected)
+
+
+def test_schema_check_agrees_with_jsonschema_on_each_near_miss():
+    for path, _ in list(_nodes(FULL_SPEC))[1:]:
+        for value in _near_misses(_schema_at(path)):
+            doc = json.loads(json.dumps(FULL_SPEC))
+            _put(doc, path, value)
+            _assert_check_agrees_with_jsonschema(doc)
+
+
+def _mutate(data, doc):
+    """Apply one drawn mutation to doc in place."""
+    how = data.draw(st.sampled_from(
+        ["drop", "add", "retype", "near", "shorten"]))
+    wants = {
+        "drop": lambda p, v: isinstance(v, dict) and v,
+        "add": lambda p, v: isinstance(v, dict),
+        "retype": lambda p, v: p,
+        "near": lambda p, v: p,
+        "shorten": lambda p, v: isinstance(v, list),
+    }[how]
+    targets = [(p, v) for p, v in _nodes(doc) if wants(p, v)]
+    if not targets:
+        return
+    path, node = data.draw(st.sampled_from(targets))
+    if how == "drop":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif how == "add":
+        node[data.draw(st.text(max_size=8))] = data.draw(JSON_VALUES)
+    elif how == "shorten":
+        del node[data.draw(st.integers(0, len(node))):]
+    elif how == "retype":
+        _put(doc, path, data.draw(JSON_VALUES))
+    else:
+        _put(doc, path,
+             data.draw(st.sampled_from(_near_misses(_schema_at(path)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_schema_check_agrees_with_jsonschema(data):
+    doc = json.loads(json.dumps(FULL_SPEC))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    _assert_check_agrees_with_jsonschema(doc)
+
+
+def test_cli_imports_nothing_beyond_numpy_and_the_stdlib():
+    code = ("import sys; before = set(sys.modules); import secregress.cli; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    src = os.path.dirname(os.path.dirname(secregress.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert set(out.split()) - sys.stdlib_module_names == {"secregress",
+                                                         "numpy"}
 
 
 def test_spec_semantic_rejects():
@@ -407,6 +569,13 @@ def test_main_exit_codes(tmp_path, capsys):
         output=str(tmp_path / "o"))))
     assert cli.main(["train", "--spec", str(f26), "--mode", "processes"]) == 2
     assert "frac_bits" in capsys.readouterr().err
+
+
+def test_float_count_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_dict(parties=2.0)))
+    assert cli.main(["train", "--spec", str(path)]) == 2
+    assert "spec invalid at parties" in capsys.readouterr().err
 
 
 def test_unservable_batch_exits_2_in_both_modes(tmp_path, capsys):

@@ -276,6 +276,31 @@ def test_tcp_large_bidirectional_send():
             x.close()
 
 
+def test_tcp_dialer_waits_for_a_late_listener():
+    # party 0 dials before party 1 has bound its port, so its first
+    # connects are refused and must be retried
+    eps = free_endpoints(2)
+    rngs = make_rngs(2, "late")
+    s = [None, None]
+    m = RingMatrix(1, 2, [5, 6])
+
+    def p0():
+        s[0] = TcpSession(0, 2, rngs[0], eps, timeout=20.0)
+        s[0].send(1, KIND_SMM_D, m, 0)
+
+    def p1():
+        time.sleep(0.2)
+        s[1] = TcpSession(1, 2, rngs[1], eps, timeout=20.0)
+        assert s[1].recv(0, KIND_SMM_D, 0) == m
+
+    try:
+        run_parties(p0, p1)
+    finally:
+        for x in s:
+            if x is not None:
+                x.close()
+
+
 def test_tcp_listener_without_dialer_times_out():
     # party 1 listens for party 0, which never dials
     t0 = time.monotonic()
