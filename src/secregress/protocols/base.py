@@ -55,10 +55,9 @@ from ..ring import (
 )
 from ..sharing import share_matrix
 from ..smm import (
+    elementwise_steps,
     run_stage,
     smm1_steps,
-    smm2_elem_x_steps,
-    smm2_elem_y_steps,
     smm2_x_steps,
     smm2_y_steps,
     triple_halves,
@@ -207,16 +206,17 @@ class _EngineBase:
             if self.me not in (a, b):
                 continue
             side, peer = (0, b) if self.me == a else (1, a)
+            half = None
             if ti:
                 half = next(self._halves, None)
                 if half is None:
                     raise TripleExhausted(
                         f"no triple half left for the {a}-{b} product "
                         f"of shape {shape}")
-                steps = smm1_steps(self.s.rng, side, mine, half, elementwise)
-            elif elementwise:
-                steps = (smm2_elem_x_steps if side == 0
-                         else smm2_elem_y_steps)(self.s.rng, mine)
+            if elementwise:
+                steps = elementwise_steps(self.s.rng, side, mine, half)
+            elif ti:
+                steps = smm1_steps(self.s.rng, side, mine, half)
             else:
                 steps = (smm2_x_steps if side == 0
                          else smm2_y_steps)(self.s.rng, mine)
@@ -352,16 +352,29 @@ class _EngineBase:
                                      in zip(kinds, shares, rounds)])
         return [sh[self.me] for sh in shares]
 
-    def _reveal_all(self, share: RingMatrix) -> RingMatrix:
-        """All-to-all weight-share broadcast; everyone reconstructs."""
+    def _open(self, share: RingMatrix, receivers) -> RingMatrix | None:
+        """Open a shared matrix to the receivers in one round.
+
+        Every party sends its share to each receiver but itself; each
+        receiver sums its own share and everything it gets and returns the
+        value. Parties outside receivers return None.
+        """
         r = self._next_round()
-        for p in range(self.n):
+        for p in receivers:
             if p != self.me:
                 self.s.send(p, KIND_W_SHARE, share, r)
+        if self.me not in receivers:
+            return None
         total = share
         for p in range(self.n):
-            if p != self.me:
-                total = mat_add(total, self.s.recv(p, KIND_W_SHARE, r))
+            if p == self.me:
+                continue
+            got = self.s.recv(p, KIND_W_SHARE, r)
+            if (got.rows, got.cols) != (share.rows, share.cols):
+                raise PolicyMismatch(
+                    f"party {p} opened a {got.rows}x{got.cols} share where "
+                    f"{share.rows}x{share.cols} was due")
+            total = mat_add(total, got)
         return total
 
     # -- result assembly --------------------------------------------------

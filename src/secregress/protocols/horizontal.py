@@ -80,6 +80,6 @@ class HorizontalEngine(_EngineBase):
             w_2f = self._update(w_2f, g_2f)
             iter_seconds.append(time.perf_counter() - t0)
 
-        w_full = self._reveal_all(self._shift(w_2f, narrow=True))
+        w_full = self._open(self._shift(w_2f, narrow=True), range(self.n))
         return self._result(w_full, None, owners,
                             schedule_digest(global_rows), iter_seconds)

@@ -133,17 +133,7 @@ class VerticalEngine(_EngineBase):
 
         # Each block's shares converge on the block's owner.
         w_f = {i: self._shift(w_2f[i]) for i in range(self.n)}
-        my_block = None
-        for i in range(self.n):
-            r = self._next_round()
-            if self.me == i:
-                total = w_f[i]
-                for j in range(self.n):
-                    if j != self.me:
-                        total = mat_add(total, self.s.recv(j, KIND_W_SHARE, r))
-                my_block = total
-            else:
-                self.s.send(i, KIND_W_SHARE, w_f[i], r)
+        my_block = [self._open(w_f[i], (i,)) for i in range(self.n)][self.me]
 
         return self._result(my_block, d_list, None,
                             schedule_digest(schedule), iter_seconds)

@@ -219,13 +219,23 @@ def mat_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix.wrap(a.arr - b.arr)
 
 
-def mat_mul_raw(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Exact ring product; the result carries 2f fractional bits."""
-    if a.cols != b.rows:
+def mat_mul_raw(a: RingMatrix, b: RingMatrix, blocks: int = 1) -> RingMatrix:
+    """Exact ring product; the result carries 2f fractional bits.
+
+    With blocks = k, a and b each stack k equal blocks one under the other
+    (x by y and y by z), and block j of the result is block j of a times
+    block j of b: k*x*y*z multiplications.
+    """
+    if blocks < 1 or a.rows % blocks or a.cols * blocks != b.rows:
         raise DimensionMismatch(
-            f"{a.rows}x{a.cols} by {b.rows}x{b.cols}")
+            f"{a.rows}x{a.cols} by {b.rows}x{b.cols}"
+            + (f" in {blocks} blocks" if blocks != 1 else ""))
     _count_muls(a.rows * a.cols * b.cols)
-    return RingMatrix.wrap(a.arr @ b.arr)
+    if blocks == 1:
+        return RingMatrix.wrap(a.arr @ b.arr)
+    out = np.matmul(a.arr.reshape(blocks, -1, a.cols),
+                    b.arr.reshape(blocks, a.cols, b.cols))
+    return RingMatrix.wrap(out.reshape(a.rows, b.cols))
 
 
 def mat_hadamard(a: RingMatrix, b: RingMatrix) -> RingMatrix:

@@ -1,28 +1,39 @@
 """Secure two-party matrix multiplication.
 
-Party A holds X (x by y), party B holds Y (y by z); they end with additive
-shares M, N with M + N = X*Y exactly in the ring, the product carrying 2f
-fractional bits. Two interchangeable protocols:
+Party A holds X, party B holds Y; they end with additive shares M, N with
+M + N = X*Y exactly in the ring, the product carrying 2f fractional bits.
+Every product is blockwise (ring.mat_mul_raw): X stacks k blocks of x by
+y one under the other, Y stacks k blocks of y by z, and block j of the
+product is block j of X times block j of Y; k = 1 is the plain matrix
+product. Two interchangeable protocols:
 
 * smm1_steps: Beaver masking against a precomputed triple (U, V, W=U*V)
   from a trusted initializer (triple_halves hands each party its own
-  halves). One routine serves both sides and both the matrix and the
-  elementwise product. Nothing about the inputs leaks; costs one triple
-  and six frames per product.
+  halves). Nothing about the inputs leaks; costs one triple and six
+  frames per product.
 
-* smm2_*_steps: no triple. Each side blinds with a fresh uniform matrix
-  and a folded even/odd combination of it; four frames. The savings are
-  paid for with a characterized leak: B learns the adjacent-column sums
-  X_e + X_o of A's input and A learns the adjacent-row differences
-  Y_e - Y_o of B's. extract_leakage recovers exactly those aggregates from
-  a received-frame transcript, and simulate_view reproduces the full view
+* smm2_x_steps / smm2_y_steps: no triple. Each side blinds with a fresh
+  uniform matrix and a folded even/odd combination of it; four frames.
+  The savings are paid for with a characterized leak: B learns the
+  adjacent-column sums X_e + X_o of A's input and A learns the
+  adjacent-row differences Y_e - Y_o of B's. extract_leakage recovers
+  exactly those aggregates from a received-frame transcript, and a
+  simulator (tests/oracles.py, simulate_view) reproduces the full view
   (the two frames a side receives; no product is revealed to either) from
-  the leak alone, which is the sense in which nothing else leaks.
+  the leak alone, which is the sense in which nothing else leaks. Each
+  side's frames fold only within its own blocks: columns never cross a
+  block, and smm2_y_steps refuses blocks of odd height. So the leak of a
+  blockwise product is the stack of its blocks' leaks.
 
-Elementwise variants compute a o b for vectors held by different parties in
-one message round; the smm2 one packs pairs of entries into 2x2 blocks so
-its leak stays the aggregate kind above (the vector itself on the X side,
-adjacent differences on the Y side).
+An elementwise product a o b of two n-vectors held by different parties
+is one such blockwise product; elementwise_steps lays it out. Under smm1
+it is n blocks of 1 by 1 against an n-block triple. Under smm2 each pair
+(a_2j, a_2j+1) sits on the diagonal of a 2 by 2 block, against the pair
+(b_2j, b_2j+1) as a 2 by 1 column, a zero entry padding odd n. The smm2
+argument above then covers it unchanged: the column sums of a diagonal
+block are its diagonal, so the Y side learns the vector a itself, and
+the row difference of a column block is b_2j - b_2j+1, so the X side
+learns the adjacent differences of b.
 
 Every product returns the raw 2f share. Callers sum the products of one
 aggregate and truncate once (see protocols.base._EngineBase._shift).
@@ -35,15 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ring import (
-    RingMatrix,
-    mat_add,
-    mat_hadamard,
-    mat_mul_raw,
-    mat_mul_scalar,
-    mat_sub,
-    uniform_matrix,
-)
+from .ring import RingMatrix, mat_add, mat_mul_raw, mat_sub, uniform_matrix
 from .rng import CounterDrbg
 from .transport import (
     KIND_SHARE_DIST,
@@ -51,35 +54,6 @@ from .transport import (
     KIND_SMM_E,
     Frame,
 )
-
-# --- even/odd splits (0-based: even = indices 0, 2, 4, ...) ---
-
-
-def _pad_even(m: RingMatrix, axis: int) -> RingMatrix:
-    """m with one zero row (axis 0) or column (axis 1) appended when that
-    dimension is odd."""
-    if m.arr.shape[axis] % 2 == 0:
-        return m
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (0, 1)
-    return RingMatrix.wrap(np.pad(m.arr, pad))
-
-
-def cols_even(m: RingMatrix) -> RingMatrix:
-    return RingMatrix.wrap(np.ascontiguousarray(m.arr[:, 0::2]))
-
-
-def cols_odd(m: RingMatrix) -> RingMatrix:
-    return RingMatrix.wrap(np.ascontiguousarray(m.arr[:, 1::2]))
-
-
-def rows_even(m: RingMatrix) -> RingMatrix:
-    return RingMatrix.wrap(np.ascontiguousarray(m.arr[0::2]))
-
-
-def rows_odd(m: RingMatrix) -> RingMatrix:
-    return RingMatrix.wrap(np.ascontiguousarray(m.arr[1::2]))
-
 
 # --- Beaver triples ---
 
@@ -93,7 +67,8 @@ class TripleHalf:
 
 @dataclass(frozen=True)
 class Triple:
-    """U (x by y), V (y by z), W = U*V raw in-ring, each split in two."""
+    """U, V and W = U*V raw in-ring (see generate_triple), each split in
+    two."""
 
     u1: RingMatrix
     u2: RingMatrix
@@ -110,41 +85,30 @@ class Triple:
         raise ValueError("side must be 0 (x-holder) or 1 (y-holder)")
 
 
-def generate_triple(x: int, y: int, z: int, rng) -> Triple:
-    u = uniform_matrix(x, y, rng)
-    v = uniform_matrix(y, z, rng)
-    w = mat_mul_raw(u, v)
-    u1 = uniform_matrix(x, y, rng)
-    v1 = uniform_matrix(y, z, rng)
-    w1 = uniform_matrix(x, z, rng)
+def generate_triple(x: int, y: int, z: int, rng, blocks: int = 1) -> Triple:
+    """U (k*x by y), V (k*y by z) and W = U*V over k = blocks stacked
+    blocks. An elementwise triple of n entries is n blocks of 1 by 1."""
+    u = uniform_matrix(blocks * x, y, rng)
+    v = uniform_matrix(blocks * y, z, rng)
+    w = mat_mul_raw(u, v, blocks)
+    u1 = uniform_matrix(blocks * x, y, rng)
+    v1 = uniform_matrix(blocks * y, z, rng)
+    w1 = uniform_matrix(blocks * x, z, rng)
     return Triple(u1, mat_sub(u, u1), v1, mat_sub(v, v1),
                   w1, mat_sub(w, w1))
 
 
-def generate_elem_triple(n: int, rng) -> Triple:
-    """n independent scalar triples packed as columns: w = u o v."""
-    u = uniform_matrix(n, 1, rng)
-    v = uniform_matrix(n, 1, rng)
-    w = mat_hadamard(u, v)
-    u1 = uniform_matrix(n, 1, rng)
-    v1 = uniform_matrix(n, 1, rng)
-    w1 = uniform_matrix(n, 1, rng)
-    return Triple(u1, mat_sub(u, u1), v1, mat_sub(v, v1),
-                  w1, mat_sub(w, w1))
-
-
-def _half0(rng, u_shape: tuple[int, int], v_shape: tuple[int, int],
-           w_shape: tuple[int, int]) -> TripleHalf:
+def _half0(rng, x: int, y: int, z: int, blocks: int) -> TripleHalf:
     """Side 0's half of a triple, drawn straight from the triple's stream.
 
-    Both generators above draw U and V first, then side 0's (U1, V1, W1);
+    generate_triple draws U and V first, then side 0's (U1, V1, W1);
     skipping the words of U and V lands on side 0's, with no ring product
     and no subtraction.
     """
-    (ur, uc), (vr, vc), (wr, wc) = u_shape, v_shape, w_shape
-    rng.skip(ur * uc + vr * vc)
-    return TripleHalf(uniform_matrix(ur, uc, rng), uniform_matrix(vr, vc, rng),
-                      uniform_matrix(wr, wc, rng))
+    rng.skip(blocks * (x * y + y * z))
+    return TripleHalf(uniform_matrix(blocks * x, y, rng),
+                      uniform_matrix(blocks * y, z, rng),
+                      uniform_matrix(blocks * x, z, rng))
 
 
 def triple_halves(seed, plan, party: int):
@@ -155,9 +119,11 @@ def triple_halves(seed, plan, party: int):
     protocols.config.product_plan). Triple k of a given shape is derived
     from its own path under the seed, so every party's halves come from
     the same triples; a party yields a half only for the products it is in
-    (side 0 when it holds the left operand, side 1 the right). Side 0
-    derives just (U1, V1, W1); side 1's half needs U, V and W = U*V, so it
-    is cut from the whole triple. Lazy: each half is derived when drawn.
+    (side 0 when it holds the left operand, side 1 the right). An
+    elementwise product of n entries takes an n-block triple of 1 by 1
+    blocks (elementwise_steps). Side 0 derives just (U1, V1, W1); side 1's
+    half needs U, V and W = U*V, so it is cut from the whole triple. Lazy:
+    each half is derived when drawn.
     """
     root = CounterDrbg(seed, label="trusted-initializer")
     counts: dict[tuple, int] = {}
@@ -169,14 +135,12 @@ def triple_halves(seed, plan, party: int):
             continue
         if elementwise:
             rng = root.child("etriple", shape, k)
-            col = (shape, 1)
-            yield (_half0(rng, col, col, col) if party == a
-                   else generate_elem_triple(shape, rng).half(1))
+            dims, blocks = (1, 1, 1), shape
         else:
-            x, y, z = shape
-            rng = root.child("triple", x, y, z, k)
-            yield (_half0(rng, (x, y), (y, z), (x, z)) if party == a
-                   else generate_triple(x, y, z, rng).half(1))
+            rng = root.child("triple", *shape, k)
+            dims, blocks = shape, 1
+        yield (_half0(rng, *dims, blocks) if party == a
+               else generate_triple(*dims, rng, blocks).half(1))
 
 
 # --- running products as steps ---
@@ -221,8 +185,8 @@ def run_stage(session, products) -> list[RingMatrix]:
 
 
 def smm1_steps(rng, side: int, mine: RingMatrix, half: TripleHalf,
-               elementwise: bool = False):
-    """This side's raw 2f share of X*Y (or X o Y when elementwise).
+               blocks: int = 1):
+    """This side's raw 2f share of X*Y, blockwise over blocks.
 
     Side 0 holds X, side 1 holds Y. Each side splits its input with the
     peer, masks both shares it then holds with its triple half, and opens
@@ -247,96 +211,92 @@ def smm1_steps(rng, side: int, mine: RingMatrix, half: TripleHalf,
     d_peer, e_peer = yield [(KIND_SMM_D, d_mine), (KIND_SMM_E, e_mine)]
     d = mat_add(d_mine, d_peer)
     e = mat_add(e_mine, e_peer)
-    # looked up per call so a wrapped ring kernel sees every product
-    op = mat_hadamard if elementwise else mat_mul_raw
-    out = mat_add(half.w, mat_add(op(half.u, e), op(d, half.v)))
-    return mat_add(out, op(d, e)) if side == 0 else out
+    out = mat_add(half.w, mat_add(mat_mul_raw(half.u, e, blocks),
+                                  mat_mul_raw(d, half.v, blocks)))
+    return mat_add(out, mat_mul_raw(d, e, blocks)) if side == 0 else out
 
 
 # --- protocol 2: triple-free, leaks folded aggregates ---
+#
+# Written on the arrays: RingMatrix wraps only the frames and the operands
+# of mat_mul_raw. Even and odd are 0-based (even = indices 0, 2, 4, ...).
 
 
-def smm2_x_steps(rng, x_mat: RingMatrix):
-    """A's side. Returns A's share M."""
-    xt = _pad_even(x_mat, 1)
-    xp = uniform_matrix(xt.rows, xt.cols, rng)
-    x1 = mat_add(xt, xp)
-    x2 = mat_add(cols_even(xp), cols_odd(xp))
-    y1, y2 = yield [(KIND_SMM_D, x1), (KIND_SMM_E, x2)]
-    if y1.rows != xt.cols or y2.rows * 2 != y1.rows or y2.cols != y1.cols:
+def smm2_x_steps(rng, x_mat: RingMatrix, blocks: int = 1):
+    """A's side of X*Y, blockwise over blocks. Returns A's share M."""
+    x = x_mat.arr
+    if x.shape[1] % 2:
+        x = np.pad(x, ((0, 0), (0, 1)))
+    rows, cols = x.shape
+    p = rng.u64_array(rows * cols).reshape(rows, cols)
+    p_odd = p[:, 1::2]
+    fold = p[:, 0::2] + p_odd
+    y1, y2 = yield [(KIND_SMM_D, RingMatrix.wrap(x + p)),
+                    (KIND_SMM_E, RingMatrix.wrap(fold))]
+    if (y1.rows != cols * blocks or y2.rows * 2 != y1.rows
+            or y2.cols != y1.cols):
         raise DimensionMismatch(
             f"peer frames {y1.rows}x{y1.cols} / {y2.rows}x{y2.cols} do not "
-            f"fit a {xt.rows}x{xt.cols} left operand")
-    return mat_add(mat_mul_raw(mat_add(xt, mat_mul_scalar(xp, 2)), y1),
-                   mat_mul_raw(mat_add(x2, cols_odd(xp)), y2))
+            f"fit a {rows}x{cols} left operand in {blocks} blocks")
+    return RingMatrix.wrap(
+        mat_mul_raw(RingMatrix.wrap(x + 2 * p), y1, blocks).arr
+        + mat_mul_raw(RingMatrix.wrap(fold + p_odd), y2, blocks).arr)
 
 
-def smm2_y_steps(rng, y_mat: RingMatrix):
-    """B's side. Returns B's share N."""
-    yt = _pad_even(y_mat, 0)
-    yp = uniform_matrix(yt.rows, yt.cols, rng)
-    y1 = mat_sub(yp, yt)
-    y2 = mat_sub(rows_even(yp), rows_odd(yp))
-    x1, x2 = yield [(KIND_SMM_D, y1), (KIND_SMM_E, y2)]
-    if x1.cols != yt.rows or x2.cols * 2 != x1.cols or x2.rows != x1.rows:
+def smm2_y_steps(rng, y_mat: RingMatrix, blocks: int = 1):
+    """B's side of X*Y, blockwise over blocks. Returns B's share N.
+
+    A single block of odd height gets a zero row; stacked blocks must each
+    have an even height, since a zero row at the foot of the stack would
+    fold rows of different blocks together.
+    """
+    rows = y_mat.rows
+    if blocks > 1 and (rows % blocks or rows // blocks % 2):
+        raise DimensionMismatch(
+            f"{rows} rows are not {blocks} blocks of an even height")
+    y = y_mat.arr if rows % 2 == 0 else np.pad(y_mat.arr, ((0, 1), (0, 0)))
+    q = rng.u64_array(y.size).reshape(y.shape)
+    q_even = q[0::2]
+    fold = q_even - q[1::2]
+    x1, x2 = yield [(KIND_SMM_D, RingMatrix.wrap(q - y)),
+                    (KIND_SMM_E, RingMatrix.wrap(fold))]
+    if (x1.cols * blocks != len(y) or x2.cols * 2 != x1.cols
+            or x2.rows != x1.rows):
         raise DimensionMismatch(
             f"peer frames {x1.rows}x{x1.cols} / {x2.rows}x{x2.cols} do not "
-            f"fit a {yt.rows}x{yt.cols} right operand")
-    return mat_sub(mat_mul_raw(x1, mat_sub(mat_mul_scalar(yt, 2), yp)),
-                   mat_mul_raw(x2, mat_add(y2, rows_even(yp))))
+            f"fit a {len(y)}x{y.shape[1]} right operand in {blocks} blocks")
+    return RingMatrix.wrap(
+        mat_mul_raw(x1, RingMatrix.wrap(2 * y - q), blocks).arr
+        - mat_mul_raw(x2, RingMatrix.wrap(fold + q_even), blocks).arr)
 
 
-# --- elementwise products, one message round each ---
+# --- elementwise products as blockwise ones ---
 
 
-def smm2_elem_x_steps(rng, vec: RingMatrix):
-    """Triple-free a o b; pairs of entries ride in 2x2 diagonal blocks.
-
-    Leak to the peer: the vector a itself (per-block column sums hit the
-    diagonal entries); leak to us: adjacent differences of b. Result at 2f,
-    padded entry dropped.
-    """
+def elementwise_steps(rng, side: int, vec: RingMatrix,
+                      half: TripleHalf | None = None):
+    """This side's raw 2f share of a o b, for column vectors a (side 0) and
+    b (side 1) of one length n: under smm1 (half given, an n-block triple
+    of 1 by 1 blocks) n blocks of 1 by 1, under smm2 (half None) pairs on
+    the diagonals of 2 by 2 blocks against 2 by 1 columns, a zero entry
+    padding odd n and cut from the result (see the module docstring)."""
     if vec.cols != 1:
         raise DimensionMismatch("elementwise operands are column vectors")
-    a = _pad_even(vec, 0).arr[:, 0]
-    n = len(a)
-    # one 2x2 block [[p00, p01], [p10, p11]] per pair, as rows 2j and 2j+1
-    p = rng.u64_array(2 * n).reshape(n, 2)
-    x1 = p.copy()
-    x1[0::2, 0] += a[0::2]
-    x1[1::2, 1] += a[1::2]
-    y1, y2 = yield [
-        (KIND_SMM_D, RingMatrix.wrap(x1)),
-        (KIND_SMM_E, RingMatrix.wrap((p[:, 0] + p[:, 1]).reshape(n, 1)))]
-    if (y1.rows, y1.cols) != (n, 1) or (y2.rows, y2.cols) != (n // 2, 1):
+    n = vec.rows
+    if half is not None:
+        return (yield from smm1_steps(rng, side, vec, half, n))
+    k = (n + 1) // 2
+    if side == 0:
+        x = np.zeros((2 * k, 2), dtype=np.uint64)
+        x[0:n:2, 0] = vec.arr[0::2, 0]
+        x[1:n:2, 1] = vec.arr[1::2, 0]
+        out = yield from smm2_x_steps(rng, RingMatrix.wrap(x), k)
+    else:
+        y = vec.arr if n % 2 == 0 else np.pad(vec.arr, ((0, 1), (0, 0)))
+        out = yield from smm2_y_steps(rng, RingMatrix.wrap(y), k)
+    if (out.rows, out.cols) != (2 * k, 1):
         raise DimensionMismatch("peer frames do not fit the vector length")
-    # per block row: (a + 2p) against the pair's (q - b), plus the fold of
-    # p against q0 - q1
-    c = np.repeat(y1.arr.reshape(n // 2, 2), 2, axis=0)
-    s = np.repeat(y2.arr[:, 0], 2)
-    g = x1 + p
-    out = g[:, 0] * c[:, 0] + g[:, 1] * c[:, 1] + (p[:, 0] + 2 * p[:, 1]) * s
-    return RingMatrix.wrap(out[:vec.rows].reshape(vec.rows, 1))
-
-
-def smm2_elem_y_steps(rng, vec: RingMatrix):
-    if vec.cols != 1:
-        raise DimensionMismatch("elementwise operands are column vectors")
-    b = _pad_even(vec, 0).arr[:, 0]
-    n = len(b)
-    q = rng.u64_array(n)
-    x1, x2 = yield [
-        (KIND_SMM_D, RingMatrix.wrap((q - b).reshape(n, 1))),
-        (KIND_SMM_E, RingMatrix.wrap((q[0::2] - q[1::2]).reshape(n // 2, 1)))]
-    if (x1.rows, x1.cols) != (n, 2) or (x2.rows, x2.cols) != (n, 1):
-        raise DimensionMismatch("peer frames do not fit the vector length")
-    # per block row: the peer's 2x2 block against the pair's 2b - q, less
-    # its fold against 2 q0 - q1
-    t = np.repeat((2 * b - q).reshape(n // 2, 2), 2, axis=0)
-    s = np.repeat(2 * q[0::2] - q[1::2], 2)
-    g = x1.arr
-    out = g[:, 0] * t[:, 0] + g[:, 1] * t[:, 1] - x2.arr[:, 0] * s
-    return RingMatrix.wrap(out[:vec.rows].reshape(vec.rows, 1))
+    return RingMatrix.wrap(out.arr[:n])
 
 
 # --- leakage characterization ---
@@ -372,41 +332,10 @@ def extract_leakage(frames: list[Frame]) -> LeakageReport:
     p, q = frames[0].matrix, frames[1].matrix
     if p.rows == 2 * q.rows and p.cols == q.cols:
         # we received the right-operand frames, so we held X
-        leak = mat_sub(q, mat_sub(rows_even(p), rows_odd(p)))
-        return LeakageReport("smm2", "x", leak)
+        leak = q.arr - (p.arr[0::2] - p.arr[1::2])
+        return LeakageReport("smm2", "x", RingMatrix.wrap(leak))
     if p.cols == 2 * q.cols and p.rows == q.rows:
-        leak = mat_sub(mat_add(cols_even(p), cols_odd(p)), q)
-        return LeakageReport("smm2", "y", leak)
+        leak = p.arr[:, 0::2] + p.arr[:, 1::2] - q.arr
+        return LeakageReport("smm2", "y", RingMatrix.wrap(leak))
     raise MalformedTranscript(
         f"frame shapes {p.rows}x{p.cols} / {q.rows}x{q.cols} fit no side")
-
-
-def simulate_view(leak: RingMatrix, role: str, rng) -> tuple[RingMatrix, RingMatrix]:
-    """Sample a view identical in distribution to the real received frames.
-
-    role "x": we simulate the X-holder, who saw (Y1, Y2) with Y1 uniform and
-    Y2 pinned to (Y1_e - Y1_o) + leak. role "y": the Y-holder saw (X1, X2)
-    with X1 uniform and X2 = (X1_e + X1_o) - leak. Matching the real joint
-    distribution from the leak alone is what certifies that these aggregates
-    are the whole leak.
-    """
-    if role == "x":
-        y1 = uniform_matrix(2 * leak.rows, leak.cols, rng)
-        y2 = mat_add(mat_sub(rows_even(y1), rows_odd(y1)), leak)
-        return y1, y2
-    if role == "y":
-        x1 = uniform_matrix(leak.rows, 2 * leak.cols, rng)
-        x2 = mat_sub(mat_add(cols_even(x1), cols_odd(x1)), leak)
-        return x1, x2
-    raise ValueError("role must be 'x' or 'y'")
-
-
-def leakage_of_x(x_mat: RingMatrix) -> RingMatrix:
-    """The aggregate of X that the triple-free protocol hands to the peer."""
-    xt = _pad_even(x_mat, 1)
-    return mat_add(cols_even(xt), cols_odd(xt))
-
-
-def leakage_of_y(y_mat: RingMatrix) -> RingMatrix:
-    yt = _pad_even(y_mat, 0)
-    return mat_sub(rows_even(yt), rows_odd(yt))

@@ -1,8 +1,9 @@
 """Checks the tests hold the program's results against.
 
 None of these runs inside a training run: they reassemble shares, verify
-triples, decode words to floats, pick frames out of a transcript, and give
-the loss whose gradient the logistic engines follow.
+triples, decode words to floats, pick frames out of a transcript, give the
+loss whose gradient the logistic engines follow, state the triple-free
+protocol's leak and simulate a view from it.
 """
 
 import numpy as np
@@ -11,11 +12,13 @@ from secregress.baseline import SIGMOID_POLY
 from secregress.errors import DimensionMismatch, InvalidPartyCount
 from secregress.ring import (
     FRAC_BITS,
+    MASK,
     RingMatrix,
     mat_add,
-    mat_hadamard,
     mat_mul_raw,
+    mat_sub,
     shift_right,
+    uniform_matrix,
 )
 
 
@@ -31,12 +34,20 @@ def reconstruct(shares: list[RingMatrix]) -> RingMatrix:
     return acc
 
 
-def verify_triple(t, elementwise: bool = False) -> bool:
+def share_raw(raw: int, n: int, rng) -> list[int]:
+    """Split one ring word into n additive parts."""
+    if n < 2:
+        raise InvalidPartyCount(f"need at least 2 parties, got {n}")
+    parts = [rng.u64() for _ in range(n - 1)]
+    parts.append((raw - sum(parts)) & MASK)
+    return parts
+
+
+def verify_triple(t, blocks: int = 1) -> bool:
     u = mat_add(t.u1, t.u2)
     v = mat_add(t.v1, t.v2)
     w = mat_add(t.w1, t.w2)
-    prod = mat_hadamard(u, v) if elementwise else mat_mul_raw(u, v)
-    return prod == w
+    return mat_mul_raw(u, v, blocks) == w
 
 
 def truncate(a: RingMatrix) -> RingMatrix:
@@ -73,3 +84,64 @@ def surrogate_loss(z, y) -> float:
     per = (q0 * z + q1 * z ** 2 / 2 + q2 * z ** 3 / 3 + q3 * z ** 4 / 4
            - y * z)
     return float(np.mean(per))
+
+
+# --- the triple-free protocol's leak (secregress.smm, smm2) ---
+# Even and odd are 0-based: even = indices 0, 2, 4, ...
+
+
+def cols_even(m: RingMatrix) -> RingMatrix:
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[:, 0::2]))
+
+
+def cols_odd(m: RingMatrix) -> RingMatrix:
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[:, 1::2]))
+
+
+def rows_even(m: RingMatrix) -> RingMatrix:
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[0::2]))
+
+
+def rows_odd(m: RingMatrix) -> RingMatrix:
+    return RingMatrix.wrap(np.ascontiguousarray(m.arr[1::2]))
+
+
+def _pad_even(m: RingMatrix, axis: int) -> RingMatrix:
+    """m with one zero row (axis 0) or column (axis 1) appended when that
+    dimension is odd, as the protocol pads its operands."""
+    if m.arr.shape[axis] % 2 == 0:
+        return m
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (0, 1)
+    return RingMatrix.wrap(np.pad(m.arr, pad))
+
+
+def leakage_of_x(x_mat: RingMatrix) -> RingMatrix:
+    """The aggregate of X that the triple-free protocol hands to the peer."""
+    xt = _pad_even(x_mat, 1)
+    return mat_add(cols_even(xt), cols_odd(xt))
+
+
+def leakage_of_y(y_mat: RingMatrix) -> RingMatrix:
+    yt = _pad_even(y_mat, 0)
+    return mat_sub(rows_even(yt), rows_odd(yt))
+
+
+def simulate_view(leak: RingMatrix, role: str, rng) -> tuple[RingMatrix, RingMatrix]:
+    """Sample a view identical in distribution to the real received frames.
+
+    role "x": we simulate the X-holder, who saw (Y1, Y2) with Y1 uniform and
+    Y2 pinned to (Y1_e - Y1_o) + leak. role "y": the Y-holder saw (X1, X2)
+    with X1 uniform and X2 = (X1_e + X1_o) - leak. Matching the real joint
+    distribution from the leak alone is what certifies that these aggregates
+    are the whole leak.
+    """
+    if role == "x":
+        y1 = uniform_matrix(2 * leak.rows, leak.cols, rng)
+        y2 = mat_add(mat_sub(rows_even(y1), rows_odd(y1)), leak)
+        return y1, y2
+    if role == "y":
+        x1 = uniform_matrix(leak.rows, 2 * leak.cols, rng)
+        x2 = mat_sub(mat_add(cols_even(x1), cols_odd(x1)), leak)
+        return x1, x2
+    raise ValueError("role must be 'x' or 'y'")

@@ -28,13 +28,10 @@ from secregress.ring import (
     mat_mul_raw,
 )
 from secregress.rng import CounterDrbg
-from secregress.sharing import share_raw
 from secregress.smm import (
     LeakageReport,
     extract_leakage,
     generate_triple,
-    leakage_of_x,
-    leakage_of_y,
     smm1_steps,
     smm2_x_steps,
     smm2_y_steps,
@@ -42,7 +39,15 @@ from secregress.smm import (
 from secregress.transport import Frame, loopback_sessions
 
 from one_product import run_one
-from oracles import decode_rows, select, truncate, verify_triple
+from oracles import (
+    decode_rows,
+    leakage_of_x,
+    leakage_of_y,
+    select,
+    share_raw,
+    truncate,
+    verify_triple,
+)
 
 ULP = 2.0 ** -20
 

@@ -41,10 +41,9 @@ from secregress.ring import RingMatrix, mat_add, mat_hadamard, mat_mul_raw
 from secregress.rng import CounterDrbg
 from secregress.sharing import share_matrix
 from secregress.smm import (
+    elementwise_steps,
     generate_triple,
     smm1_steps,
-    smm2_elem_x_steps,
-    smm2_elem_y_steps,
     smm2_x_steps,
     smm2_y_steps,
     triple_halves,
@@ -587,11 +586,13 @@ def _one_at_a_time(eng, products, halves):
             continue
         side, peer = (0, b) if eng.me == a else (1, a)
         if halves is not None:
-            out.append(run_one(eng.s, peer, r, smm1_steps, side, mine,
-                               next(halves), elementwise=el))
+            out.append(run_one(eng.s, peer, r,
+                               elementwise_steps if el else smm1_steps,
+                               side, mine, next(halves)))
+        elif el:
+            out.append(run_one(eng.s, peer, r, elementwise_steps, side, mine))
         else:
-            fn = ((smm2_elem_x_steps, smm2_elem_y_steps) if el
-                  else (smm2_x_steps, smm2_y_steps))[side]
+            fn = (smm2_x_steps, smm2_y_steps)[side]
             out.append(run_one(eng.s, peer, r, fn, mine))
     return out
 

@@ -321,6 +321,39 @@ def test_kernels_match_the_integer_reference(data):
         for i in range(r)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_blockwise_product_is_the_per_block_products(data):
+    k, x, y, z = (data.draw(st.integers(1, 5)) for _ in range(4))
+    a, b = _matrix(data, k * x, y), _matrix(data, k * y, z)
+    want = []
+    for j in range(k):
+        block_a = x, y, a[2][j * x * y:(j + 1) * x * y]
+        block_b = y, z, b[2][j * y * z:(j + 1) * y * z]
+        want.extend(ref.matmul(block_a, block_b)[2])
+    ma, mb = RingMatrix(*a), RingMatrix(*b)
+    before = mul_op_count()
+    _same(mat_mul_raw(ma, mb, blocks=k), (k * x, z, want))
+    assert mul_op_count() - before == k * x * y * z
+    # a stack that does not split into k blocks, or whose blocks do not
+    # chain, is refused
+    off = data.draw(st.integers(1, k + 1))
+    with pytest.raises(DimensionMismatch):
+        mat_mul_raw(ma, mb, blocks=k + off)
+    with pytest.raises(DimensionMismatch):
+        mat_mul_raw(ma, RingMatrix(k * y + off, z, [0] * ((k * y + off) * z)),
+                    blocks=k)
+    if k > 1:
+        with pytest.raises(DimensionMismatch):
+            mat_mul_raw(RingMatrix(k * x + 1, y, [0] * ((k * x + 1) * y)), mb,
+                        blocks=k)
+
+
+def test_blockwise_product_needs_a_block():
+    with pytest.raises(DimensionMismatch):
+        mat_mul_raw(RingMatrix.zeros(2, 2), RingMatrix.zeros(2, 2), blocks=0)
+
+
 LIMIT = DEFAULT_CONFIG.max_magnitude  # 2^43
 ties = st.integers(-(1 << 40), 1 << 40).map(lambda n: (n + 0.5) * 2.0 ** -20)
 reals = st.one_of(

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from secregress.errors import DimensionMismatch, InvalidPartyCount
 from secregress.ring import MASK, RingMatrix, uniform_matrix
 from secregress.rng import CounterDrbg
-from secregress.sharing import share_matrix, share_raw, zero_shares
+from secregress.sharing import share_matrix, zero_shares
 
-from oracles import reconstruct
+from oracles import reconstruct, share_raw
 
 
 def test_share_reconstruct_roundtrip():

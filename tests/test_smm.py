@@ -18,15 +18,10 @@ from secregress.rng import CounterDrbg
 from secregress.smm import (
     LeakageReport,
     Triple,
+    elementwise_steps,
     extract_leakage,
-    generate_elem_triple,
     generate_triple,
-    leakage_of_x,
-    leakage_of_y,
-    simulate_view,
     smm1_steps,
-    smm2_elem_x_steps,
-    smm2_elem_y_steps,
     smm2_x_steps,
     smm2_y_steps,
     triple_halves,
@@ -34,7 +29,14 @@ from secregress.smm import (
 from secregress.transport import loopback_sessions
 
 from one_product import run_one
-from oracles import decode_rows, truncate, verify_triple
+from oracles import (
+    decode_rows,
+    leakage_of_x,
+    leakage_of_y,
+    simulate_view,
+    truncate,
+    verify_triple,
+)
 
 ULP = 2.0 ** -20
 
@@ -84,10 +86,10 @@ def test_triple_reconstructs_and_verifies():
 
 
 def test_elem_triple():
-    t = generate_elem_triple(7, CounterDrbg("te"))
-    assert verify_triple(t, elementwise=True)
+    t = generate_triple(1, 1, 1, CounterDrbg("te"), blocks=7)
+    assert verify_triple(t, blocks=7)
     assert not verify_triple(
-        Triple(t.u1, t.u2, t.v1, t.v2, t.w1, t.u2), elementwise=True)
+        Triple(t.u1, t.u2, t.v1, t.v2, t.w1, t.u2), blocks=7)
 
 
 def test_halves_from_one_seed_reassemble():
@@ -104,7 +106,7 @@ def test_halves_from_one_seed_reassemble():
         whole.append(Triple(s0.u, s1.u, s0.v, s1.v, s0.w, s1.w))
     assert verify_triple(whole[0]) and verify_triple(whole[1])
     assert whole[0] != whole[1]
-    assert verify_triple(whole[2], elementwise=True)
+    assert verify_triple(whole[2], blocks=5)
 
 
 @pytest.mark.parametrize("dims", [(500, 8, 1), (8, 500, 1), (3, 5, 7),
@@ -129,7 +131,7 @@ def test_side0_half_is_the_whole_triples_half(dims):
 @pytest.mark.parametrize("n", [1, 16, 17])
 def test_side0_elem_half_is_the_whole_triples_half(n):
     root = CounterDrbg("ehalves", label="trusted-initializer")
-    whole = [generate_elem_triple(n, root.child("etriple", n, i))
+    whole = [generate_triple(1, 1, 1, root.child("etriple", n, i), blocks=n)
              for i in range(3)]
     plan = [(0, 1, n, True)] * 3
     assert list(triple_halves("ehalves", plan, 0)) == [
@@ -208,13 +210,14 @@ def test_smm1_triple_shape_guard(side, elementwise):
     s = sessions("guard")
     if elementwise:
         x = RingMatrix.column([1.0, 2.0])
-        bad = generate_elem_triple(3, CounterDrbg("g"))
+        bad = generate_triple(1, 1, 1, CounterDrbg("g"), blocks=3)
     else:
         x = RingMatrix.encode_rows([[1.0, 2.0]])
         bad = generate_triple(3, 3, 3, CounterDrbg("g"))
     with pytest.raises(DimensionMismatch):
-        run_one(s[side], 1 - side, 0, smm1_steps, side, x, bad.half(side),
-                elementwise=elementwise)
+        run_one(s[side], 1 - side, 0,
+                elementwise_steps if elementwise else smm1_steps,
+                side, x, bad.half(side))
     assert s[side].frames_sent == 0
 
 
@@ -233,6 +236,42 @@ def test_smm1_mismatched_operands_detected():
 
     with pytest.raises(DimensionMismatch):
         run_pair(a, b)
+
+
+@pytest.mark.parametrize("protocol", ["smm1", "smm2"])
+def test_blockwise_product_is_the_per_block_products(protocol):
+    # three stacked blocks: 2x4 blocks of X against 4x3 blocks of Y
+    k, x, y, z = 3, 2, 4, 3
+    rng = CounterDrbg(protocol + " blocks")
+    xm, _ = rand_real_matrix(k * x, y, rng)
+    ym, _ = rand_real_matrix(k * y, z, rng)
+    s = sessions(protocol + " blocks")
+    if protocol == "smm1":
+        t = generate_triple(x, y, z, CounterDrbg("blocks-ti"), blocks=k)
+        m, n = run_pair(
+            lambda: run_one(s[0], 1, 0, smm1_steps, 0, xm, t.half(0), k),
+            lambda: run_one(s[1], 0, 0, smm1_steps, 1, ym, t.half(1), k))
+    else:
+        m, n = run_pair(
+            lambda: run_one(s[0], 1, 0, smm2_x_steps, xm, blocks=k),
+            lambda: run_one(s[1], 0, 0, smm2_y_steps, ym, blocks=k))
+    want = [mat_mul_raw(RingMatrix.wrap(xm.arr[j * x:(j + 1) * x]),
+                        RingMatrix.wrap(ym.arr[j * y:(j + 1) * y]))
+            for j in range(k)]
+    got = mat_add(m, n)
+    for j in range(k):
+        assert RingMatrix.wrap(got.arr[j * x:(j + 1) * x]) == want[j]
+
+
+@pytest.mark.parametrize("rows, blocks", [(6, 2), (3, 3), (5, 2)])
+def test_smm2_y_refuses_blocks_of_odd_height(rows, blocks):
+    # padding only the foot of a stack would fold rows of two blocks
+    # together: refused before any frame leaves
+    s = sessions("oddblocks")
+    y = RingMatrix.encode_rows([[float(i)] for i in range(rows)])
+    with pytest.raises(DimensionMismatch):
+        run_one(s[1], 0, 0, smm2_y_steps, y, blocks=blocks)
+    assert s[1].frames_sent == 0
 
 
 # --- leakage ---
@@ -271,12 +310,12 @@ def test_simulated_view_matches_real_distribution_constraints():
     leak_x = leakage_of_x(x)
     f1, f2 = simulate_view(leak_x, "y", rng.child("sim-y"))
     # the simulated pair satisfies the same relation as the real frames
-    from secregress.smm import cols_even, cols_odd
+    from oracles import cols_even, cols_odd
     assert mat_sub(mat_add(cols_even(f1), cols_odd(f1)), f2) == leak_x
 
     leak_y = leakage_of_y(y)
     g1, g2 = simulate_view(leak_y, "x", rng.child("sim-x"))
-    from secregress.smm import rows_even, rows_odd
+    from oracles import rows_even, rows_odd
     assert mat_sub(g2, mat_sub(rows_even(g1), rows_odd(g1))) == leak_y
 
     # fresh randomness: two simulations differ in the uniform component
@@ -317,12 +356,10 @@ def test_smm1_elementwise(n):
     s = sessions(f"ew1-{n}")
     a = RingMatrix.column(av)
     b = RingMatrix.column(bv)
-    t = generate_elem_triple(n, CounterDrbg(f"ew1-{n}-ti"))
+    t = generate_triple(1, 1, 1, CounterDrbg(f"ew1-{n}-ti"), blocks=n)
     m, nn = run_pair(
-        lambda: run_one(s[0], 1, 0, smm1_steps, 0, a, t.half(0),
-                        elementwise=True),
-        lambda: run_one(s[1], 0, 0, smm1_steps, 1, b, t.half(1),
-                        elementwise=True))
+        lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a, t.half(0)),
+        lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b, t.half(1)))
     got = decode_rows(mat_add(m, nn), frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
@@ -334,8 +371,8 @@ def test_smm2_elementwise(n):
     s = sessions(f"ew2-{n}")
     a = RingMatrix.column(av)
     b = RingMatrix.column(bv)
-    m, nn = run_pair(lambda: run_one(s[0], 1, 0, smm2_elem_x_steps, a),
-                     lambda: run_one(s[1], 0, 0, smm2_elem_y_steps, b))
+    m, nn = run_pair(lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a),
+                     lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b))
     got = decode_rows(mat_add(m, nn), frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
@@ -347,8 +384,8 @@ def test_smm2_elementwise_leak_is_vector_and_differences():
     s = sessions("ewleak")
     a = RingMatrix.column(av)
     b = RingMatrix.column(bv)
-    run_pair(lambda: run_one(s[0], 1, 0, smm2_elem_x_steps, a),
-             lambda: run_one(s[1], 0, 0, smm2_elem_y_steps, b))
+    run_pair(lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a),
+             lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b))
 
     # y-holder's transcript exposes the x vector itself
     rep_b = extract_leakage(s[1].transcript.frames)
@@ -367,8 +404,8 @@ def test_elementwise_communication_is_linear():
         av, bv = vec_vals(n, rng), vec_vals(n, rng)
         s = sessions(f"lin-{n}")
         a, b = RingMatrix.column(av), RingMatrix.column(bv)
-        run_pair(lambda: run_one(s[0], 1, 0, smm2_elem_x_steps, a),
-                 lambda: run_one(s[1], 0, 0, smm2_elem_y_steps, b))
+        run_pair(lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a),
+                 lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b))
         return s[0].bytes_sent + s[1].bytes_sent
 
     b64, b128 = bytes_for(64), bytes_for(128)
@@ -381,9 +418,9 @@ def test_padding_odd_lengths():
         av, bv = vec_vals(n, rng), vec_vals(n, rng)
         s = sessions(f"oddpad-{n}")
         m, nn = run_pair(
-            lambda: run_one(s[0], 1, 0, smm2_elem_x_steps,
+            lambda: run_one(s[0], 1, 0, elementwise_steps, 0,
                             RingMatrix.column(av)),
-            lambda: run_one(s[1], 0, 0, smm2_elem_y_steps,
+            lambda: run_one(s[1], 0, 0, elementwise_steps, 1,
                             RingMatrix.column(bv)))
         got = decode_rows(mat_add(m, nn), frac_bits=40)
         assert got == [[av[i] * bv[i]] for i in range(n)]

@@ -12,6 +12,14 @@ Comparing two trees is one diff:
     PYTHONPATH=old/src python tools/fingerprint.py > old.json
     PYTHONPATH=src python tools/fingerprint.py > new.json
     diff old.json new.json
+
+tests/golden_fingerprint.json holds this output, and
+tests/test_fingerprint.py asserts that the tree still produces it. A
+change that alters a transcript on purpose regenerates the file
+
+    PYTHONPATH=src python tools/fingerprint.py > tests/golden_fingerprint.json
+
+and records in CHANGES.md which configurations moved and why.
 """
 
 from __future__ import annotations
