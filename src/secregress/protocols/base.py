@@ -206,17 +206,16 @@ class _EngineBase:
             if self.me not in (a, b):
                 continue
             side, peer = (0, b) if self.me == a else (1, a)
-            half = None
             if ti:
                 half = next(self._halves, None)
                 if half is None:
                     raise TripleExhausted(
                         f"no triple half left for the {a}-{b} product "
                         f"of shape {shape}")
-            if elementwise:
-                steps = elementwise_steps(self.s.rng, side, mine, half)
-            elif ti:
-                steps = smm1_steps(self.s.rng, side, mine, half)
+                steps = smm1_steps(self.s.rng, side, mine, half,
+                                   mine.rows if elementwise else 1)
+            elif elementwise:
+                steps = elementwise_steps(self.s.rng, side, mine)
             else:
                 steps = (smm2_x_steps if side == 0
                          else smm2_y_steps)(self.s.rng, mine)

@@ -26,14 +26,15 @@ product. Two interchangeable protocols:
   blockwise product is the stack of its blocks' leaks.
 
 An elementwise product a o b of two n-vectors held by different parties
-is one such blockwise product; elementwise_steps lays it out. Under smm1
-it is n blocks of 1 by 1 against an n-block triple. Under smm2 each pair
-(a_2j, a_2j+1) sits on the diagonal of a 2 by 2 block, against the pair
-(b_2j, b_2j+1) as a 2 by 1 column, a zero entry padding odd n. The smm2
-argument above then covers it unchanged: the column sums of a diagonal
-block are its diagonal, so the Y side learns the vector a itself, and
-the row difference of a column block is b_2j - b_2j+1, so the X side
-learns the adjacent differences of b.
+is one such blockwise product. Under smm1 it is n blocks of 1 by 1
+against an n-block triple: smm1_steps with blocks = n. Under smm2
+elementwise_steps lays it out: each pair (a_2j, a_2j+1) sits on the
+diagonal of a 2 by 2 block, against the pair (b_2j, b_2j+1) as a 2 by 1
+column, a zero entry padding odd n. The smm2 argument above then covers
+it unchanged: the column sums of a diagonal block are its diagonal, so
+the Y side learns the vector a itself, and the row difference of a
+column block is b_2j - b_2j+1, so the X side learns the adjacent
+differences of b.
 
 Every product returns the raw 2f share. Callers sum the products of one
 aggregate and truncate once (see protocols.base._EngineBase._shift).
@@ -273,18 +274,14 @@ def smm2_y_steps(rng, y_mat: RingMatrix, blocks: int = 1):
 # --- elementwise products as blockwise ones ---
 
 
-def elementwise_steps(rng, side: int, vec: RingMatrix,
-                      half: TripleHalf | None = None):
-    """This side's raw 2f share of a o b, for column vectors a (side 0) and
-    b (side 1) of one length n: under smm1 (half given, an n-block triple
-    of 1 by 1 blocks) n blocks of 1 by 1, under smm2 (half None) pairs on
-    the diagonals of 2 by 2 blocks against 2 by 1 columns, a zero entry
-    padding odd n and cut from the result (see the module docstring)."""
+def elementwise_steps(rng, side: int, vec: RingMatrix):
+    """This side's smm2 raw 2f share of a o b, for column vectors a (side 0)
+    and b (side 1) of one length n: pairs on the diagonals of 2 by 2
+    blocks against 2 by 1 columns, a zero entry padding odd n and cut from
+    the result (see the module docstring)."""
     if vec.cols != 1:
         raise DimensionMismatch("elementwise operands are column vectors")
     n = vec.rows
-    if half is not None:
-        return (yield from smm1_steps(rng, side, vec, half, n))
     k = (n + 1) // 2
     if side == 0:
         x = np.zeros((2 * k, 2), dtype=np.uint64)

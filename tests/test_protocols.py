@@ -586,9 +586,8 @@ def _one_at_a_time(eng, products, halves):
             continue
         side, peer = (0, b) if eng.me == a else (1, a)
         if halves is not None:
-            out.append(run_one(eng.s, peer, r,
-                               elementwise_steps if el else smm1_steps,
-                               side, mine, next(halves)))
+            out.append(run_one(eng.s, peer, r, smm1_steps, side, mine,
+                               next(halves), mine.rows if el else 1))
         elif el:
             out.append(run_one(eng.s, peer, r, elementwise_steps, side, mine))
         else:
@@ -632,3 +631,25 @@ def test_stage_matches_one_product_calls(variant, n):
         assert mat_add(*got) == want
         assert all(staged[pid][0][k] is None
                    for pid in range(n) if pid not in (a, b))
+
+
+@pytest.mark.parametrize("receivers", [(0, 1, 2), (1,)])
+def test_open_refuses_a_share_of_the_wrong_shape(receivers):
+    # party 2 opens a 3x1 share where 2x1 is due. Every receiver refuses
+    # it: all parties in the horizontal opening, one in the vertical.
+    cfg = TrainingConfig(seed="open")
+
+    def party(s):
+        eng = _EngineBase(s, cfg, "linear", None)
+        share = RingMatrix.column([1.0] * (3 if s.party_id == 2 else 2))
+        try:
+            return eng._open(share, receivers)
+        except PolicyMismatch as exc:
+            return exc
+
+    got = run_parties(3, cfg, [party] * 3, timeout=5.0)
+    for pid in range(3):
+        if pid in receivers:
+            assert isinstance(got[pid], PolicyMismatch)
+        else:
+            assert got[pid] is None

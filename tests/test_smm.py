@@ -215,9 +215,8 @@ def test_smm1_triple_shape_guard(side, elementwise):
         x = RingMatrix.encode_rows([[1.0, 2.0]])
         bad = generate_triple(3, 3, 3, CounterDrbg("g"))
     with pytest.raises(DimensionMismatch):
-        run_one(s[side], 1 - side, 0,
-                elementwise_steps if elementwise else smm1_steps,
-                side, x, bad.half(side))
+        run_one(s[side], 1 - side, 0, smm1_steps, side, x, bad.half(side),
+                x.rows if elementwise else 1)
     assert s[side].frames_sent == 0
 
 
@@ -358,8 +357,8 @@ def test_smm1_elementwise(n):
     b = RingMatrix.column(bv)
     t = generate_triple(1, 1, 1, CounterDrbg(f"ew1-{n}-ti"), blocks=n)
     m, nn = run_pair(
-        lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a, t.half(0)),
-        lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b, t.half(1)))
+        lambda: run_one(s[0], 1, 0, smm1_steps, 0, a, t.half(0), n),
+        lambda: run_one(s[1], 0, 0, smm1_steps, 1, b, t.half(1), n))
     got = decode_rows(mat_add(m, nn), frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
