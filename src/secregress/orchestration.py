@@ -32,17 +32,31 @@ from .errors import (
     SpecHashMismatch,
     TransportError,
 )
-from .protocols import HorizontalEngine, VerticalEngine
+from .protocols import HorizontalEngine, VerticalEngine, fold_rounds
 from .spec import ConfigFileError, RunSpec, load_dataset, partition
 from .transport import TcpSession, loopback_sessions
 
 # Engines running consecutive CV folds over one session space their frame
-# round numbers this far apart (rounds are u32 on the wire).
+# round numbers ROUND_STRIDE apart, or a multiple of it when one fold takes
+# more rounds than that (see round_stride).
 ROUND_STRIDE = 1_000_000
 
 
 def _fold_seed(base, k: int) -> str:
     return f"{base}::fold{k}"
+
+
+def _task(spec: RunSpec) -> str:
+    return "linear" if spec.task == "LiRe" else "logistic"
+
+
+def round_stride(spec: RunSpec) -> int:
+    """Rounds between the bases of consecutive folds: the least multiple
+    of ROUND_STRIDE that holds one fold's rounds, so fold ranges never
+    overlap. Rounds are u32 on the wire; the schema's bounds (8 parties,
+    10 folds, 100,000 iterations) keep every fold below 2^32."""
+    rounds = fold_rounds(spec.config, _task(spec), spec.scheme, spec.parties)
+    return ROUND_STRIDE * -(-rounds // ROUND_STRIDE)
 
 
 def _model_hash(model_hex: str) -> str:
@@ -116,7 +130,8 @@ def _run_party_folds(session, spec: RunSpec, X, y, descriptor):
     facts, the timings everything wall-clock.
     """
     me = session.party_id
-    task = "linear" if spec.task == "LiRe" else "logistic"
+    task = _task(spec)
+    stride = round_stride(spec)
 
     def fit(k, cfg_k, train_idx):
         engine, features, labels = _party_inputs(
@@ -124,7 +139,7 @@ def _run_party_folds(session, spec: RunSpec, X, y, descriptor):
         before = (session.bytes_sent, session.bytes_received,
                   session.frames_sent)
         res = engine(session, cfg_k, task,
-                     round_base=k * ROUND_STRIDE).run(features, labels)
+                     round_base=k * stride).run(features, labels)
         return {
             "config_hash": res.config_hash,
             "schedule_hash": res.schedule_hash,

@@ -3,6 +3,7 @@
 from .base import TrainResult
 from .config import (
     TrainingConfig,
+    fold_rounds,
     horizontal_schedule,
     product_plan,
     schedule_digest,
@@ -16,6 +17,7 @@ __all__ = [
     "TrainResult",
     "TrainingConfig",
     "VerticalEngine",
+    "fold_rounds",
     "horizontal_schedule",
     "product_plan",
     "schedule_digest",

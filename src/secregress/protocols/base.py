@@ -29,31 +29,26 @@ counters stay aligned without extra communication. Under the triple
 variant each party draws, in order, only the triple halves of the products
 it is in: the dealer (smm.triple_halves) walks the run's product plan
 (config.product_plan) and leaves the bystanders out.
+
+Which products a stage holds, between whom, in which round and feeding
+which sum is public and fixed for a whole fold; only the operands change
+from one iteration to the next. So each party builds every stage once per
+fold as a tape (_tape): its products, its peers and sides, each product's
+round offset, and the sum each secure share and local term feeds. An
+iteration then binds the operands and advances the round base
+(_run_stage), on bare uint64 arrays throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..baseline import SIGMOID_POLY
 from ..errors import InvalidPartyCount, PolicyMismatch, TripleExhausted
-from ..ring import (
-    FRAC_BITS,
-    MASK,
-    RingMatrix,
-    add_const,
-    decode_raw,
-    encode_raw,
-    mat_add,
-    mat_hadamard,
-    mat_mul_raw,
-    mat_mul_scalar,
-    mat_sub,
-    shift_left,
-    shift_right,
-    uniform_matrix,
-)
-from ..sharing import share_matrix
+from ..ring import FRAC_BITS, decode_raw, encode_raw, hadamard, matmul
+from ..sharing import share_array
 from ..smm import (
     elementwise_steps,
     run_stage,
@@ -63,10 +58,7 @@ from ..smm import (
     triple_halves,
 )
 from ..transport import KIND_CONTROL, KIND_SHARE_DIST, KIND_W_SHARE
-from .config import TrainingConfig, product_plan
-
-# Rounds 0..15 are reserved for setup traffic; _next_round starts above.
-_FIRST_ROUND = 16
+from .config import _FIRST_ROUND, TrainingConfig, product_plan
 
 
 @dataclass
@@ -89,6 +81,25 @@ class TrainResult:
     schedule_hash: str
     transcript_hash: str
     iter_seconds: list[float]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One stage of an iteration, as one party runs it (_EngineBase._tape).
+
+    plan: (a, b, shape, elementwise) per pairwise product, bystanders
+    included; product j takes round base + j. slots: (sum, side,
+    elementwise, j) per product this party is in, in plan order. lanes:
+    (peer, [(slot, round offset), ...]) per peer, as smm.run_stage takes
+    them. local: the sums this party multiplies on its own. shapes: each
+    sum's result shape.
+    """
+
+    plan: tuple
+    slots: tuple
+    lanes: tuple
+    local: tuple
+    shapes: tuple
 
 
 class _EngineBase:
@@ -118,12 +129,21 @@ class _EngineBase:
         # connected session without frame collisions.
         self._round_base = round_base
         self._round = round_base + _FIRST_ROUND
-        self._half = 1 << (self.f - 1)
-        self._lr_word = config.lr_word()
+        self._ti = config.smm_variant == "smm1"
+        # the public ring constants, as uint64 scalars made once
+        self._half = np.uint64(1 << (self.f - 1))
+        self._lr_word = np.uint64(config.lr_word())
         q0, q1, q2, q3 = (encode_raw(q) for q in SIGMOID_POLY)
         # q0 sits at 2f so it can be added straight into the 2f aggregate.
-        self._coeff_words = (q0 << self.f, q1, q2, q3)
+        self._coeff_words = (np.uint64(q0 << self.f), np.uint64(q1),
+                             np.uint64(q2) if q2 else None, np.uint64(q3))
         self._halves = iter(halves) if halves is not None else None
+        if task == "logistic":
+            # z^2's one cross product (doubled), then z^3's two, as sums
+            # over the two holders of z (see _sigmoid_from_zf)
+            b = config.batch_size
+            self._sigmoid_tapes = (self._tape(((0,), (1,), b, True)),
+                                   self._tape(((0, 1), (0, 1), b, True)))
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -132,7 +152,7 @@ class _EngineBase:
         self._round += 1
         return r
 
-    def _shift(self, mat: RingMatrix, narrow: bool = False) -> RingMatrix:
+    def _shift(self, a: np.ndarray, narrow: bool = False) -> np.ndarray:
         """Truncate the shared aggregate by f bits.
 
         With two shares each party shifts its own word, party 0 carrying the
@@ -152,33 +172,33 @@ class _EngineBase:
         if self.n > 2 and not narrow:
             r = self._next_round()
             if self.me >= 2:
-                u = uniform_matrix(mat.rows, mat.cols, self.s.rng)
-                self.s.send(0, KIND_SHARE_DIST, u, r)
-                self.s.send(1, KIND_SHARE_DIST, mat_sub(mat, u), r)
-                return RingMatrix.zeros(mat.rows, mat.cols)
+                u = self.s.rng.u64_array(a.size).reshape(a.shape)
+                self.s.send_many(0, [(KIND_SHARE_DIST, u, r)])
+                self.s.send_many(1, [(KIND_SHARE_DIST, a - u, r)])
+                return np.zeros(a.shape, dtype=np.uint64)
             for j in range(2, self.n):
-                part = self.s.recv(j, KIND_SHARE_DIST, r)
-                if (part.rows, part.cols) != (mat.rows, mat.cols):
+                (part,) = self.s.recv_many(j, [(KIND_SHARE_DIST, r)])
+                if part.shape != a.shape:
                     raise PolicyMismatch(
-                        f"party {j} re-shared a {part.rows}x{part.cols} "
-                        f"block where {mat.rows}x{mat.cols} was due")
-                mat = mat_add(mat, part)
+                        f"party {j} re-shared a {part.shape[0]}x"
+                        f"{part.shape[1]} block where {a.shape[0]}x"
+                        f"{a.shape[1]} was due")
+                a = a + part
         if self.me == 0:
-            mat = add_const(mat, self._half)
-        return shift_right(mat, self.f)
+            a = a + self._half
+        return (a.view(np.int64) >> self.f).view(np.uint64)
 
-    def _update(self, w_2f: RingMatrix, grad_2f: RingMatrix) -> RingMatrix:
+    def _update(self, w_2f: np.ndarray, grad_2f: np.ndarray) -> np.ndarray:
         """w <- w - (alpha/B) * grad on 2f-bit shares.
 
         The f-bit rate word times the f-bit gradient lands exactly on the
         2f accumulator, so the step needs no truncation of its own.
         """
-        grad_f = self._shift(grad_2f)
-        return mat_sub(w_2f, mat_mul_scalar(grad_f, self._lr_word))
+        return w_2f - self._shift(grad_2f) * self._lr_word
 
     def _deal(self, widths: list[int]) -> None:
         """Start the lazy triple-half stream when none was handed in."""
-        if self.cfg.smm_variant == "smm1" and self._halves is None:
+        if self._ti and self._halves is None:
             self._halves = triple_halves(
                 self.cfg.seed,
                 product_plan(self.cfg, self.task, self.layout, widths),
@@ -186,120 +206,105 @@ class _EngineBase:
 
     # -- pairwise products ----------------------------------------------
 
-    def _stage(self, products) -> list[RingMatrix | None]:
-        """Run pairwise secure products side by side as one stage.
+    def _tape(self, *sums) -> Stage:
+        """This party's tape of one stage that yields the given sums.
 
-        products: (a, b, mine, shape, elementwise) per product, where a
-        holds the left operand, b the right one, mine is this party's
-        operand (or None), and shape is (x, y, z) for a matrix product or
-        the entry count for an elementwise one. Each product takes the next
-        round number in the order given, bystanders included; under the
-        triple variant each product this party is in draws its next triple
-        half. Those products then run together (smm.run_stage). Returns
-        this party's raw 2f share per product, None where it is a
-        bystander.
-        """
-        ti = self.cfg.smm_variant == "smm1"
-        mine_at, runs = [], []
-        for k, (a, b, mine, shape, elementwise) in enumerate(products):
-            r = self._next_round()
-            if self.me not in (a, b):
-                continue
-            side, peer = (0, b) if self.me == a else (1, a)
-            if ti:
-                half = next(self._halves, None)
-                if half is None:
-                    raise TripleExhausted(
-                        f"no triple half left for the {a}-{b} product "
-                        f"of shape {shape}")
-                steps = smm1_steps(self.s.rng, side, mine, half,
-                                   mine.rows if elementwise else 1)
-            elif elementwise:
-                steps = elementwise_steps(self.s.rng, side, mine)
-            else:
-                steps = (smm2_x_steps if side == 0
-                         else smm2_y_steps)(self.s.rng, mine)
-            mine_at.append(k)
-            runs.append((peer, r, steps))
-        out: list = [None] * len(products)
-        for k, share in zip(mine_at, run_stage(self.s, runs)):
-            out[k] = share
-        return out
-
-    def _shared_products(self, *sums) -> list[RingMatrix]:
-        """This party's raw 2f share of each sum, all in one stage.
-
-        Each sum is (lhs, left, rhs, right, dims): the sum of L_a R_b over
-        a in lhs, b in rhs, where L_a is party a's left operand and R_b
-        party b's right one (each party passes its own). A term with
+        Each sum is (lhs, rhs, shape, elementwise): the sum of L_a R_b
+        over a in lhs, b in rhs, where L_a is party a's left operand and
+        R_b party b's right one, and shape is (x, y, z) for a matrix
+        product or the entry count for an elementwise one. A term with
         a == b is a local product on that party; every other term is a
         pairwise secure product, opened in loop order.
         """
-        totals: list = [None] * len(sums)
-
-        def add(k, term):
-            totals[k] = term if totals[k] is None else mat_add(totals[k], term)
-
-        products, owner = [], []
-        for k, (lhs, left, rhs, right, dims) in enumerate(sums):
+        plan, slots, lanes, local = [], [], {}, []
+        for k, (lhs, rhs, shape, elementwise) in enumerate(sums):
             for a in lhs:
                 for b in rhs:
-                    if a != b:
-                        mine = left if self.me == a else (
-                            right if self.me == b else None)
-                        products.append((a, b, mine, dims, False))
-                        owner.append(k)
-                    elif self.me == a:
-                        add(k, mat_mul_raw(left, right))
-        for k, share in zip(owner, self._stage(products)):
-            if share is not None:
-                add(k, share)
-        return [RingMatrix.zeros(dims[0], dims[2]) if total is None
-                else total for total, (*_, dims) in zip(totals, sums)]
+                    if a == b:
+                        if a == self.me:
+                            local.append((k, elementwise))
+                        continue
+                    if self.me in (a, b):
+                        side, peer = (0, b) if self.me == a else (1, a)
+                        lanes.setdefault(peer, []).append(
+                            (len(slots), len(plan)))
+                        slots.append((k, side, elementwise, len(plan)))
+                    plan.append((a, b, shape, elementwise))
+        shapes = [(shape, 1) if elementwise else (shape[0], shape[2])
+                  for _lhs, _rhs, shape, elementwise in sums]
+        return Stage(tuple(plan), tuple(slots),
+                     tuple((peer, tuple(v)) for peer, v in lanes.items()),
+                     tuple(local), tuple(shapes))
+
+    def _run_stage(self, stage: Stage, operands) -> list[np.ndarray]:
+        """This party's raw 2f share of each of the stage's sums.
+
+        operands holds this party's (left, right) pair per sum; an operand
+        it does not hold may be None. The stage takes the next
+        len(stage.plan) round numbers; under the triple variant each
+        product this party is in draws its next triple half.
+        """
+        base = self._round
+        self._round = base + len(stage.plan)
+        rng, steps = self.s.rng, []
+        for k, side, elementwise, j in stage.slots:
+            mine = operands[k][side]
+            if self._ti:
+                half = next(self._halves, None)
+                if half is None:
+                    a, b, shape, _ = stage.plan[j]
+                    raise TripleExhausted(
+                        f"no triple half left for the {a}-{b} product "
+                        f"of shape {shape}")
+                steps.append(smm1_steps(rng, side, mine, half,
+                                        len(mine) if elementwise else 1))
+            elif elementwise:
+                steps.append(elementwise_steps(rng, side, mine))
+            elif side == 0:
+                steps.append(smm2_x_steps(rng, mine))
+            else:
+                steps.append(smm2_y_steps(rng, mine))
+        shares = run_stage(self.s, base, stage.lanes, steps)
+        totals: list = [None] * len(stage.shapes)
+        for k, elementwise in stage.local:
+            left, right = operands[k]
+            totals[k] = (hadamard if elementwise else matmul)(left, right)
+        for (k, *_), share in zip(stage.slots, shares):
+            totals[k] = share if totals[k] is None else totals[k] + share
+        return [np.zeros(shape, dtype=np.uint64) if total is None else total
+                for total, shape in zip(totals, stage.shapes)]
 
     # -- shared pipeline pieces -----------------------------------------
 
-    def _sigmoid_from_zf(self, z_f: RingMatrix) -> RingMatrix:
+    def _sigmoid_from_zf(self, z: np.ndarray) -> np.ndarray:
         """Shares of q0 + q1 z + q2 z^2 + q3 z^3 at 2f bits, z given as
-        f-bit shares.
+        f-bit shares of a batch-size column.
 
-        z^2 assembles from local squares plus doubled cross products over
-        unordered party pairs, z^3 from the truncated z^2 against z over
+        z^2 assembles from local squares plus the doubled cross product of
+        the two holders, z^3 from the truncated z^2 against z over both
         ordered pairs; each power costs one share-wise truncation.
         """
-        q0w, q1w, q2w, q3w = self._coeff_words
-        n_elems = z_f.rows
+        q0, q1, q2, q3 = self._coeff_words
+        square, cube = self._sigmoid_tapes
         # z comes out of a truncation, so only parties 0 and 1 hold real
         # shares; all cross terms live between those two.
-        z2 = mat_hadamard(z_f, z_f)
-        (out,) = self._stage(
-            [(0, 1, z_f if self.me < 2 else None, n_elems, True)])
-        if out is not None:
-            z2 = mat_add(z2, mat_mul_scalar(out, 2))
-        z2_f = self._shift(z2, narrow=True)
-        z3 = mat_hadamard(z2_f, z_f)
-        for out in self._stage(
-                [(i, k, z2_f if self.me == i else (
-                    z_f if self.me == k else None), n_elems, True)
-                 for i, k in ((0, 1), (1, 0))]):
-            if out is not None:
-                z3 = mat_add(z3, out)
-        z3_f = self._shift(z3, narrow=True)
-        sig = mat_add(mat_mul_scalar(z_f, q1w), mat_mul_scalar(z3_f, q3w))
-        if q2w:
-            sig = mat_add(sig, mat_mul_scalar(z2_f, q2w))
+        (cross,) = self._run_stage(square, [(z, z)])
+        z2_f = self._shift(hadamard(z, z) + 2 * cross, narrow=True)
+        (z3,) = self._run_stage(cube, [(z2_f, z)])
+        sig = z * q1 + self._shift(z3, narrow=True) * q3
+        if q2 is not None:
+            sig = sig + z2_f * q2
         if self.me == 0:
-            sig = add_const(sig, q0w)
+            sig = sig + q0
         return sig
 
-    def _error_2f(self, p_2f: RingMatrix, y_f: RingMatrix) -> RingMatrix:
+    def _error_2f(self, p_2f: np.ndarray, y_f: np.ndarray) -> np.ndarray:
         """prediction - label as 2f-bit shares; logistic first maps the
         prediction through the cubic sigmoid."""
-        y_2f = shift_left(y_f, self.f)
+        y_2f = y_f << np.uint64(self.f)
         if self.task == "logistic":
-            sig = self._sigmoid_from_zf(self._shift(p_2f))
-            return mat_sub(sig, y_2f)
-        return mat_sub(p_2f, y_2f)
+            return self._sigmoid_from_zf(self._shift(p_2f)) - y_2f
+        return p_2f - y_2f
 
     # -- setup / teardown exchanges --------------------------------------
 
@@ -311,47 +316,48 @@ class _EngineBase:
         party's fields, in party order, without it.
         """
         hash_word = self.cfg.hash_word(self.task, self.layout, self.n)
-        mat = RingMatrix(1, len(fields) + 1,
-                         [x & MASK for x in fields] + [hash_word])
+        row = [x & ((1 << 64) - 1) for x in fields] + [hash_word]
+        mine = np.array([row], dtype=np.uint64)
         for p in range(self.n):
             if p != self.me:
-                self.s.send(p, KIND_CONTROL, mat, self._round_base)
+                self.s.send_many(p, [(KIND_CONTROL, mine, self._round_base)])
         rows = []
         for p in range(self.n):
             if p == self.me:
-                rows.append(mat.data)
+                rows.append(row)
                 continue
-            got = self.s.recv(p, KIND_CONTROL, self._round_base)
-            if got.rows != 1 or got.cols != mat.cols:
+            (got,) = self.s.recv_many(p, [(KIND_CONTROL, self._round_base)])
+            if got.shape != mine.shape:
                 raise PolicyMismatch(
-                    f"party {p} sent a {got.rows}x{got.cols} policy frame, "
-                    f"expected 1x{mat.cols}")
-            rows.append(got.data)
-        for p, row in enumerate(rows):
-            if row[-1] != hash_word:
+                    f"party {p} sent a {got.shape[0]}x{got.shape[1]} policy "
+                    f"frame, expected 1x{len(row)}")
+            rows.append(got[0].tolist())
+        for p, got_row in enumerate(rows):
+            if got_row[-1] != hash_word:
                 raise PolicyMismatch(
                     f"party {p} was launched with a different config")
-        return [row[:-1] for row in rows]
+        return [got_row[:-1] for got_row in rows]
 
-    def _share_out(self, owner: int, kinds, mats) -> list[RingMatrix]:
+    def _share_out(self, owner: int, kinds, arrays) -> list[np.ndarray]:
         """This party's shares of the owner's matrices, one round each.
 
-        The owner (the one party passing mats) splits each matrix over
+        The owner (the one party passing arrays) splits each matrix over
         all parties and writes every peer its shares at once; the others
         receive theirs, one frame of the given kind per matrix.
         """
-        rounds = [self._next_round() for _ in kinds]
+        base = self._round
+        self._round = base + len(kinds)
         if self.me != owner:
-            return [self.s.recv(owner, kind, r)
-                    for kind, r in zip(kinds, rounds)]
-        shares = [share_matrix(m, self.n, self.s.rng) for m in mats]
+            return self.s.recv_many(
+                owner, [(kind, base + j) for j, kind in enumerate(kinds)])
+        shares = [share_array(a, self.n, self.s.rng) for a in arrays]
         for p in range(self.n):
             if p != self.me:
-                self.s.send_many(p, [(kind, sh[p], r) for kind, sh, r
-                                     in zip(kinds, shares, rounds)])
+                self.s.send_many(p, [(kind, sh[p], base + j) for j, (kind, sh)
+                                     in enumerate(zip(kinds, shares))])
         return [sh[self.me] for sh in shares]
 
-    def _open(self, share: RingMatrix, receivers) -> RingMatrix | None:
+    def _open(self, share: np.ndarray, receivers) -> np.ndarray | None:
         """Open a shared matrix to the receivers in one round.
 
         Every party sends its share to each receiver but itself; each
@@ -361,26 +367,26 @@ class _EngineBase:
         r = self._next_round()
         for p in receivers:
             if p != self.me:
-                self.s.send(p, KIND_W_SHARE, share, r)
+                self.s.send_many(p, [(KIND_W_SHARE, share, r)])
         if self.me not in receivers:
             return None
         total = share
         for p in range(self.n):
             if p == self.me:
                 continue
-            got = self.s.recv(p, KIND_W_SHARE, r)
-            if (got.rows, got.cols) != (share.rows, share.cols):
+            (got,) = self.s.recv_many(p, [(KIND_W_SHARE, r)])
+            if got.shape != share.shape:
                 raise PolicyMismatch(
-                    f"party {p} opened a {got.rows}x{got.cols} share where "
-                    f"{share.rows}x{share.cols} was due")
-            total = mat_add(total, got)
+                    f"party {p} opened a {got.shape[0]}x{got.shape[1]} share "
+                    f"where {share.shape[0]}x{share.shape[1]} was due")
+            total = total + got
         return total
 
     # -- result assembly --------------------------------------------------
 
-    def _result(self, weights_mat: RingMatrix, block_sizes, owners,
+    def _result(self, weights: np.ndarray, block_sizes, owners,
                 schedule_hash: str, iter_seconds: list[float]) -> TrainResult:
-        raw = weights_mat.data
+        raw = weights.ravel().tolist()
         return TrainResult(
             party_id=self.me,
             weights=[decode_raw(x) for x in raw],

@@ -20,6 +20,9 @@ from ..ring import FRAC_BITS
 from ..rng import CounterDrbg
 
 SMM_VARIANTS = ("smm1", "smm2")
+
+# Rounds 0..15 of an engine run are reserved for setup traffic.
+_FIRST_ROUND = 16
 OWNER_POLICIES = ("sequential", "random")
 
 
@@ -190,3 +193,28 @@ def product_plan(cfg: TrainingConfig, task: str, layout: str,
     sigmoid = ([(0, 1, b, True), (0, 1, b, True), (1, 0, b, True)]
                if task == "logistic" else [])
     return (predict + sigmoid + grad) * cfg.iterations
+
+
+def fold_rounds(cfg: TrainingConfig, task: str, layout: str,
+                n_parties: int) -> int:
+    """How many round numbers one engine run takes, counted from its
+    round base: the reserved setup rounds, every iteration's rounds and
+    the final opening (protocols.base; the tests hold this to the
+    engines' own counters).
+
+    Per iteration: the batch (or label) share-out, one round per pairwise
+    product (product_plan), and with three or more parties one re-share
+    round before each share-wise truncation of an aggregate that is
+    spread over everyone.
+    """
+    n = n_parties
+    spread = 1 if n > 2 else 0
+    products = 2 * (2 * n - 2)  # prediction and gradient
+    sigmoid = 3 + spread if task == "logistic" else 0
+    if layout == "horizontal":
+        per_iter = 2 + products + 2 * spread + sigmoid
+        setup, final = 0, 1
+    else:
+        per_iter = 1 + products + (2 * n + 1) * spread + sigmoid
+        setup, final = 1, n * spread + n
+    return _FIRST_ROUND + setup + cfg.iterations * per_iter + final

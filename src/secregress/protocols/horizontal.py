@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..data import check_binary_labels
 from ..errors import DimensionMismatch, EmptyInput, PolicyMismatch
-from ..ring import RingMatrix, transpose
+from ..ring import RingMatrix
 from ..transport import KIND_SHARE_DIST, KIND_Y_SHARE
 from .base import TrainResult, _EngineBase
 from .config import horizontal_schedule, schedule_digest
@@ -50,11 +52,16 @@ class HorizontalEngine(_EngineBase):
 
         owners, local_rows, global_rows = horizontal_schedule(
             self.cfg, m_list)
-        x_enc = RingMatrix.encode_rows(features) if m_local else None
-        y_enc = RingMatrix.column(labels) if m_local else None
+        x_enc = RingMatrix.encode_rows(features).arr if m_local else None
+        y_enc = RingMatrix.column(labels).arr if m_local else None
 
         b = self.cfg.batch_size
-        w_2f = RingMatrix.zeros(d, 1)
+        # z = X_B w and grad = X_B^T err, each assembled at 2f bits from
+        # every batch-share holder against the two holders of the
+        # truncated w (and err) shares
+        predict = self._tape((range(self.n), (0, 1), (b, d, 1), False))
+        gradient = self._tape((range(self.n), (0, 1), (d, b, 1), False))
+        w_2f = np.zeros((d, 1), dtype=np.uint64)
         iter_seconds = []
         for t in range(self.cfg.iterations):
             t0 = time.perf_counter()
@@ -62,21 +69,14 @@ class HorizontalEngine(_EngineBase):
             w_f = self._shift(w_2f, narrow=True)
             batch = None
             if self.me == owners[t]:
-                batch = [RingMatrix.wrap(enc.arr[local_rows[t]])
-                         for enc in (x_enc, y_enc)]
+                rows = local_rows[t]
+                batch = (x_enc[rows], y_enc[rows])
             my_x, my_y = self._share_out(
                 owners[t], (KIND_SHARE_DIST, KIND_Y_SHARE), batch)
-
-            # z = X_B w, assembled at 2f bits; w shares sit on parties 0,1
-            (p_2f,) = self._shared_products(
-                (range(self.n), my_x, (0, 1), w_f, (b, d, 1)))
-
+            (p_2f,) = self._run_stage(predict, [(my_x, w_f)])
             err_f = self._shift(self._error_2f(p_2f, my_y))
-
-            # grad = X_B^T err, err shares again on parties 0,1
-            (g_2f,) = self._shared_products(
-                (range(self.n), transpose(my_x), (0, 1), err_f, (d, b, 1)))
-
+            (g_2f,) = self._run_stage(
+                gradient, [(np.ascontiguousarray(my_x.T), err_f)])
             w_2f = self._update(w_2f, g_2f)
             iter_seconds.append(time.perf_counter() - t0)
 

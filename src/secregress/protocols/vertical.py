@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..data import build_batch_schedule, check_binary_labels
 from ..errors import (
     BatchTooLarge,
@@ -25,8 +27,8 @@ from ..errors import (
     PolicyMismatch,
     SampleCountMismatch,
 )
-from ..ring import RingMatrix, mat_add, transpose
-from ..sharing import zero_shares
+from ..ring import RingMatrix
+from ..sharing import share_array
 from ..transport import KIND_W_SHARE, KIND_Y_SHARE
 from .base import TrainResult, _EngineBase
 from .config import schedule_digest
@@ -78,61 +80,58 @@ class VerticalEngine(_EngineBase):
 
         schedule = build_batch_schedule(
             m, b, self.cfg.iterations, self.cfg.seed)
-        x_enc = RingMatrix.encode_rows(features)
-        y_enc = RingMatrix.column(labels) if labels is not None else None
+        x_enc = RingMatrix.encode_rows(features).arr
+        y_enc = RingMatrix.column(labels).arr if labels is not None else None
 
         # Every party splits its (zero) weight block over all parties.
         r0 = self._next_round()
-        mine = zero_shares(d_local, 1, self.n, self.s.rng)
+        mine = share_array(np.zeros((d_local, 1), dtype=np.uint64), self.n,
+                           self.s.rng)
         for p in range(self.n):
             if p != self.me:
-                self.s.send(p, KIND_W_SHARE, mine[p], r0)
-        w_2f: dict[int, RingMatrix] = {}
+                self.s.send_many(p, [(KIND_W_SHARE, mine[p], r0)])
+        w_2f = []
         for i in range(self.n):
             if i == self.me:
-                w_2f[i] = mine[self.me]
+                w_2f.append(mine[self.me])
                 continue
-            got = self.s.recv(i, KIND_W_SHARE, r0)
-            if (got.rows, got.cols) != (d_list[i], 1):
+            (got,) = self.s.recv_many(i, [(KIND_W_SHARE, r0)])
+            if got.shape != (d_list[i], 1):
                 raise DimensionMismatch(
-                    f"party {i} shared a {got.rows}x{got.cols} weight "
-                    f"block, expected {d_list[i]}x1")
-            w_2f[i] = got
+                    f"party {i} shared a {got.shape[0]}x{got.shape[1]} "
+                    f"weight block, expected {d_list[i]}x1")
+            w_2f.append(got)
 
+        # z = sum_i X^i w_i at 2f bits; truncated w shares sit on parties 0
+        # and 1, so those are the only counterparts.
+        predict = self._tape(*[((i,), (0, 1), (b, d_list[i], 1), False)
+                               for i in range(self.n)])
+        # grad_i = (X^i)^T err, computed as (err^T X^i)^T with err shares
+        # again on parties 0,1. err stays the left operand, so the OTI leak
+        # keeps its orientation: adjacent sums of err go to the block
+        # owner, adjacent row differences of X^i to the err holders. Every
+        # block's products run in one stage, before any block's update.
+        gradient = self._tape(*[((0, 1), (i,), (1, b, d_list[i]), False)
+                                for i in range(self.n)])
         iter_seconds = []
         for batch in schedule:
             t0 = time.perf_counter()
-            w_f = {i: self._shift(w_2f[i]) for i in range(self.n)}
-            xb = RingMatrix.wrap(x_enc.arr[batch])
-            yb = None if y_enc is None else [RingMatrix.wrap(y_enc.arr[batch])]
-            (my_y,) = self._share_out(holder, (KIND_Y_SHARE,), yb)
-
-            # z = sum_i X^i w_i at 2f bits; truncated w shares sit on
-            # parties 0 and 1, so those are the only counterparts.
-            p_2f, *parts = self._shared_products(
-                *[((i,), xb, (0, 1), w_f[i], (b, d_list[i], 1))
-                  for i in range(self.n)])
+            w_f = [self._shift(w) for w in w_2f]
+            xb = x_enc[batch]
+            (my_y,) = self._share_out(
+                holder, (KIND_Y_SHARE,),
+                None if y_enc is None else (y_enc[batch],))
+            p_2f, *parts = self._run_stage(
+                predict, [(xb, w) for w in w_f])
             for part in parts:
-                p_2f = mat_add(p_2f, part)
-
-            err_f = self._shift(self._error_2f(p_2f, my_y))
-            err_t = transpose(err_f)
-
-            # grad_i = (X^i)^T err, computed as (err^T X^i)^T with err
-            # shares again on parties 0,1. err stays the left operand, so
-            # the OTI leak keeps its orientation: adjacent sums of err go
-            # to the block owner, adjacent row differences of X^i to the
-            # err holders. Every block's products run in one stage, before
-            # any block's update.
-            grads = self._shared_products(
-                *[((0, 1), err_t, (i,), xb, (1, b, d_list[i]))
-                  for i in range(self.n)])
-            for i, g_t in enumerate(grads):
-                w_2f[i] = self._update(w_2f[i], transpose(g_t))
+                p_2f = p_2f + part
+            err_t = self._shift(self._error_2f(p_2f, my_y)).T
+            grads = self._run_stage(gradient, [(err_t, xb)] * self.n)
+            w_2f = [self._update(w, g.T) for w, g in zip(w_2f, grads)]
             iter_seconds.append(time.perf_counter() - t0)
 
         # Each block's shares converge on the block's owner.
-        w_f = {i: self._shift(w_2f[i]) for i in range(self.n)}
+        w_f = [self._shift(w) for w in w_2f]
         my_block = [self._open(w_f[i], (i,)) for i in range(self.n)][self.me]
 
         return self._result(my_block, d_list, None,

@@ -7,13 +7,19 @@ happens on the raw words with silent wrapping; two's-complement decode
 recovers the signed value. A product of two f-bit encodings carries 2f
 fractional bits until an explicit truncate.
 
-A RingMatrix wraps one C-contiguous (rows, cols) numpy uint64 array.
+A ring matrix is a C-contiguous (rows, cols) numpy uint64 array.
 Unsigned 64-bit numpy arithmetic wraps modulo 2^64, which is exactly the
 ring: every sum, difference and product, and every partial sum of a matrix
 product, keeps its low 64 bits, so the words equal those of exact integer
 arithmetic reduced mod 2^64 (tests/ring_reference.py is that integer
 arithmetic, and the tests hold the two to the same words). The arithmetic
 shift reads the same bits as int64.
+
+The training loop runs on those bare arrays with numpy's own operators;
+the one ring operation it calls by name is matmul, which also counts the
+multiplications. RingMatrix wraps one such array at the package's edges:
+the public API below (the mat_* helpers), the wire payload (to_bytes /
+from_bytes, transport.Frame.matrix) and the tests.
 """
 
 from __future__ import annotations
@@ -35,21 +41,27 @@ _SHAPE = struct.Struct("<II")
 
 # Multiplication counter for the complexity tests: x*y*z per matrix product,
 # so the overhead is per call, not per entry. Each thread adds only to its
-# own entry, so no update is lost between threads, and needs no lock.
-_mul_ops: dict[int, int] = {}
+# own one-element cell, so no update is lost between threads, and needs no
+# lock; the cells outlive their threads.
+_mul_cells: list[list[int]] = []
+_mine = threading.local()
 
 
 def _count_muls(n: int) -> None:
-    me = threading.get_ident()
-    _mul_ops[me] = _mul_ops.get(me, 0) + n
+    try:
+        _mine.cell[0] += n
+    except AttributeError:
+        _mine.cell = [n]
+        _mul_cells.append(_mine.cell)
 
 
 def mul_op_count() -> int:
-    return sum(list(_mul_ops.values()))
+    return sum(cell[0] for cell in list(_mul_cells))
 
 
 def reset_mul_op_count() -> None:
-    _mul_ops.clear()
+    for cell in list(_mul_cells):
+        cell[0] = 0
 
 
 def to_signed(raw: int) -> int:
@@ -219,32 +231,45 @@ def mat_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return RingMatrix.wrap(a.arr - b.arr)
 
 
-def mat_mul_raw(a: RingMatrix, b: RingMatrix, blocks: int = 1) -> RingMatrix:
-    """Exact ring product; the result carries 2f fractional bits.
+def matmul(a: np.ndarray, b: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """Exact ring product of two arrays; the result carries 2f fractional
+    bits.
 
     With blocks = k, a and b each stack k equal blocks one under the other
     (x by y and y by z), and block j of the result is block j of a times
-    block j of b: k*x*y*z multiplications.
+    block j of b: k*x*y*z multiplications. The caller fits the shapes
+    (mat_mul_raw checks them).
     """
+    rows, inner = a.shape
+    cols = b.shape[1]
+    _count_muls(rows * inner * cols)
+    # One block skips the reshapes of the stacked form; that is about 10%
+    # of an smm2 matrix-product pair.
+    if blocks == 1:
+        return a @ b
+    return np.matmul(a.reshape(blocks, -1, inner),
+                     b.reshape(blocks, inner, cols)).reshape(rows, cols)
+
+
+def mat_mul_raw(a: RingMatrix, b: RingMatrix, blocks: int = 1) -> RingMatrix:
+    """matmul on RingMatrix operands, shapes checked."""
     if blocks < 1 or a.rows % blocks or a.cols * blocks != b.rows:
         raise DimensionMismatch(
             f"{a.rows}x{a.cols} by {b.rows}x{b.cols}"
             + (f" in {blocks} blocks" if blocks != 1 else ""))
-    _count_muls(a.rows * a.cols * b.cols)
-    # One block skips the reshapes of the stacked form; that is about 10%
-    # of an smm2 matrix-product pair.
-    if blocks == 1:
-        return RingMatrix.wrap(a.arr @ b.arr)
-    out = np.matmul(a.arr.reshape(blocks, -1, a.cols),
-                    b.arr.reshape(blocks, a.cols, b.cols))
-    return RingMatrix.wrap(out.reshape(a.rows, b.cols))
+    return RingMatrix.wrap(matmul(a.arr, b.arr, blocks))
+
+
+def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise ring product of two arrays of one shape, counted."""
+    _count_muls(a.size)
+    return a * b
 
 
 def mat_hadamard(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Entrywise ring product."""
+    """hadamard on RingMatrix operands, shapes checked."""
     _same_shape(a, b, "o")
-    _count_muls(a.rows * a.cols)
-    return RingMatrix.wrap(a.arr * b.arr)
+    return RingMatrix.wrap(hadamard(a.arr, b.arr))
 
 
 def mat_mul_scalar(a: RingMatrix, raw: int) -> RingMatrix:

@@ -75,31 +75,46 @@ class CounterDrbg:
         out._start(h.digest())
         return out
 
-    def _block(self, c: int) -> bytes:
+    def _block(self, c: int, size: int = CHUNK) -> bytes:
+        """The first size bytes of chunk c."""
         return hashlib.shake_256(self._key + c.to_bytes(8, "big")).digest(
-            CHUNK)
+            size)
+
+    def _words_of(self, c: int, end: int) -> bytes:
+        """Chunk c, holding at least its first end words, as _buf.
+
+        SHAKE output is a prefix of any longer output, so the first draw
+        of a fresh stream generates only the words it reads: a child
+        stream read once for a few words then costs a few bytes of XOF,
+        not a whole chunk. Any later read past that prefix generates the
+        whole chunk.
+        """
+        if c != self._chunk or len(self._buf) < 8 * end:
+            self._buf = self._block(c, 8 * end if self._chunk < 0 else CHUNK)
+            self._chunk = c
+        return self._buf
 
     def u64(self) -> int:
         c, off = divmod(self._pos, _WORDS)
-        if c != self._chunk:
-            self._buf = self._block(c)
-            self._chunk = c
         self._pos += 1
-        return _unpack_u64(self._buf, 8 * off)[0]
+        return _unpack_u64(self._words_of(c, off + 1), 8 * off)[0]
 
     def u64_array(self, n: int) -> np.ndarray:
         """The next n words as a read-only uint64 array, cut from whole
-        chunks in one numpy read."""
+        chunks (or a fresh stream's prefix) in one numpy read."""
         if n <= 0:
             return np.zeros(0, dtype=np.uint64)
         first, off = divmod(self._pos, _WORDS)
         last = (self._pos + n - 1) // _WORDS
-        parts = [self._buf if first == self._chunk else self._block(first)]
-        parts.extend(self._block(c) for c in range(first + 1, last + 1))
-        self._buf = parts[-1]
-        self._chunk = last
         self._pos += n
-        data = parts[0] if len(parts) == 1 else b"".join(parts)
+        if first == last:
+            data = self._words_of(first, off + n)
+        else:
+            head = self._words_of(first, _WORDS)
+            parts = [self._block(c) for c in range(first + 1, last + 1)]
+            self._buf = parts[-1]
+            self._chunk = last
+            data = b"".join([head, *parts])
         return np.frombuffer(data, "<u8", count=n, offset=8 * off).astype(
             np.uint64, copy=False)
 

@@ -6,20 +6,28 @@ jointly uniform, so nothing short of the full set carries information.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InvalidPartyCount
-from .ring import RingMatrix, mat_sub, uniform_matrix
+from .ring import RingMatrix
+
+
+def share_array(x: np.ndarray, n: int, rng) -> list[np.ndarray]:
+    """Split the uint64 array x into n additive shares; the first n-1 are
+    fresh uniform draws."""
+    if n < 2:
+        raise InvalidPartyCount(f"need at least 2 parties, got {n}")
+    shares = [rng.u64_array(x.size).reshape(x.shape) for _ in range(n - 1)]
+    last = x
+    for s in shares:
+        last = last - s
+    shares.append(last)
+    return shares
 
 
 def share_matrix(x: RingMatrix, n: int, rng) -> list[RingMatrix]:
-    """Split x into n additive shares; the first n-1 are fresh uniform draws."""
-    if n < 2:
-        raise InvalidPartyCount(f"need at least 2 parties, got {n}")
-    shares = [uniform_matrix(x.rows, x.cols, rng) for _ in range(n - 1)]
-    last = x
-    for s in shares:
-        last = mat_sub(last, s)
-    shares.append(last)
-    return shares
+    """share_array on a RingMatrix."""
+    return [RingMatrix.wrap(s) for s in share_array(x.arr, n, rng)]
 
 
 def zero_shares(rows: int, cols: int, n: int, rng) -> list[RingMatrix]:

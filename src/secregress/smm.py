@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ring import RingMatrix, mat_add, mat_mul_raw, mat_sub, uniform_matrix
+from .ring import RingMatrix, mat_mul_raw, mat_sub, matmul, uniform_matrix
 from .rng import CounterDrbg
 from .transport import (
     KIND_SHARE_DIST,
@@ -146,46 +146,64 @@ def triple_halves(seed, plan, party: int):
 
 # --- running products as steps ---
 #
-# Each product is a step generator: it draws its masks, yields the frames
-# it sends to the peer as [(kind, matrix), ...], and is resumed with the
-# peer's frames of the same kinds, in the same order; its return value is
-# this side's raw 2f share. run_stage drives any number of them together:
-# one write per peer per step, then the receives in product order.
+# Each product is a step generator on bare uint64 arrays: it draws its
+# masks, yields the frames it sends to the peer as [(kind, array), ...],
+# and is resumed with the arrays of the peer's frames of the same kinds,
+# in the same order; its return value is this side's raw 2f share.
+# run_stage drives any number of them together: one write per peer per
+# step, then one batched receive per peer.
 
 
-def run_stage(session, products) -> list[RingMatrix]:
-    """Run (peer, round_no, steps) products side by side; return each
-    one's share, in the order given.
+def run_stage(session, base: int, lanes, steps) -> list[np.ndarray]:
+    """Run products side by side as one stage; return each one's share, in
+    the order of steps.
 
-    Every product is opened (its masks drawn) in the order given; at each
-    step all their frames go out, one send_many per peer, before any
-    frame is received.
+    steps holds one step generator per product. lanes lists, per peer,
+    (peer, [(product, round offset), ...]) in a fixed order: every
+    product sits in the lane of its peer, and its frames carry round
+    base + offset. Every product is opened (its masks drawn) in the
+    order of steps. At each step all frames go out, one send_many per
+    peer, lane by lane; then each lane's frames come back through one
+    recv_many, which records them in the transcript in lane order.
     """
-    out: list = [None] * len(products)
-    live = [(i, peer, r, steps, next(steps))
-            for i, (peer, r, steps) in enumerate(products)]
+    sent = [next(steps_k) for steps_k in steps]
+    out: list = [None] * len(steps)
+    live = len(steps)
     while live:
-        batches: dict[int, list] = {}
-        for _i, peer, r, _steps, frames in live:
-            batches.setdefault(peer, []).extend(
-                (kind, mat, r) for kind, mat in frames)
-        for peer, items in batches.items():
-            session.send_many(peer, items)
-        nxt = []
-        for i, peer, r, steps, frames in live:
-            got = [session.recv(peer, kind, r) for kind, _mat in frames]
-            try:
-                nxt.append((i, peer, r, steps, steps.send(got)))
-            except StopIteration as done:
-                out[i] = done.value
-        live = nxt
+        for peer, slots in lanes:
+            items = [(kind, a, base + off) for k, off in slots
+                     for kind, a in sent[k]]
+            if items:
+                session.send_many(peer, items)
+        got: list = [None] * len(steps)
+        for peer, slots in lanes:
+            arrays = session.recv_many(peer, [
+                (kind, base + off) for k, off in slots
+                for kind, _a in sent[k]])
+            at = 0
+            for k, _off in slots:
+                got[k] = arrays[at:at + len(sent[k])]
+                at += len(sent[k])
+        for k, steps_k in enumerate(steps):
+            if sent[k]:
+                try:
+                    sent[k] = steps_k.send(got[k])
+                except StopIteration as done:
+                    out[k] = done.value
+                    sent[k] = ()
+                    live -= 1
     return out
+
+
+def _masked(rng, shape) -> np.ndarray:
+    """A fresh uniform matrix of the given shape."""
+    return rng.u64_array(shape[0] * shape[1]).reshape(shape)
 
 
 # --- protocol 1: Beaver masking ---
 
 
-def smm1_steps(rng, side: int, mine: RingMatrix, half: TripleHalf,
+def smm1_steps(rng, side: int, mine: np.ndarray, half: TripleHalf,
                blocks: int = 1):
     """This side's raw 2f share of X*Y, blockwise over blocks.
 
@@ -194,106 +212,103 @@ def smm1_steps(rng, side: int, mine: RingMatrix, half: TripleHalf,
     D = X - U and E = Y - V; the product is W + U.E + D.V + D.E, with the
     public D.E term added on side 0 only. Two steps.
     """
-    own, other = (half.u, half.v) if side == 0 else (half.v, half.u)
-    if (own.rows, own.cols) != (mine.rows, mine.cols):
+    u, v, w = half.u.arr, half.v.arr, half.w.arr
+    own, other = (u, v) if side == 0 else (v, u)
+    if own.shape != mine.shape:
         raise DimensionMismatch(
-            f"triple is for {own.rows}x{own.cols}, "
-            f"input is {mine.rows}x{mine.cols}")
-    sent = uniform_matrix(mine.rows, mine.cols, rng)
-    kept = mat_sub(mine, sent)
+            f"triple is for {own.shape[0]}x{own.shape[1]}, "
+            f"input is {mine.shape[0]}x{mine.shape[1]}")
+    sent = _masked(rng, mine.shape)
+    kept = mine - sent
     (got,) = yield [(KIND_SHARE_DIST, sent)]
-    if (got.rows, got.cols) != (other.rows, other.cols):
+    if got.shape != other.shape:
         raise DimensionMismatch(
-            f"peer shared {got.rows}x{got.cols}, triple is for "
-            f"{other.rows}x{other.cols}")
+            f"peer shared {got.shape[0]}x{got.shape[1]}, triple is for "
+            f"{other.shape[0]}x{other.shape[1]}")
     x, y = (kept, got) if side == 0 else (got, kept)
-    d_mine = mat_sub(x, half.u)
-    e_mine = mat_sub(y, half.v)
+    d_mine = x - u
+    e_mine = y - v
     d_peer, e_peer = yield [(KIND_SMM_D, d_mine), (KIND_SMM_E, e_mine)]
-    d = mat_add(d_mine, d_peer)
-    e = mat_add(e_mine, e_peer)
-    out = mat_add(half.w, mat_add(mat_mul_raw(half.u, e, blocks),
-                                  mat_mul_raw(d, half.v, blocks)))
-    return mat_add(out, mat_mul_raw(d, e, blocks)) if side == 0 else out
+    d = d_mine + d_peer
+    e = e_mine + e_peer
+    out = w + (matmul(u, e, blocks) + matmul(d, v, blocks))
+    return out + matmul(d, e, blocks) if side == 0 else out
 
 
 # --- protocol 2: triple-free, leaks folded aggregates ---
 #
-# Written on the arrays: RingMatrix wraps only the frames and the operands
-# of mat_mul_raw. Even and odd are 0-based (even = indices 0, 2, 4, ...).
+# Even and odd are 0-based (even = indices 0, 2, 4, ...).
 
 
-def smm2_x_steps(rng, x_mat: RingMatrix, blocks: int = 1):
+def smm2_x_steps(rng, x: np.ndarray, blocks: int = 1):
     """A's side of X*Y, blockwise over blocks. Returns A's share M."""
-    x = x_mat.arr
     if x.shape[1] % 2:
         x = np.pad(x, ((0, 0), (0, 1)))
     rows, cols = x.shape
-    p = rng.u64_array(rows * cols).reshape(rows, cols)
+    p = _masked(rng, x.shape)
     p_odd = p[:, 1::2]
     fold = p[:, 0::2] + p_odd
-    y1, y2 = yield [(KIND_SMM_D, RingMatrix.wrap(x + p)),
-                    (KIND_SMM_E, RingMatrix.wrap(fold))]
-    if (y1.rows != cols * blocks or y2.rows * 2 != y1.rows
-            or y2.cols != y1.cols):
+    y1, y2 = yield [(KIND_SMM_D, x + p), (KIND_SMM_E, fold)]
+    if (len(y1) != cols * blocks or len(y2) * 2 != len(y1)
+            or y2.shape[1] != y1.shape[1]):
         raise DimensionMismatch(
-            f"peer frames {y1.rows}x{y1.cols} / {y2.rows}x{y2.cols} do not "
-            f"fit a {rows}x{cols} left operand in {blocks} blocks")
-    return RingMatrix.wrap(
-        mat_mul_raw(RingMatrix.wrap(x + 2 * p), y1, blocks).arr
-        + mat_mul_raw(RingMatrix.wrap(fold + p_odd), y2, blocks).arr)
+            f"peer frames {y1.shape[0]}x{y1.shape[1]} / "
+            f"{y2.shape[0]}x{y2.shape[1]} do not fit a {rows}x{cols} left "
+            f"operand in {blocks} blocks")
+    return (matmul(x + 2 * p, y1, blocks)
+            + matmul(fold + p_odd, y2, blocks))
 
 
-def smm2_y_steps(rng, y_mat: RingMatrix, blocks: int = 1):
+def smm2_y_steps(rng, y: np.ndarray, blocks: int = 1):
     """B's side of X*Y, blockwise over blocks. Returns B's share N.
 
     A single block of odd height gets a zero row; stacked blocks must each
     have an even height, since a zero row at the foot of the stack would
     fold rows of different blocks together.
     """
-    rows = y_mat.rows
+    rows = len(y)
     if blocks > 1 and (rows % blocks or rows // blocks % 2):
         raise DimensionMismatch(
             f"{rows} rows are not {blocks} blocks of an even height")
-    y = y_mat.arr if rows % 2 == 0 else np.pad(y_mat.arr, ((0, 1), (0, 0)))
-    q = rng.u64_array(y.size).reshape(y.shape)
+    if rows % 2:
+        y = np.pad(y, ((0, 1), (0, 0)))
+    q = _masked(rng, y.shape)
     q_even = q[0::2]
     fold = q_even - q[1::2]
-    x1, x2 = yield [(KIND_SMM_D, RingMatrix.wrap(q - y)),
-                    (KIND_SMM_E, RingMatrix.wrap(fold))]
-    if (x1.cols * blocks != len(y) or x2.cols * 2 != x1.cols
-            or x2.rows != x1.rows):
+    x1, x2 = yield [(KIND_SMM_D, q - y), (KIND_SMM_E, fold)]
+    if (x1.shape[1] * blocks != len(y) or x2.shape[1] * 2 != x1.shape[1]
+            or len(x2) != len(x1)):
         raise DimensionMismatch(
-            f"peer frames {x1.rows}x{x1.cols} / {x2.rows}x{x2.cols} do not "
-            f"fit a {len(y)}x{y.shape[1]} right operand in {blocks} blocks")
-    return RingMatrix.wrap(
-        mat_mul_raw(x1, RingMatrix.wrap(2 * y - q), blocks).arr
-        - mat_mul_raw(x2, RingMatrix.wrap(fold + q_even), blocks).arr)
+            f"peer frames {x1.shape[0]}x{x1.shape[1]} / "
+            f"{x2.shape[0]}x{x2.shape[1]} do not fit a "
+            f"{len(y)}x{y.shape[1]} right operand in {blocks} blocks")
+    return (matmul(x1, 2 * y - q, blocks)
+            - matmul(x2, fold + q_even, blocks))
 
 
 # --- elementwise products as blockwise ones ---
 
 
-def elementwise_steps(rng, side: int, vec: RingMatrix):
+def elementwise_steps(rng, side: int, vec: np.ndarray):
     """This side's smm2 raw 2f share of a o b, for column vectors a (side 0)
     and b (side 1) of one length n: pairs on the diagonals of 2 by 2
     blocks against 2 by 1 columns, a zero entry padding odd n and cut from
     the result (see the module docstring)."""
-    if vec.cols != 1:
+    if vec.shape[1] != 1:
         raise DimensionMismatch("elementwise operands are column vectors")
-    n = vec.rows
+    n = len(vec)
     k = (n + 1) // 2
     if side == 0:
         x = np.zeros((2 * k, 2), dtype=np.uint64)
-        x[0:n:2, 0] = vec.arr[0::2, 0]
-        x[1:n:2, 1] = vec.arr[1::2, 0]
-        out = yield from smm2_x_steps(rng, RingMatrix.wrap(x), k)
+        x[0:n:2, 0] = vec[0::2, 0]
+        x[1:n:2, 1] = vec[1::2, 0]
+        out = yield from smm2_x_steps(rng, x, k)
     else:
-        y = vec.arr if n % 2 == 0 else np.pad(vec.arr, ((0, 1), (0, 0)))
-        out = yield from smm2_y_steps(rng, RingMatrix.wrap(y), k)
-    if (out.rows, out.cols) != (2 * k, 1):
+        y = vec if n % 2 == 0 else np.pad(vec, ((0, 1), (0, 0)))
+        out = yield from smm2_y_steps(rng, y, k)
+    if out.shape != (2 * k, 1):
         raise DimensionMismatch("peer frames do not fit the vector length")
-    return RingMatrix.wrap(out.arr[:n])
+    return out[:n]
 
 
 # --- leakage characterization ---

@@ -2,10 +2,20 @@
 
 Every message is one frame: a big-endian u32 length, a 16-byte little-endian
 header (round u32, kind u16, sender u16, receiver u16, pad u16, reserved
-u32), and a serialized ring matrix as payload. The same bytes travel over an
+u32), and a serialized ring matrix as payload (rows u32, cols u32, then the
+row-major little-endian u64 words). The same bytes travel over an
 in-process loopback hub or real TCP sockets; per-party transcripts record
-frames as they are consumed by recv, so the transcript hash is independent
-of thread or network scheduling.
+frames as they are consumed, so the transcript hash is independent of
+thread or network scheduling.
+
+The training loop moves bare uint64 arrays. send_many encodes each frame
+with one packed struct that holds the length, the header fields and the
+shape, followed by the words. recv_many takes the frames a step expects
+from one peer in one call: it checks every header and payload shape
+exactly as recv does (recv is recv_many of one frame), appends them to the
+transcript in the order given and returns the arrays as read-only views
+of the received bytes. Frame and RingMatrix are the edge: tests, the
+golden frames and transcript inspection.
 """
 
 from __future__ import annotations
@@ -16,11 +26,14 @@ import queue
 import selectors
 import socket
 import struct
+import sys
 import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ConnectTimeout,
@@ -54,19 +67,27 @@ LEN_FMT = ">I"
 _HEADER = struct.Struct(HEADER_FMT)
 _LEN = struct.Struct(LEN_FMT)
 
+# A frame's fixed bytes as one little-endian struct: the length prefix as
+# four single bytes (the wire carries it big-endian), the header, the
+# payload's shape. _BODY is the same without the length prefix, as recv
+# reads it.
+_FRAME = struct.Struct("<4BIHHHHIII")
+_BODY = struct.Struct("<IHHHHIII")
+_FIXED = _BODY.size  # 24: header and shape
+_WORD = np.dtype("<u8")
+
+if sys.byteorder == "little":
+    _word_bytes = np.ndarray.tobytes
+else:  # pragma: no cover - numpy words are stored little-endian on the wire
+    def _word_bytes(a: np.ndarray) -> bytes:
+        return a.astype(_WORD).tobytes()
+
 _HANDSHAKE_MAGIC = b"SRGW"
 _HANDSHAKE_FMT = ">4sHHHQ"  # magic, version, n_parties, party_id, roster hash
 _HANDSHAKE_LEN = struct.calcsize(_HANDSHAKE_FMT)
 _WIRE_VERSION = 1
 
 DEFAULT_TIMEOUT = 30.0
-
-
-def _stream(round_no: int, kind: int, sender: int, receiver: int,
-            payload: bytes) -> bytes:
-    """One frame as it goes on the wire: length prefix, header, payload."""
-    return b"".join((_LEN.pack(HEADER_LEN + len(payload)), _HEADER.pack(
-        round_no, kind, sender, receiver, 0, 0), payload))
 
 
 @dataclass(frozen=True)
@@ -82,8 +103,7 @@ class Frame:
                             self.receiver, 0, 0) + self.payload
 
     def encode_stream(self) -> bytes:
-        return _stream(self.round_no, self.kind, self.sender, self.receiver,
-                       self.payload)
+        return _LEN.pack(HEADER_LEN + len(self.payload)) + self.encode()
 
     @classmethod
     def decode(cls, body: bytes) -> "Frame":
@@ -115,8 +135,12 @@ class Transcript:
         self._hash = hashlib.sha256()
 
     def append(self, body) -> None:
-        self._bodies.append(body)
-        self._hash.update(body)
+        self.extend((body,))
+
+    def extend(self, bodies) -> None:
+        self._bodies.extend(bodies)
+        for body in bodies:
+            self._hash.update(body)
 
     @property
     def frames(self) -> list[Frame]:
@@ -130,8 +154,9 @@ class Transcript:
 
 
 class ProtocolSession(ABC):
-    """One party's endpoint. send/recv move matrices; recv is strict:
-    the next frame from that peer must match the expected kind and round."""
+    """One party's endpoint. send/recv move matrices; receiving is strict:
+    the next frames from that peer must match the expected kinds and
+    rounds."""
 
     def __init__(self, party_id: int, n_parties: int, rng,
                  timeout: float = DEFAULT_TIMEOUT):
@@ -148,29 +173,68 @@ class ProtocolSession(ABC):
     def _send_frames(self, receiver: int, frames: list[bytes]) -> None: ...
 
     @abstractmethod
-    def _recv_frame_bytes(self, sender: int, timeout: float) -> bytes: ...
+    def _take(self, sender: int, n: int, timeout: float) -> list:
+        """Between 1 and n frame bodies from the sender, waiting for the
+        first one if none has arrived."""
 
     def send(self, receiver: int, kind: int, mat: RingMatrix,
              round_no: int) -> None:
-        self.send_many(receiver, [(kind, mat, round_no)])
+        self.send_many(receiver, [(kind, mat.arr, round_no)])
 
     def send_many(self, receiver: int, items) -> None:
-        """Send (kind, matrix, round) frames to one peer, in order, as one
-        write where the transport allows it."""
+        """Send (kind, array, round) frames to one peer, in order, as one
+        write where the transport allows it; each array is a 2-d uint64
+        ring matrix."""
         if receiver == self.party_id or not 0 <= receiver < self.n_parties:
             raise TransportError(f"bad receiver {receiver}")
-        frames = [_stream(round_no, kind, self.party_id, receiver,
-                          mat.to_bytes()) for kind, mat, round_no in items]
+        me, frames = self.party_id, []
+        for kind, a, round_no in items:
+            rows, cols = a.shape
+            n = _FIXED + 8 * rows * cols
+            frames.append(_FRAME.pack(
+                n >> 24, n >> 16 & 255, n >> 8 & 255, n & 255, round_no,
+                kind, me, receiver, 0, 0, rows, cols) + _word_bytes(a))
         self._send_frames(receiver, frames)
         self.bytes_sent += sum(map(len, frames))
         self.frames_sent += len(frames)
 
     def recv(self, sender: int, kind: int, round_no: int,
              timeout: float | None = None) -> RingMatrix:
+        return RingMatrix.wrap(
+            self.recv_many(sender, [(kind, round_no)], timeout)[0])
+
+    def recv_many(self, sender: int, expect,
+                  timeout: float | None = None) -> list[np.ndarray]:
+        """The next frames from the sender, one per (kind, round) expected,
+        in order, as read-only 2-d uint64 arrays.
+
+        A frame whose header is not the one expected raises UnexpectedKind
+        (DeserializeError when the header itself is malformed), and a
+        payload that is no well-formed matrix raises DeserializeError.
+        Each checked frame joins the transcript.
+        """
         if sender == self.party_id or not 0 <= sender < self.n_parties:
             raise TransportError(f"bad sender {sender}")
-        body = self._recv_frame_bytes(
-            sender, self.timeout if timeout is None else timeout)
+        timeout = self.timeout if timeout is None else timeout
+        me, want, out = self.party_id, len(expect), []
+        while len(out) < want:
+            bodies = self._take(sender, want - len(out), timeout)
+            for body, (kind, round_no) in zip(bodies, expect[len(out):]):
+                size = len(body)
+                if size < _FIXED:
+                    self._reject(body, sender, kind, round_no)
+                r, k, s, to, pad, res, rows, cols = _BODY.unpack_from(body)
+                if (r != round_no or k != kind or s != sender or to != me
+                        or pad or res or not rows or not cols
+                        or size != _FIXED + 8 * rows * cols):
+                    self._reject(body, sender, kind, round_no)
+                out.append(np.ndarray((rows, cols), _WORD, body, _FIXED))
+                self.bytes_received += 4 + size
+            self.transcript.extend(bodies)
+        return out
+
+    def _reject(self, body, sender: int, kind: int, round_no: int):
+        """Raise what is wrong with a frame that failed recv_many's check."""
         if (len(body) < HEADER_LEN or _HEADER.unpack_from(body)
                 != (round_no, kind, sender, self.party_id, 0, 0)):
             frame = Frame.decode(body)  # raises on a malformed header
@@ -178,9 +242,8 @@ class ProtocolSession(ABC):
                 f"party {self.party_id} expected "
                 f"{KIND_NAMES[kind]} round={round_no} from {sender}, "
                 f"got {frame.describe()}")
-        self.transcript.append(body)
-        self.bytes_received += 4 + len(body)
-        return RingMatrix.from_bytes(memoryview(body)[HEADER_LEN:])
+        RingMatrix.from_bytes(memoryview(body)[HEADER_LEN:])  # raises
+        raise AssertionError("frame passed the full check")
 
     def close(self) -> None:
         pass
@@ -188,29 +251,41 @@ class ProtocolSession(ABC):
 
 # --- in-process loopback ---
 
-_CLOSE_SENTINEL = b""
+_CLOSE_SENTINEL = None
 
 
 class LoopbackSession(ProtocolSession):
+    """Queues between threads: each send_many is one queue item holding
+    its frames, and received frames wait in a per-peer list until taken."""
+
     def __init__(self, party_id, n_parties, rng, channels, timeout):
         super().__init__(party_id, n_parties, rng, timeout)
         self._channels = channels  # dict[(src, dst)] -> SimpleQueue
+        self._held = {p: [] for p in range(n_parties) if p != party_id}
 
     def _send_frames(self, receiver, frames):
-        put = self._channels[(self.party_id, receiver)].put
-        for data in frames:
-            put(data)
+        self._channels[(self.party_id, receiver)].put(frames)
 
-    def _recv_frame_bytes(self, sender, timeout):
-        try:
-            data = self._channels[(sender, self.party_id)].get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(
-                f"party {self.party_id}: nothing from {sender} "
-                f"after {timeout:.0f}s") from None
-        if data == _CLOSE_SENTINEL:
-            raise PeerClosed(f"party {sender} closed the channel")
-        return memoryview(data)[4:]  # strip the length prefix, no copy
+    def _take(self, sender, n, timeout):
+        held = self._held[sender]
+        if not held:
+            try:
+                frames = self._channels[(sender, self.party_id)].get(
+                    timeout=timeout)
+            except queue.Empty:
+                raise TransportError(
+                    f"party {self.party_id}: nothing from {sender} "
+                    f"after {timeout:.0f}s") from None
+            if frames is _CLOSE_SENTINEL:
+                raise PeerClosed(f"party {sender} closed the channel")
+            # strip each length prefix, no copy
+            held = [memoryview(data)[4:] for data in frames]
+            if len(held) <= n:
+                return held
+            self._held[sender] = held
+        out = held[:n]
+        del held[:n]
+        return out
 
     def close(self):
         for (src, dst), q in self._channels.items():
@@ -254,12 +329,15 @@ class TcpSession(ProtocolSession):
     """Socket transport: party i dials every j > i and accepts from j < i.
 
     Once connected, every socket is non-blocking and only the party's own
-    thread touches them; there are no reader threads. Whenever the party
-    waits, in recv for one peer's frame or in a send the kernel cannot take
-    yet, it reads every peer that has bytes ready into that peer's buffer
-    and splits off each complete frame. So a large send can never deadlock
-    against a peer's own large send, nor against a chain of parties each
-    waiting on the next: a party that waits keeps draining everyone.
+    thread touches them; there are no reader threads. A receive first
+    reads the one peer's socket directly, and waits only when no frame
+    from that peer has arrived. Whenever the party waits, for a peer's
+    frames or in a send the kernel cannot take yet, it reads every peer
+    that has bytes ready into that peer's buffer and splits off each
+    complete frame. So a large send can never deadlock against a peer's
+    own large send, nor against a chain of parties each waiting on the
+    next: a party that waits keeps draining everyone. The wait is a
+    selectors.DefaultSelector, the platform's best portable poll.
     """
 
     _CHUNK = 1 << 16   # bytes asked of the kernel per read
@@ -397,8 +475,8 @@ class TcpSession(ProtocolSession):
     # steady state
 
     def _pump(self, peer: int) -> None:
-        """Read whatever the peer's socket holds and queue every frame it
-        completes."""
+        """Read whatever the peer's socket holds and queue the body of
+        every frame it completes."""
         sock, buf = self._socks[peer], self._bufs[peer]
         gone = None
         try:
@@ -414,15 +492,19 @@ class TcpSession(ProtocolSession):
             pass
         except OSError as e:
             gone = f"broke the connection: {e}"
-        frames, off, end = self._frames[peer], 0, len(buf)
-        with memoryview(buf) as view:
+        end = len(buf)
+        # copy the buffer out only once it holds a whole frame
+        if end >= 4 and 4 + (buf[0] << 24 | buf[1] << 16 | buf[2] << 8
+                             | buf[3]) <= end:
+            data, off, frames = bytes(buf), 0, self._frames[peer]
             while end - off >= 4:
-                stop = off + 4 + _LEN.unpack_from(view, off)[0]
+                stop = off + 4 + (data[off] << 24 | data[off + 1] << 16
+                                  | data[off + 2] << 8 | data[off + 3])
                 if stop > end:
                     break
-                frames.append(bytes(view[off + 4:stop]))
+                frames.append(data[off + 4:stop])
                 off = stop
-        del buf[:off]
+            del buf[:off]
         if gone is not None:
             self._lose(peer, gone + (" mid-frame" if buf else ""))
 
@@ -448,17 +530,18 @@ class TcpSession(ProtocolSession):
         sock = self._socks.get(receiver)
         if sock is None or self._closed:
             raise PeerClosed(f"no open channel to party {receiver}")
-        view = memoryview(frames[0] if len(frames) == 1 else b"".join(frames))
-        off = 0
+        data = b"".join(frames)
+        view, off = None, 0
         while True:
             try:
-                off += sock.send(view[off:])
+                off += sock.send(data if view is None else view[off:])
             except BlockingIOError:
                 pass
             except OSError as e:
                 raise PeerClosed(f"send to party {receiver} failed: {e}") from e
-            if off == len(view):
+            if off == len(data):
                 return
+            view = memoryview(data)
             self._await_writable(receiver)
 
     def _await_writable(self, receiver: int) -> None:
@@ -477,16 +560,19 @@ class TcpSession(ProtocolSession):
                 if receiver not in self._gone:
                     self._selector.modify(sock, _READ, receiver)
 
-    def _recv_frame_bytes(self, sender, timeout):
+    def _take(self, sender, n, timeout):
         frames = self._frames[sender]
+        if not frames and sender not in self._gone:
+            # read first: a reply that has already arrived needs no wait
+            self._pump(sender)
+            if not frames:
+                deadline = time.monotonic() + timeout
+                what = f"nothing from {sender} after {timeout:.0f}s"
+                while not frames and sender not in self._gone:
+                    self._select(deadline, what)
         if not frames:
-            deadline = time.monotonic() + timeout
-            what = f"nothing from {sender} after {timeout:.0f}s"
-            while not frames and sender not in self._gone:
-                self._select(deadline, what)
-        if frames:
-            return frames.popleft()
-        raise PeerClosed(f"party {sender} {self._gone[sender]}")
+            raise PeerClosed(f"party {sender} {self._gone[sender]}")
+        return [frames.popleft() for _ in range(min(n, len(frames)))]
 
     def close(self):
         self._closed = True

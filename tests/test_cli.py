@@ -4,6 +4,7 @@ Process-mode tests spawn real child interpreters over localhost TCP, so
 they keep the training configuration tiny.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -28,7 +29,8 @@ from secregress.errors import (
     TooFewRows,
     TripleExhausted,
 )
-from secregress.protocols import product_plan
+from secregress.protocols import fold_rounds, product_plan
+from secregress.protocols.base import _EngineBase
 from secregress.smm import triple_halves
 from secregress.spec import RUNSPEC_SCHEMA, SCHEMA_KEYWORDS, check_schema
 
@@ -686,3 +688,53 @@ def test_scaling_point_stocks_exactly_the_triples_it_draws(scheme):
               for i in range(2)]
     with pytest.raises(TripleExhausted):
         cli._scaling_point(spec, halves=[halves[0], halves[1][:-1]])
+
+
+# -- fold round ranges --------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("scheme", ["horizontal", "vertical"])
+@pytest.mark.parametrize("task", ["LiRe", "LoRe"])
+def test_fold_rounds_match_the_engines_round_counters(task, scheme, n,
+                                                      monkeypatch):
+    # every party's engine ends each fold exactly fold_rounds past its base
+    used = []
+    result = _EngineBase._result
+
+    def recording_result(self, *args):
+        used.append(self._round - self._round_base)
+        return result(self, *args)
+
+    monkeypatch.setattr(_EngineBase, "_result", recording_result)
+    kind = "synthetic-linear" if task == "LiRe" else "synthetic-logistic"
+    spec = cli.RunSpec.from_dict(spec_dict(
+        task=task, scheme=scheme, smm_variant="OTI", parties=n,
+        dataset={"kind": kind, "m": 48, "d": 8, "seed": 5},
+        config={"learning_rate": 0.1, "batch_size": 2, "iterations": 3,
+                "seed": "rounds"}))
+    orchestration.spawn_parties(spec, "threads")
+    want = fold_rounds(spec.config, orchestration._task(spec), scheme, n)
+    assert used == [want] * (n * spec.folds)
+    assert orchestration.round_stride(spec) == orchestration.ROUND_STRIDE
+
+
+def test_fold_ranges_never_overlap_and_fit_in_u32():
+    # the largest spec the schema accepts: folds step by whole strides,
+    # each stride holds a fold, and the last fold ends below 2^32
+    props = RUNSPEC_SCHEMA["properties"]
+    n, folds = props["parties"]["maximum"], props["folds"]["maximum"]
+    iters = props["config"]["properties"]["iterations"]["maximum"]
+    for task, scheme in itertools.product(("LiRe", "LoRe"),
+                                          ("horizontal", "vertical")):
+        kind = ("synthetic-linear" if task == "LiRe"
+                else "synthetic-logistic")
+        spec = cli.RunSpec.from_dict(spec_dict(
+            task=task, scheme=scheme, parties=n, folds=folds,
+            dataset={"kind": kind, "m": 64, "d": 8, "seed": 5},
+            config={"batch_size": 4, "iterations": iters, "seed": 1}))
+        rounds = fold_rounds(spec.config, orchestration._task(spec),
+                             scheme, n)
+        stride = orchestration.round_stride(spec)
+        assert rounds > orchestration.ROUND_STRIDE  # the old overlap
+        assert rounds <= stride and stride % orchestration.ROUND_STRIDE == 0
+        assert (folds - 1) * stride + rounds < 1 << 32

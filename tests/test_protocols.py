@@ -199,17 +199,18 @@ def _grid_poly(z):
 @pytest.mark.parametrize("variant", ["smm1", "smm2"])
 def test_sigmoid_shares_track_polynomial(variant):
     zs = [0.0, 1.0, -1.0, 0.5, -0.25, 3.0, -3.0]
-    cfg = TrainingConfig(smm_variant=variant, seed="sig")
+    n = len(zs)
+    # the sigmoid runs on a batch-size column
+    cfg = TrainingConfig(smm_variant=variant, seed="sig", batch_size=n)
     z_enc = RingMatrix.encode_rows([[v] for v in zs])
     shares = share_matrix(z_enc, 2, CounterDrbg("sig-shares"))
     # the sigmoid's three elementwise products, as a plan for the dealer
-    n = len(zs)
     plan = [(0, 1, n, True), (0, 1, n, True), (1, 0, n, True)]
     fns = [
         (lambda s, sh=shares[i]:
-         _EngineBase(s, cfg, "logistic",
-                     triple_halves(cfg.seed, plan, s.party_id)
-                     )._sigmoid_from_zf(sh))
+         RingMatrix.wrap(_EngineBase(s, cfg, "logistic",
+                                     triple_halves(cfg.seed, plan, s.party_id)
+                                     )._sigmoid_from_zf(sh.arr)))
         for i in range(2)
     ]
     out = run_parties(2, cfg, fns)
@@ -454,14 +455,13 @@ def test_triple_draws_match_the_projection(monkeypatch):
     # every engine opens exactly the plan's products, in the plan's order,
     # and each party draws exactly its own halves of it, to the last one
     opened = {}
-    stage = _EngineBase._stage
+    run_stage = _EngineBase._run_stage
 
-    def recording_stage(self, products):
-        opened.setdefault(self.me, []).extend(
-            (a, b, shape, el) for a, b, _mine, shape, el in products)
-        return stage(self, products)
+    def recording_stage(self, stage, operands):
+        opened.setdefault(self.me, []).extend(stage.plan)
+        return run_stage(self, stage, operands)
 
-    monkeypatch.setattr(_EngineBase, "_stage", recording_stage)
+    monkeypatch.setattr(_EngineBase, "_run_stage", recording_stage)
     for task, layout, n in itertools.product(
             ("linear", "logistic"), ("horizontal", "vertical"), (2, 3)):
         make = (make_regression_data if task == "linear"
@@ -576,6 +576,18 @@ def _stage_products(pid, products):
              shape, el) for k, (a, b, shape, el) in enumerate(products)]
 
 
+def _staged(eng, products, _halves):
+    """The products as one stage, one sum a-b per product; bystanders
+    read None."""
+    stage = eng._tape(*[((a,), (b,), shape, el)
+                        for a, b, _mine, shape, el in products])
+    totals = eng._run_stage(stage, [
+        (None, None) if mine is None else (mine.arr, mine.arr)
+        for _a, _b, mine, _shape, _el in products])
+    return [RingMatrix.wrap(total) if eng.me in (a, b) else None
+            for total, (a, b, *_) in zip(totals, products)]
+
+
 def _one_at_a_time(eng, products, halves):
     """The products run one at a time, in order: the reference."""
     out = []
@@ -615,8 +627,7 @@ def test_stage_matches_one_product_calls(variant, n):
                     s.bytes_sent)
         return go
 
-    staged = run_parties(
-        n, cfg, [party(lambda eng, prods, _h: eng._stage(prods))] * n)
+    staged = run_parties(n, cfg, [party(_staged)] * n)
     alone = run_parties(n, cfg, [party(_one_at_a_time)] * n)
     for pid in range(n):
         assert staged[pid][1:] == alone[pid][1:]
@@ -643,7 +654,7 @@ def test_open_refuses_a_share_of_the_wrong_shape(receivers):
         eng = _EngineBase(s, cfg, "linear", None)
         share = RingMatrix.column([1.0] * (3 if s.party_id == 2 else 2))
         try:
-            return eng._open(share, receivers)
+            return eng._open(share.arr, receivers)
         except PolicyMismatch as exc:
             return exc
 

@@ -5,6 +5,8 @@ import hashlib
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secregress.rng import CHUNK, CounterDrbg
 
@@ -195,3 +197,59 @@ def test_shuffle_matches_word_by_word(n):
 def test_randranges_rejects_a_zero_bound():
     with pytest.raises(ValueError):
         CounterDrbg(1).randranges([3, 0, 2])
+
+
+# --- fresh streams read from a prefix of their first chunk ---
+
+def _drbg_key(seed: int) -> bytes:
+    return hashlib.sha256(b"secregress.drbg.v1\x00" + b"i"
+                          + seed.to_bytes(16, "little", signed=True)
+                          + b"\x00").digest()
+
+
+class _WholeChunks:
+    """The stream of CounterDrbg(seed), word by word from whole chunks."""
+
+    def __init__(self, seed):
+        self.key, self.pos = _drbg_key(seed), 0
+
+    def word(self):
+        c, off = divmod(self.pos, W)
+        self.pos += 1
+        return _shake_words(self.key, c, off, 1)[0]
+
+    def randrange(self, n):
+        limit = (1 << 64) - (1 << 64) % n
+        while True:
+            w = self.word()
+            if w < limit:
+                return w % n
+
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("u64"), st.just(1)),
+    st.tuples(st.sampled_from(["array", "skip"]),
+              st.one_of(st.integers(0, 9), st.integers(0, 2 * W + 3))),
+    st.tuples(st.just("randranges"), st.lists(
+        st.one_of(st.integers(1, 1000), st.just(HALF_REJECTED)),
+        min_size=1, max_size=12)),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 20), _ops)
+def test_fresh_stream_draws_match_whole_chunks(seed, ops):
+    r, ref = CounterDrbg(seed), _WholeChunks(seed)
+    for op, arg in ops:
+        if op == "u64":
+            assert r.u64() == ref.word()
+        elif op == "array":
+            assert r.u64_array(arg).tolist() == [ref.word()
+                                                 for _ in range(arg)]
+        elif op == "skip":
+            r.skip(arg)
+            ref.pos += arg
+        else:
+            assert r.randranges(arg).tolist() == [ref.randrange(b)
+                                                  for b in arg]
+    assert r.u64() == ref.word()

@@ -485,7 +485,7 @@ def test_send_many_is_one_write_of_ordered_frames():
     a, b = RingMatrix(1, 1, [3]), RingMatrix(1, 2, [4, 5])
     try:
         conn = peer.connected()
-        s.send_many(1, [(KIND_SMM_D, a, 7), (KIND_SMM_E, b, 7)])
+        s.send_many(1, [(KIND_SMM_D, a.arr, 7), (KIND_SMM_E, b.arr, 7)])
         want = (Frame(7, KIND_SMM_D, 0, 1, a.to_bytes()).encode_stream()
                 + Frame(7, KIND_SMM_E, 0, 1, b.to_bytes()).encode_stream())
         got = b""
@@ -553,3 +553,59 @@ def test_failed_tcp_session_closes_its_sockets(case):
     # any socket it only dropped, from being collected
     assert err.value is not None
     assert open_fds() - before == set()
+
+
+# --- the batched receive checks every frame as recv does ---
+
+def _raw_wire(round_no=4, kind=KIND_SMM_D, sender=1, receiver=0, pad=0,
+              reserved=0, shape=(1, 1), words=1, payload=None):
+    """A frame from party 1 to party 0 with any header and payload."""
+    if payload is None:
+        payload = struct.pack("<II", *shape) + b"\x07" * (8 * words)
+    body = struct.pack("<IHHHHI", round_no, kind, sender, receiver, pad,
+                       reserved) + payload
+    return struct.pack(">I", len(body)) + body
+
+
+# each bad frame is due as (KIND_SMM_D, round 4) from party 1 to party 0
+BAD_FRAMES = {
+    "wrong-round": (_raw_wire(round_no=5), UnexpectedKind),
+    "wrong-kind": (_raw_wire(kind=KIND_SMM_E), UnexpectedKind),
+    "wrong-sender": (_raw_wire(sender=2), UnexpectedKind),
+    "wrong-receiver": (_raw_wire(receiver=1), UnexpectedKind),
+    "nonzero-pad": (_raw_wire(pad=1), DeserializeError),
+    "nonzero-reserved": (_raw_wire(reserved=1), DeserializeError),
+    "truncated-shape": (_raw_wire(payload=b"\x01\x00\x00\x00"),
+                        DeserializeError),
+    "wrong-payload-length": (_raw_wire(shape=(2, 1), words=1),
+                             DeserializeError),
+    "zero-rows": (_raw_wire(shape=(0, 1), words=0), DeserializeError),
+}
+GOOD_FIRST = _raw_wire(round_no=4, kind=KIND_SHARE_DIST)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize("case", sorted(BAD_FRAMES))
+def test_batched_receive_raises_what_recv_raises(case, transport, batched):
+    bad, error = BAD_FRAMES[case]
+    # recv takes the bad frame alone; recv_many takes it second in a
+    # batch, behind a good frame
+    data = GOOD_FIRST + bad if batched else bad
+    if transport == "loopback":
+        s = loopback_sessions(2, make_rngs(2, "bad-" + case), timeout=5.0)
+        s[1]._send_frames(0, [GOOD_FIRST, bad] if batched else [bad])
+        me, peer = s[0], None
+    else:
+        me, peer = raw_session("bad-" + case, timeout=5.0)
+        peer.connected().sendall(data)
+    try:
+        with pytest.raises(error):
+            if batched:
+                me.recv_many(1, [(KIND_SHARE_DIST, 4), (KIND_SMM_D, 4)])
+            else:
+                me.recv(1, KIND_SMM_D, 4)
+    finally:
+        me.close()
+        if peer is not None:
+            peer.close()

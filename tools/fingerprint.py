@@ -31,9 +31,9 @@ import sys
 
 from secregress.data import kfold
 from secregress.orchestration import (
-    ROUND_STRIDE,
     _run_party_folds,
     _run_threads,
+    round_stride,
 )
 from secregress.spec import RunSpec, load_dataset
 from secregress.transport import loopback_sessions
@@ -60,11 +60,11 @@ def fingerprint(raw: dict) -> dict:
     outs, _ = _run_threads(
         sessions, [lambda s=s: _run_party_folds(s, spec, X, y, descriptor)
                    for s in sessions], 120.0)
-    parties = []
+    parties, stride = [], round_stride(spec)
     for session, (manifest, _timings) in zip(sessions, outs):
         bodies: dict[int, list[bytes]] = {}
         for frame in session.transcript.frames:
-            bodies.setdefault(frame.round_no // ROUND_STRIDE, []).append(
+            bodies.setdefault(frame.round_no // stride, []).append(
                 frame.encode())
         folds = []
         for rec in manifest["folds"]:
