@@ -47,8 +47,8 @@ import numpy as np
 
 from ..baseline import SIGMOID_POLY
 from ..errors import InvalidPartyCount, PolicyMismatch, TripleExhausted
-from ..ring import FRAC_BITS, decode_raw, encode_raw, hadamard, matmul
-from ..sharing import share_array
+from ..ring import FRAC_BITS, MASK, decode_raw, encode_raw, hadamard, matmul
+from ..sharing import share_matrix
 from ..smm import (
     elementwise_steps,
     run_stage,
@@ -130,7 +130,8 @@ class _EngineBase:
         self._round_base = round_base
         self._round = round_base + _FIRST_ROUND
         self._ti = config.smm_variant == "smm1"
-        # the public ring constants, as uint64 scalars made once
+        # the public ring constants, as numpy scalars made once
+        self._f_bits = np.int64(self.f)
         self._half = np.uint64(1 << (self.f - 1))
         self._lr_word = np.uint64(config.lr_word())
         q0, q1, q2, q3 = (encode_raw(q) for q in SIGMOID_POLY)
@@ -186,7 +187,7 @@ class _EngineBase:
                 a = a + part
         if self.me == 0:
             a = a + self._half
-        return (a.view(np.int64) >> self.f).view(np.uint64)
+        return (a.view(np.int64) >> self._f_bits).view(np.uint64)
 
     def _update(self, w_2f: np.ndarray, grad_2f: np.ndarray) -> np.ndarray:
         """w <- w - (alpha/B) * grad on 2f-bit shares.
@@ -316,7 +317,7 @@ class _EngineBase:
         party's fields, in party order, without it.
         """
         hash_word = self.cfg.hash_word(self.task, self.layout, self.n)
-        row = [x & ((1 << 64) - 1) for x in fields] + [hash_word]
+        row = [x & MASK for x in fields] + [hash_word]
         mine = np.array([row], dtype=np.uint64)
         for p in range(self.n):
             if p != self.me:
@@ -350,7 +351,7 @@ class _EngineBase:
         if self.me != owner:
             return self.s.recv_many(
                 owner, [(kind, base + j) for j, kind in enumerate(kinds)])
-        shares = [share_array(a, self.n, self.s.rng) for a in arrays]
+        shares = [share_matrix(a, self.n, self.s.rng) for a in arrays]
         for p in range(self.n):
             if p != self.me:
                 self.s.send_many(p, [(kind, sh[p], base + j) for j, (kind, sh)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..data import build_batch_schedule, check_binary_labels
 from ..errors import (
     BatchTooLarge,
@@ -28,7 +26,7 @@ from ..errors import (
     SampleCountMismatch,
 )
 from ..ring import RingMatrix
-from ..sharing import share_array
+from ..sharing import zero_shares
 from ..transport import KIND_W_SHARE, KIND_Y_SHARE
 from .base import TrainResult, _EngineBase
 from .config import schedule_digest
@@ -85,8 +83,7 @@ class VerticalEngine(_EngineBase):
 
         # Every party splits its (zero) weight block over all parties.
         r0 = self._next_round()
-        mine = share_array(np.zeros((d_local, 1), dtype=np.uint64), self.n,
-                           self.s.rng)
+        mine = zero_shares(d_local, 1, self.n, self.s.rng)
         for p in range(self.n):
             if p != self.me:
                 self.s.send_many(p, [(KIND_W_SHARE, mine[p], r0)])

@@ -1,4 +1,4 @@
-"""Additive secret sharing of ring matrices.
+"""Additive secret sharing of ring matrices (uint64 arrays, see ring).
 
 A value is split into n shares that sum to it mod 2^64; any n-1 shares are
 jointly uniform, so nothing short of the full set carries information.
@@ -9,12 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidPartyCount
-from .ring import RingMatrix
 
 
-def share_array(x: np.ndarray, n: int, rng) -> list[np.ndarray]:
-    """Split the uint64 array x into n additive shares; the first n-1 are
-    fresh uniform draws."""
+def share_matrix(x: np.ndarray, n: int, rng) -> list[np.ndarray]:
+    """Split x into n additive shares; the first n-1 are fresh uniform draws."""
     if n < 2:
         raise InvalidPartyCount(f"need at least 2 parties, got {n}")
     shares = [rng.u64_array(x.size).reshape(x.shape) for _ in range(n - 1)]
@@ -25,11 +23,6 @@ def share_array(x: np.ndarray, n: int, rng) -> list[np.ndarray]:
     return shares
 
 
-def share_matrix(x: RingMatrix, n: int, rng) -> list[RingMatrix]:
-    """share_array on a RingMatrix."""
-    return [RingMatrix.wrap(s) for s in share_array(x.arr, n, rng)]
-
-
-def zero_shares(rows: int, cols: int, n: int, rng) -> list[RingMatrix]:
+def zero_shares(rows: int, cols: int, n: int, rng) -> list[np.ndarray]:
     """Additive sharing of the zero matrix (pairwise masks)."""
-    return share_matrix(RingMatrix.zeros(rows, cols), n, rng)
+    return share_matrix(np.zeros((rows, cols), dtype=np.uint64), n, rng)

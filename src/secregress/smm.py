@@ -2,7 +2,7 @@
 
 Party A holds X, party B holds Y; they end with additive shares M, N with
 M + N = X*Y exactly in the ring, the product carrying 2f fractional bits.
-Every product is blockwise (ring.mat_mul_raw): X stacks k blocks of x by
+Every product is blockwise (ring.matmul): X stacks k blocks of x by
 y one under the other, Y stacks k blocks of y by z, and block j of the
 product is block j of X times block j of Y; k = 1 is the plain matrix
 product. Two interchangeable protocols:
@@ -38,6 +38,13 @@ differences of b.
 
 Every product returns the raw 2f share. Callers sum the products of one
 aggregate and truncate once (see protocols.base._EngineBase._shift).
+
+The online steps work on bare uint64 arrays (operands, frames, shares);
+RingMatrix appears only in the offline triples and the leakage tools.
+run_stage is the one driver for both protocols: the engines hand it a
+stage from their per-fold tape (protocols.base._EngineBase._tape), and it
+writes each peer one batch per step and takes each peer's batch with one
+ProtocolSession.recv_many.
 """
 
 from __future__ import annotations
@@ -200,6 +207,14 @@ def _masked(rng, shape) -> np.ndarray:
     return rng.u64_array(shape[0] * shape[1]).reshape(shape)
 
 
+def _padded(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """a with zero rows and columns appended up to rows by cols (a twentieth
+    of np.pad's cost on these small matrices)."""
+    out = np.zeros((rows, cols), dtype=np.uint64)
+    out[:a.shape[0], :a.shape[1]] = a
+    return out
+
+
 # --- protocol 1: Beaver masking ---
 
 
@@ -243,19 +258,20 @@ def smm1_steps(rng, side: int, mine: np.ndarray, half: TripleHalf,
 def smm2_x_steps(rng, x: np.ndarray, blocks: int = 1):
     """A's side of X*Y, blockwise over blocks. Returns A's share M."""
     if x.shape[1] % 2:
-        x = np.pad(x, ((0, 0), (0, 1)))
+        x = _padded(x, len(x), x.shape[1] + 1)
     rows, cols = x.shape
     p = _masked(rng, x.shape)
     p_odd = p[:, 1::2]
     fold = p[:, 0::2] + p_odd
-    y1, y2 = yield [(KIND_SMM_D, x + p), (KIND_SMM_E, fold)]
+    masked = x + p
+    y1, y2 = yield [(KIND_SMM_D, masked), (KIND_SMM_E, fold)]
     if (len(y1) != cols * blocks or len(y2) * 2 != len(y1)
             or y2.shape[1] != y1.shape[1]):
         raise DimensionMismatch(
             f"peer frames {y1.shape[0]}x{y1.shape[1]} / "
             f"{y2.shape[0]}x{y2.shape[1]} do not fit a {rows}x{cols} left "
             f"operand in {blocks} blocks")
-    return (matmul(x + 2 * p, y1, blocks)
+    return (matmul(masked + p, y1, blocks)  # X + 2P
             + matmul(fold + p_odd, y2, blocks))
 
 
@@ -271,18 +287,19 @@ def smm2_y_steps(rng, y: np.ndarray, blocks: int = 1):
         raise DimensionMismatch(
             f"{rows} rows are not {blocks} blocks of an even height")
     if rows % 2:
-        y = np.pad(y, ((0, 1), (0, 0)))
+        y = _padded(y, rows + 1, y.shape[1])
     q = _masked(rng, y.shape)
     q_even = q[0::2]
     fold = q_even - q[1::2]
-    x1, x2 = yield [(KIND_SMM_D, q - y), (KIND_SMM_E, fold)]
+    masked = q - y
+    x1, x2 = yield [(KIND_SMM_D, masked), (KIND_SMM_E, fold)]
     if (x1.shape[1] * blocks != len(y) or x2.shape[1] * 2 != x1.shape[1]
             or len(x2) != len(x1)):
         raise DimensionMismatch(
             f"peer frames {x1.shape[0]}x{x1.shape[1]} / "
             f"{x2.shape[0]}x{x2.shape[1]} do not fit a "
             f"{len(y)}x{y.shape[1]} right operand in {blocks} blocks")
-    return (matmul(x1, 2 * y - q, blocks)
+    return (matmul(x1, y - masked, blocks)  # 2Y - Q
             - matmul(x2, fold + q_even, blocks))
 
 
@@ -304,7 +321,7 @@ def elementwise_steps(rng, side: int, vec: np.ndarray):
         x[1:n:2, 1] = vec[1::2, 0]
         out = yield from smm2_x_steps(rng, x, k)
     else:
-        y = vec if n % 2 == 0 else np.pad(vec, ((0, 1), (0, 0)))
+        y = vec if n % 2 == 0 else _padded(vec, n + 1, 1)
         out = yield from smm2_y_steps(rng, y, k)
     if out.shape != (2 * k, 1):
         raise DimensionMismatch("peer frames do not fit the vector length")

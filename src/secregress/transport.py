@@ -76,9 +76,10 @@ _BODY = struct.Struct("<IHHHHIII")
 _FIXED = _BODY.size  # 24: header and shape
 _WORD = np.dtype("<u8")
 
+# the words of an array as the wire has them, little-endian
 if sys.byteorder == "little":
     _word_bytes = np.ndarray.tobytes
-else:  # pragma: no cover - numpy words are stored little-endian on the wire
+else:
     def _word_bytes(a: np.ndarray) -> bytes:
         return a.astype(_WORD).tobytes()
 
@@ -217,9 +218,12 @@ class ProtocolSession(ABC):
             raise TransportError(f"bad sender {sender}")
         timeout = self.timeout if timeout is None else timeout
         me, want, out = self.party_id, len(expect), []
-        while len(out) < want:
-            bodies = self._take(sender, want - len(out), timeout)
-            for body, (kind, round_no) in zip(bodies, expect[len(out):]):
+        got = 0
+        while got < want:
+            bodies = self._take(sender, want - got, timeout)
+            for body in bodies:
+                kind, round_no = expect[got]
+                got += 1
                 size = len(body)
                 if size < _FIXED:
                     self._reject(body, sender, kind, round_no)

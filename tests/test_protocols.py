@@ -203,14 +203,14 @@ def test_sigmoid_shares_track_polynomial(variant):
     # the sigmoid runs on a batch-size column
     cfg = TrainingConfig(smm_variant=variant, seed="sig", batch_size=n)
     z_enc = RingMatrix.encode_rows([[v] for v in zs])
-    shares = share_matrix(z_enc, 2, CounterDrbg("sig-shares"))
+    shares = share_matrix(z_enc.arr, 2, CounterDrbg("sig-shares"))
     # the sigmoid's three elementwise products, as a plan for the dealer
     plan = [(0, 1, n, True), (0, 1, n, True), (1, 0, n, True)]
     fns = [
         (lambda s, sh=shares[i]:
          RingMatrix.wrap(_EngineBase(s, cfg, "logistic",
                                      triple_halves(cfg.seed, plan, s.party_id)
-                                     )._sigmoid_from_zf(sh.arr)))
+                                     )._sigmoid_from_zf(sh)))
         for i in range(2)
     ]
     out = run_parties(2, cfg, fns)

@@ -9,9 +9,18 @@ from hypothesis import strategies as st
 from secregress.errors import DimensionMismatch, InvalidPartyCount
 from secregress.ring import MASK, RingMatrix, uniform_matrix
 from secregress.rng import CounterDrbg
-from secregress.sharing import share_matrix, zero_shares
+from secregress import sharing
 
 from oracles import reconstruct, share_raw
+
+
+def share_matrix(x: RingMatrix, n: int, rng) -> list[RingMatrix]:
+    return [RingMatrix.wrap(s) for s in sharing.share_matrix(x.arr, n, rng)]
+
+
+def zero_shares(rows: int, cols: int, n: int, rng) -> list[RingMatrix]:
+    return [RingMatrix.wrap(s)
+            for s in sharing.zero_shares(rows, cols, n, rng)]
 
 
 def test_share_reconstruct_roundtrip():
