@@ -58,7 +58,7 @@ from ..smm import (
     triple_halves,
 )
 from ..transport import KIND_CONTROL, KIND_SHARE_DIST, KIND_W_SHARE
-from .config import _FIRST_ROUND, TrainingConfig, product_plan
+from .config import FIRST_ROUND, TrainingConfig, product_plan
 
 
 @dataclass
@@ -91,8 +91,8 @@ class Stage:
     included; product j takes round base + j. slots: (sum, side,
     elementwise, j) per product this party is in, in plan order. lanes:
     (peer, [(slot, round offset), ...]) per peer, as smm.run_stage takes
-    them. local: the sums this party multiplies on its own. shapes: each
-    sum's result shape.
+    them. local: (sum, elementwise) per term this party multiplies on its
+    own. shapes: each sum's result shape.
     """
 
     plan: tuple
@@ -128,7 +128,7 @@ class _EngineBase:
         # Offsetting every round lets several runs (CV folds) share one
         # connected session without frame collisions.
         self._round_base = round_base
-        self._round = round_base + _FIRST_ROUND
+        self._round = round_base + FIRST_ROUND
         self._ti = config.smm_variant == "smm1"
         # the public ring constants, as numpy scalars made once
         self._f_bits = np.int64(self.f)

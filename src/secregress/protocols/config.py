@@ -22,7 +22,7 @@ from ..rng import CounterDrbg
 SMM_VARIANTS = ("smm1", "smm2")
 
 # Rounds 0..15 of an engine run are reserved for setup traffic.
-_FIRST_ROUND = 16
+FIRST_ROUND = 16
 OWNER_POLICIES = ("sequential", "random")
 
 
@@ -217,4 +217,4 @@ def fold_rounds(cfg: TrainingConfig, task: str, layout: str,
     else:
         per_iter = 1 + products + (2 * n + 1) * spread + sigmoid
         setup, final = 1, n * spread + n
-    return _FIRST_ROUND + setup + cfg.iterations * per_iter + final
+    return FIRST_ROUND + setup + cfg.iterations * per_iter + final

@@ -16,8 +16,8 @@ arithmetic, and the tests hold the two to the same words). The arithmetic
 shift reads the same bits as int64.
 
 The training loop runs on those bare arrays with numpy's own operators;
-the one ring operation it calls by name is matmul, which also counts the
-multiplications. RingMatrix wraps one such array at the package's edges:
+the ring operations it calls by name are matmul and hadamard, which also
+count the multiplications. RingMatrix wraps one such array at the package's edges:
 the public API below (the mat_* helpers), the wire payload (to_bytes /
 from_bytes, transport.Frame.matrix) and the tests.
 """
