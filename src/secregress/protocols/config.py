@@ -169,7 +169,8 @@ def schedule_digest(schedule: list[list[int]]) -> str:
 def product_plan(cfg: TrainingConfig, task: str, layout: str,
                  widths: list[int]) -> list[tuple]:
     """Every pairwise secure product of one run, in the order the engines
-    open them (protocols.base: _shared_products, then _sigmoid_from_zf).
+    open them (each iteration's stage tapes in turn: the prediction, the
+    sigmoid's two stages, the gradient; see protocols.base).
 
     Each entry is (a, b, shape, elementwise): party a holds the left
     operand, party b the right one, and shape is (x, y, z) for a matrix
