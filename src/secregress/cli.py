@@ -392,6 +392,20 @@ def _cmd_partition(args) -> int:
 # entry point
 
 
+# The longest deadline every wait accepts: the TCP parties' epoll refuses
+# waits past 2^31 ms (about 24.8 days).
+MAX_TIMEOUT = 1e6
+
+
+def _seconds(text: str) -> float:
+    """A deadline in seconds: more than 0 and at most MAX_TIMEOUT."""
+    value = float(text)
+    if not 0 < value <= MAX_TIMEOUT:  # False for NaN
+        raise argparse.ArgumentTypeError(
+            f"need seconds in (0, {MAX_TIMEOUT:.0f}], got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="secregress",
@@ -404,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run only this party over TCP (child mode)")
     t.add_argument("--mode", choices=["threads", "processes"],
                    default="threads")
-    t.add_argument("--timeout", type=float, default=300.0,
+    t.add_argument("--timeout", type=_seconds, default=300.0,
                    help="transport and child-process deadline, seconds")
 
     r = sub.add_parser("report",

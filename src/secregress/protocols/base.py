@@ -47,7 +47,7 @@ import numpy as np
 
 from ..baseline import SIGMOID_POLY
 from ..errors import InvalidPartyCount, PolicyMismatch, TripleExhausted
-from ..ring import FRAC_BITS, MASK, decode_raw, encode_raw, hadamard, matmul
+from ..ring import FRAC_BITS, MASK, encode_raw, hadamard, matmul
 from ..sharing import share_matrix
 from ..smm import (
     elementwise_steps,
@@ -65,18 +65,16 @@ from .config import FIRST_ROUND, TrainingConfig, product_plan
 class TrainResult:
     """One party's outcome of a training run.
 
-    weights is the full reconstructed model for row-partitioned runs and
-    this party's own feature block for column-partitioned ones (the other
-    blocks stay with their owners). weights_raw holds the same vector as
-    f-bit ring words, the form manifests hash. iter_seconds (wall clock)
-    is the only non-deterministic field.
+    weights_raw is the model as f-bit ring words, the form manifests
+    hash: the full reconstructed model for row-partitioned runs, and this
+    party's own feature block for column-partitioned ones (the other
+    blocks stay with their owners; block_sizes gives every party's
+    width). iter_seconds (wall clock) is the only non-deterministic field.
     """
 
     party_id: int
-    weights: list[float]
     weights_raw: list[int]
     block_sizes: list[int] | None
-    owners: list[int] | None
     config_hash: str
     schedule_hash: str
     transcript_hash: str
@@ -385,15 +383,12 @@ class _EngineBase:
 
     # -- result assembly --------------------------------------------------
 
-    def _result(self, weights: np.ndarray, block_sizes, owners,
+    def _result(self, weights: np.ndarray, block_sizes,
                 schedule_hash: str, iter_seconds: list[float]) -> TrainResult:
-        raw = weights.ravel().tolist()
         return TrainResult(
             party_id=self.me,
-            weights=[decode_raw(x) for x in raw],
-            weights_raw=raw,
+            weights_raw=weights.ravel().tolist(),
             block_sizes=block_sizes,
-            owners=owners,
             config_hash=self.cfg.config_digest(
                 self.task, self.layout, self.n).hex(),
             schedule_hash=schedule_hash,

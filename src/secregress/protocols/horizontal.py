@@ -81,5 +81,5 @@ class HorizontalEngine(_EngineBase):
             iter_seconds.append(time.perf_counter() - t0)
 
         w_full = self._open(self._shift(w_2f, narrow=True), range(self.n))
-        return self._result(w_full, None, owners,
+        return self._result(w_full, None,
                             schedule_digest(global_rows), iter_seconds)

@@ -131,5 +131,5 @@ class VerticalEngine(_EngineBase):
         w_f = [self._shift(w) for w in w_2f]
         my_block = [self._open(w_f[i], (i,)) for i in range(self.n)][self.me]
 
-        return self._result(my_block, d_list, None,
+        return self._result(my_block, d_list,
                             schedule_digest(schedule), iter_seconds)

@@ -17,9 +17,11 @@ shift reads the same bits as int64.
 
 The training loop runs on those bare arrays with numpy's own operators;
 the ring operations it calls by name are matmul and hadamard, which also
-count the multiplications. RingMatrix wraps one such array at the package's edges:
-the public API below (the mat_* helpers), the wire payload (to_bytes /
-from_bytes, transport.Frame.matrix) and the tests.
+count the multiplications. The public API is RingMatrix, which wraps one
+such array at the package's edges (the wire payload through to_bytes /
+from_bytes, the offline triples, the tests), the encoding (encode_raw,
+decode_raw, RingMatrix.encode_rows) and the counted products (matmul,
+hadamard, and mat_mul_raw on RingMatrix operands).
 """
 
 from __future__ import annotations
@@ -57,16 +59,6 @@ def _count_muls(n: int) -> None:
 
 def mul_op_count() -> int:
     return sum(cell[0] for cell in list(_mul_cells))
-
-
-def reset_mul_op_count() -> None:
-    for cell in list(_mul_cells):
-        cell[0] = 0
-
-
-def to_signed(raw: int) -> int:
-    """Two's-complement interpretation of a raw 64-bit word."""
-    return raw - (1 << 64) if raw & SIGN_BIT else raw
 
 
 FRAC_BITS = 20
@@ -121,8 +113,9 @@ def _encode_array(x: np.ndarray) -> np.ndarray:
 
 
 def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG) -> float:
-    """Signed interpretation divided by 2^f."""
-    return to_signed(raw & MASK) / cfg.scale
+    """Two's-complement interpretation divided by 2^f."""
+    raw &= MASK
+    return (raw - (1 << 64) if raw & SIGN_BIT else raw) / cfg.scale
 
 
 class RingMatrix:
@@ -216,18 +209,9 @@ class RingMatrix:
             rows, cols))
 
 
-def _same_shape(a: RingMatrix, b: RingMatrix, op: str) -> None:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} {op} {b.rows}x{b.cols}")
-
-
-def mat_add(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    _same_shape(a, b, "+")
-    return RingMatrix.wrap(a.arr + b.arr)
-
-
 def mat_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    _same_shape(a, b, "-")
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatch(f"{a.rows}x{a.cols} - {b.rows}x{b.cols}")
     return RingMatrix.wrap(a.arr - b.arr)
 
 
@@ -264,34 +248,6 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise ring product of two arrays of one shape, counted."""
     _count_muls(a.size)
     return a * b
-
-
-def mat_hadamard(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """hadamard on RingMatrix operands, shapes checked."""
-    _same_shape(a, b, "o")
-    return RingMatrix.wrap(hadamard(a.arr, b.arr))
-
-
-def mat_mul_scalar(a: RingMatrix, raw: int) -> RingMatrix:
-    """Entrywise product with a public ring constant."""
-    return RingMatrix.wrap(a.arr * np.uint64(raw & MASK))
-
-
-def shift_right(a: RingMatrix, bits: int) -> RingMatrix:
-    """Arithmetic right shift of the signed interpretation, entrywise."""
-    return RingMatrix.wrap((a.arr.view(np.int64) >> bits).view(np.uint64))
-
-
-def shift_left(a: RingMatrix, bits: int) -> RingMatrix:
-    return RingMatrix.wrap(a.arr << np.uint64(bits))
-
-
-def add_const(a: RingMatrix, raw: int) -> RingMatrix:
-    return RingMatrix.wrap(a.arr + np.uint64(raw & MASK))
-
-
-def transpose(a: RingMatrix) -> RingMatrix:
-    return RingMatrix.wrap(np.ascontiguousarray(a.arr.T))
 
 
 def uniform_matrix(rows: int, cols: int, rng) -> RingMatrix:

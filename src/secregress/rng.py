@@ -39,8 +39,7 @@ class CounterDrbg:
     Chunk c of the stream is SHAKE-256(key || c as 8 big-endian bytes),
     CHUNK bytes long, read as little-endian u64 words. Word i of the stream
     is word i % (CHUNK/8) of chunk i // (CHUNK/8), however the stream is
-    consumed: any mix of u64, u64_array, u64_list and skip yields the same
-    words.
+    consumed: any mix of u64, u64_array and skip yields the same words.
     """
 
     __slots__ = ("_key", "_pos", "_chunk", "_buf")
@@ -117,10 +116,6 @@ class CounterDrbg:
             data = b"".join([head, *parts])
         return np.frombuffer(data, "<u8", count=n, offset=8 * off).astype(
             np.uint64, copy=False)
-
-    def u64_list(self, n: int) -> list[int]:
-        """The next n words as Python ints."""
-        return self.u64_array(n).tolist()
 
     def skip(self, n: int) -> None:
         """Advance past n words without generating the chunks they fill."""

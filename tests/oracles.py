@@ -3,23 +3,16 @@
 None of these runs inside a training run: they reassemble shares, verify
 triples, decode words to floats, pick frames out of a transcript, give the
 loss whose gradient the logistic engines follow, state the triple-free
-protocol's leak and simulate a view from it.
+protocol's leak and simulate a view from it. They work on the words with
+numpy's wrapping uint64 operators and call none of secregress's ring
+arithmetic, so the code they check cannot also be the code that checks.
 """
 
 import numpy as np
 
 from secregress.baseline import SIGMOID_POLY
 from secregress.errors import DimensionMismatch, InvalidPartyCount
-from secregress.ring import (
-    FRAC_BITS,
-    MASK,
-    RingMatrix,
-    mat_add,
-    mat_mul_raw,
-    mat_sub,
-    shift_right,
-    uniform_matrix,
-)
+from secregress.ring import FRAC_BITS, MASK, RingMatrix, uniform_matrix
 
 
 def reconstruct(shares: list[RingMatrix]) -> RingMatrix:
@@ -30,7 +23,7 @@ def reconstruct(shares: list[RingMatrix]) -> RingMatrix:
         if s.rows != acc.rows or s.cols != acc.cols:
             raise DimensionMismatch(f"share shapes differ: {acc.rows}x"
                                     f"{acc.cols} vs {s.rows}x{s.cols}")
-        acc = mat_add(acc, s)
+        acc = RingMatrix.wrap(acc.arr + s.arr)
     return acc
 
 
@@ -44,21 +37,34 @@ def share_raw(raw: int, n: int, rng) -> list[int]:
 
 
 def verify_triple(t, blocks: int = 1) -> bool:
-    u = mat_add(t.u1, t.u2)
-    v = mat_add(t.v1, t.v2)
-    w = mat_add(t.w1, t.w2)
-    return mat_mul_raw(u, v, blocks) == w
+    """W = U V blockwise: block j of W is block j of U times block j of V,
+    the blocks stacked one under the other."""
+    u = t.u1.arr + t.u2.arr
+    v = t.v1.arr + t.v2.arr
+    w = t.w1.arr + t.w2.arr
+    uv = np.matmul(u.reshape(blocks, -1, u.shape[1]),
+                   v.reshape(blocks, u.shape[1], -1))
+    return np.array_equal(uv.reshape(-1, uv.shape[2]), w)
 
 
 def truncate(a: RingMatrix) -> RingMatrix:
-    """Restore f fractional bits after a product (entries carry 2f bits)."""
-    return shift_right(a, FRAC_BITS)
+    """Restore f fractional bits after a product (entries carry 2f bits)
+    by the arithmetic shift of the signed words."""
+    return RingMatrix.wrap(
+        (a.arr.view(np.int64) >> FRAC_BITS).view(np.uint64))
 
 
 def decode_rows(m: RingMatrix, frac_bits: int = FRAC_BITS) -> list:
     """m's entries as floats, row by row; frac_bits overrides f for
     entries still carrying 2f bits."""
     return (m.arr.view(np.int64) / float(1 << frac_bits)).tolist()
+
+
+def weights(res) -> list[float]:
+    """A TrainResult's model (or model block) as floats, decoded from its
+    f-bit words."""
+    raw = np.array(res.weights_raw, dtype=np.uint64)
+    return (raw.view(np.int64) / float(1 << FRAC_BITS)).tolist()
 
 
 def select(transcript, kind: int | None = None, round_no: int | None = None,
@@ -119,12 +125,12 @@ def _pad_even(m: RingMatrix, axis: int) -> RingMatrix:
 def leakage_of_x(x_mat: RingMatrix) -> RingMatrix:
     """The aggregate of X that the triple-free protocol hands to the peer."""
     xt = _pad_even(x_mat, 1)
-    return mat_add(cols_even(xt), cols_odd(xt))
+    return RingMatrix.wrap(cols_even(xt).arr + cols_odd(xt).arr)
 
 
 def leakage_of_y(y_mat: RingMatrix) -> RingMatrix:
     yt = _pad_even(y_mat, 0)
-    return mat_sub(rows_even(yt), rows_odd(yt))
+    return RingMatrix.wrap(rows_even(yt).arr - rows_odd(yt).arr)
 
 
 def simulate_view(leak: RingMatrix, role: str, rng) -> tuple[RingMatrix, RingMatrix]:
@@ -138,10 +144,12 @@ def simulate_view(leak: RingMatrix, role: str, rng) -> tuple[RingMatrix, RingMat
     """
     if role == "x":
         y1 = uniform_matrix(2 * leak.rows, leak.cols, rng)
-        y2 = mat_add(mat_sub(rows_even(y1), rows_odd(y1)), leak)
+        y2 = RingMatrix.wrap(
+            rows_even(y1).arr - rows_odd(y1).arr + leak.arr)
         return y1, y2
     if role == "y":
         x1 = uniform_matrix(leak.rows, 2 * leak.cols, rng)
-        x2 = mat_sub(mat_add(cols_even(x1), cols_odd(x1)), leak)
+        x2 = RingMatrix.wrap(
+            cols_even(x1).arr + cols_odd(x1).arr - leak.arr)
         return x1, x2
     raise ValueError("role must be 'x' or 'y'")

@@ -21,12 +21,7 @@ import pytest
 import scipy.stats
 
 from secregress.cli import RunSpec, _scaling_sweep, run, spawn_parties
-from secregress.ring import (
-    MASK,
-    RingMatrix,
-    mat_add,
-    mat_mul_raw,
-)
+from secregress.ring import MASK, RingMatrix, mat_mul_raw
 from secregress.rng import CounterDrbg
 from secregress.smm import (
     LeakageReport,
@@ -43,6 +38,7 @@ from oracles import (
     decode_rows,
     leakage_of_x,
     leakage_of_y,
+    reconstruct,
     select,
     share_raw,
     truncate,
@@ -169,13 +165,13 @@ def test_criterion_1_smm_product_accuracy():
         ms, ns = _both(side_x, side_y)
         for i, ((ex, xv), (ey, yv)) in enumerate(cases):
             m, n = ms[i], ns[i]
-            if mat_add(m, n) != mat_mul_raw(ex, ey):
+            if reconstruct([m, n]) != mat_mul_raw(ex, ey):
                 failures.append(f"{proto} #{i}: in-ring product differs "
                                 "before truncation")
                 continue
             # share-wise truncation: each party truncates its own raw
             # share locally, as the engines do once per aggregate
-            got = decode_rows(mat_add(truncate(m), truncate(n)))
+            got = decode_rows(reconstruct([truncate(m), truncate(n)]))
             inner = ex.cols
             tol = inner * ULP
             for r in range(ex.rows):
@@ -201,9 +197,9 @@ def test_criterion_2_triple_validity():
     for i in range(100):
         x, y, z = (1 + rng.randrange(8) for _ in range(3))
         t = generate_triple(x, y, z, rng.child("triple", i))
-        u = mat_add(t.half(0).u, t.half(1).u)
-        v = mat_add(t.half(0).v, t.half(1).v)
-        w = mat_add(t.half(0).w, t.half(1).w)
+        u = reconstruct([t.half(0).u, t.half(1).u])
+        v = reconstruct([t.half(0).v, t.half(1).v])
+        w = reconstruct([t.half(0).w, t.half(1).w])
         if w != mat_mul_raw(u, v):
             failures.append(f"triple #{i} ({x}x{y}x{z}): W != U*V in-ring")
         if not verify_triple(t):

@@ -593,6 +593,25 @@ def test_unservable_batch_exits_2_in_both_modes(tmp_path, capsys):
         assert "no party holds 12 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["threads", "processes"])
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1000001"])
+def test_bad_timeout_exits_2_before_any_party_starts(tmp_path, capsys,
+                                                     monkeypatch, mode,
+                                                     timeout):
+    started = []
+    monkeypatch.setattr(subprocess, "Popen",
+                        lambda *a, **k: started.append(a))
+    monkeypatch.setattr(cli, "run", lambda *a, **k: started.append(a))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_dict(output=str(tmp_path / "o"))))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--spec", str(path), "--mode", mode,
+                  "--timeout", timeout])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+    assert started == []
+
+
 def test_main_protocol_failure_exit_code(tmp_path, capsys):
     # one lone party: party 0 dials a roster nobody serves, party 1
     # listens for a peer that never dials

@@ -34,10 +34,11 @@ from secregress.protocols import (
     VerticalEngine,
     horizontal_schedule,
     product_plan,
+    schedule_digest,
     select_batch_owner,
 )
 from secregress.protocols.base import _EngineBase
-from secregress.ring import RingMatrix, mat_add, mat_hadamard, mat_mul_raw
+from secregress.ring import RingMatrix
 from secregress.rng import CounterDrbg
 from secregress.sharing import share_matrix
 from secregress.smm import (
@@ -51,7 +52,7 @@ from secregress.smm import (
 from secregress.transport import TransportError, loopback_sessions
 
 from one_product import run_one
-from oracles import decode_rows, reconstruct, surrogate_loss
+from oracles import decode_rows, reconstruct, surrogate_loss, weights
 
 ULP = 2.0 ** -20
 TOL = 10 * ULP  # oracle-equivalence budget per coordinate
@@ -236,8 +237,8 @@ def test_horizontal_linear_matches_reference(variant):
     _, _, global_rows = horizontal_schedule(cfg, [70, 50])
     w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
     assert res[0].weights_raw == res[1].weights_raw
-    assert max_drift(res[0].weights, w_ref) <= TOL
-    r_sec = rmse(y, np.asarray(X) @ np.asarray(res[0].weights))
+    assert max_drift(weights(res[0]), w_ref) <= TOL
+    r_sec = rmse(y, np.asarray(X) @ np.asarray(weights(res[0])))
     r_ref = rmse(y, np.asarray(X) @ w_ref)
     assert abs(r_sec - r_ref) < 5e-5
 
@@ -249,7 +250,7 @@ def test_horizontal_single_feature_recovers_slope():
     cfg = TrainingConfig(learning_rate=0.1, batch_size=2, iterations=100,
                          seed="slope")
     res = run_horizontal(cfg, X, y, [4])
-    assert abs(res[0].weights[0] - 2.0) <= 0.05
+    assert abs(weights(res[0])[0] - 2.0) <= 0.05
 
 
 def test_zero_learning_rate_leaves_zero_init():
@@ -258,7 +259,7 @@ def test_zero_learning_rate_leaves_zero_init():
                          seed="frozen")
     res = run_horizontal(cfg, X, y, [15])
     assert res[0].weights_raw == [0, 0, 0]
-    assert res[0].weights == [0.0, 0.0, 0.0]
+    assert weights(res[0]) == [0.0, 0.0, 0.0]
 
 
 def test_horizontal_three_parties_matches_reference():
@@ -266,11 +267,12 @@ def test_horizontal_three_parties_matches_reference():
     cfg = TrainingConfig(learning_rate=0.1, batch_size=10, iterations=50,
                          seed="h3")
     res = run_horizontal(cfg, X, y, [120, 220])
-    _, _, global_rows = horizontal_schedule(cfg, [120, 100, 80])
+    owners, _, global_rows = horizontal_schedule(cfg, [120, 100, 80])
     w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
     assert res[0].weights_raw == res[1].weights_raw == res[2].weights_raw
-    assert max_drift(res[0].weights, w_ref) <= TOL
-    assert res[0].owners[:6] == [0, 1, 2, 0, 1, 2]
+    assert max_drift(weights(res[0]), w_ref) <= TOL
+    assert owners[:6] == [0, 1, 2, 0, 1, 2]
+    assert res[0].schedule_hash == schedule_digest(global_rows)
 
 
 def test_one_party_holding_everything_matches_reference():
@@ -280,10 +282,11 @@ def test_one_party_holding_everything_matches_reference():
     cfg = TrainingConfig(learning_rate=0.1, batch_size=5, iterations=30,
                          seed="lopsided")
     res = run_horizontal(cfg, X, y, [40])
-    assert set(res[0].owners) == {0}
-    _, _, global_rows = horizontal_schedule(cfg, [40, 0])
+    owners, _, global_rows = horizontal_schedule(cfg, [40, 0])
+    assert set(owners) == {0}
+    assert res[0].schedule_hash == schedule_digest(global_rows)
     w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
-    assert max_drift(res[0].weights, w_ref) <= TOL
+    assert max_drift(weights(res[0]), w_ref) <= TOL
 
 
 def test_config_disagreement_is_detected():
@@ -311,7 +314,7 @@ def test_vertical_linear_matches_reference(variant):
     res = run_vertical(cfg, X, y, [3])
     schedule = build_batch_schedule(300, 10, 50, "v-eq")
     w_ref = train_plain(X, y, schedule, cfg.effective_rate())
-    w_sec = res[0].weights + res[1].weights  # blocks: columns 0-2 and 3-4
+    w_sec = weights(res[0]) + weights(res[1])  # blocks: columns 0-2 and 3-4
     assert res[0].block_sizes == [3, 2]
     assert max_drift(w_sec, w_ref) <= TOL
 
@@ -325,8 +328,8 @@ def test_vertical_sum_of_two_features():
     cfg = TrainingConfig(learning_rate=0.1, batch_size=5, iterations=200,
                          seed="vsum")
     res = run_vertical(cfg, X, y, [1])
-    assert abs(res[0].weights[0] - 1.0) <= 0.05
-    assert abs(res[1].weights[0] - 1.0) <= 0.05
+    assert abs(weights(res[0])[0] - 1.0) <= 0.05
+    assert abs(weights(res[1])[0] - 1.0) <= 0.05
 
 
 def test_vertical_zero_labels_barely_moves():
@@ -339,7 +342,7 @@ def test_vertical_zero_labels_barely_moves():
                          seed="zeros")
     res = run_vertical(cfg, X, y, [2])
     for r in res:
-        assert all(abs(w) <= 1e-4 for w in r.weights)
+        assert all(abs(w) <= 1e-4 for w in weights(r))
 
 
 def test_vertical_three_parties_matches_reference():
@@ -349,7 +352,7 @@ def test_vertical_three_parties_matches_reference():
     res = run_vertical(cfg, X, y, [2, 4])
     schedule = build_batch_schedule(200, 10, 30, "v3")
     w_ref = train_plain(X, y, schedule, cfg.effective_rate())
-    w_sec = res[0].weights + res[1].weights + res[2].weights
+    w_sec = weights(res[0]) + weights(res[1]) + weights(res[2])
     assert [r.block_sizes for r in res] == [[2, 2, 1]] * 3
     assert max_drift(w_sec, w_ref) <= TOL
 
@@ -377,7 +380,7 @@ def test_horizontal_logistic_separable_auc():
     w_ref = train_plain(X, y, global_rows, cfg.effective_rate(),
                          task="logistic-poly")
     a_ref = auc(y, np.asarray(X) @ w_ref)
-    a_sec = auc(y, np.asarray(X) @ np.asarray(res[0].weights))
+    a_sec = auc(y, np.asarray(X) @ np.asarray(weights(res[0])))
     assert a_ref >= 0.95
     assert a_sec >= 0.95
     assert abs(a_sec - a_ref) <= 0.02
@@ -392,7 +395,7 @@ def test_vertical_logistic_separable_auc():
     w_ref = train_plain(X, y, schedule, cfg.effective_rate(),
                          task="logistic-poly")
     a_ref = auc(y, np.asarray(X) @ w_ref)
-    w_sec = res[0].weights + res[1].weights
+    w_sec = weights(res[0]) + weights(res[1])
     a_sec = auc(y, np.asarray(X) @ np.asarray(w_sec))
     assert a_ref >= 0.95
     assert a_sec >= 0.95
@@ -407,7 +410,7 @@ def test_logistic_first_step_is_the_surrogate_gradient():
     cfg = TrainingConfig(learning_rate=1.0, batch_size=1, iterations=1,
                          seed="gradchk")
     res = run_horizontal(cfg, [x, x], [1.0, 1.0], [1], task="logistic")
-    grad_sec = [-w for w in res[0].weights]
+    grad_sec = [-w for w in weights(res[0])]
     closed = [(poly_sigmoid(0.0) - 1.0) * v for v in x]
     assert max_drift(grad_sec, closed) <= 5 * ULP
     eps = 1e-4
@@ -430,7 +433,7 @@ def test_logistic_all_positive_first_error_is_minus_half():
                          seed="allpos")
     res = run_horizontal(cfg, X, [1.0, 1.0], [2], task="logistic")
     expected = [0.5 * (0.5 + 0.75) / 2, 0.5 * (0.25 + 1.0) / 2]
-    assert max_drift(res[0].weights, expected) <= 5 * ULP
+    assert max_drift(weights(res[0]), expected) <= 5 * ULP
 
 
 # -- SMM variant interchangeability ----------------------------------------
@@ -445,7 +448,7 @@ def test_variants_land_on_the_same_model():
     for variant in ("smm1", "smm2"):
         cfg = TrainingConfig(learning_rate=0.1, batch_size=8, iterations=40,
                              smm_variant=variant, seed="swap")
-        out[variant] = run_horizontal(cfg, X, y, [60])[0].weights
+        out[variant] = weights(run_horizontal(cfg, X, y, [60])[0])
     assert max_drift(out["smm1"], out["smm2"]) <= 2 * TOL
 
 
@@ -543,7 +546,7 @@ def test_file_pool_replay_and_exhaustion():
     res = run_parties(2, cfg, fns(dealt))
     _, _, global_rows = horizontal_schedule(cfg, [12, 8])
     w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
-    assert max_drift(res[0].weights, w_ref) <= TOL
+    assert max_drift(weights(res[0]), w_ref) <= TOL
 
     with pytest.raises(TripleExhausted):
         run_parties(2, cfg, fns([dealt[0], dealt[1][:-1]]), timeout=5.0)
@@ -568,7 +571,7 @@ def _operand(pid, k, a, shape, elementwise):
         rows, cols = shape, 1
     else:
         rows, cols = shape[:2] if pid == a else shape[1:]
-    return RingMatrix(rows, cols, rng.u64_list(rows * cols))
+    return RingMatrix(rows, cols, rng.u64_array(rows * cols))
 
 
 def _stage_products(pid, products):
@@ -623,8 +626,8 @@ def test_stage_matches_one_product_calls(variant, n):
             shares = run(eng, _stage_products(s.party_id, products), halves)
             bodies = sorted(f.encode() for f in s.transcript.frames)
             left = None if halves is None else list(halves)
-            return (shares, s.rng.u64_list(4), left, bodies, s.frames_sent,
-                    s.bytes_sent)
+            return (shares, s.rng.u64_array(4).tolist(), left, bodies,
+                    s.frames_sent, s.bytes_sent)
         return go
 
     staged = run_parties(n, cfg, [party(_staged)] * n)
@@ -636,10 +639,10 @@ def test_stage_matches_one_product_calls(variant, n):
         assert staged[pid][2] == ([] if variant == "smm1" else None)
     # every product reconstructs to the plain product of the operands
     for k, (a, b, shape, el) in enumerate(products):
-        want = (mat_hadamard if el else mat_mul_raw)(
-            _operand(a, k, a, shape, el), _operand(b, k, a, shape, el))
+        x = _operand(a, k, a, shape, el).arr
+        y = _operand(b, k, a, shape, el).arr
         got = [staged[pid][0][k] for pid in (a, b)]
-        assert mat_add(*got) == want
+        assert np.array_equal(reconstruct(got).arr, x * y if el else x @ y)
         assert all(staged[pid][0][k] is None
                    for pid in range(n) if pid not in (a, b))
 

@@ -16,20 +16,13 @@ from secregress.ring import (
     MASK,
     FixedPointConfig,
     RingMatrix,
-    add_const,
     decode_raw,
     encode_raw,
-    mat_add,
-    mat_hadamard,
+    hadamard,
     mat_mul_raw,
-    mat_mul_scalar,
     mat_sub,
+    matmul,
     mul_op_count,
-    reset_mul_op_count,
-    shift_left,
-    shift_right,
-    to_signed,
-    transpose,
     uniform_matrix,
 )
 from secregress.rng import CounterDrbg
@@ -86,9 +79,13 @@ def test_encode_decode_roundtrip(v):
 
 @given(st.integers(0, MASK))
 def test_signed_unsigned_roundtrip(raw):
-    s = to_signed(raw)
+    # the int64 view the loop shifts through is the two's-complement value
+    # decode_raw scales
+    s = int(np.array([raw], dtype=np.uint64).view(np.int64)[0])
+    assert s == ref.to_signed(raw)
     assert -(1 << 63) <= s < (1 << 63)
     assert s & MASK == raw
+    assert decode_raw(raw) == s / CFG.scale
 
 
 # --- matrices ---
@@ -143,23 +140,30 @@ def test_random_products_match_float_oracle():
 def test_add_sub_neg_scalar():
     a = RingMatrix.encode_rows([[1.0, -2.0]])
     b = RingMatrix.encode_rows([[0.25, 0.75]])
-    assert decode_rows(mat_add(a, b)) == [[1.25, -1.25]]
+    assert decode_rows(RingMatrix.wrap(a.arr + b.arr)) == [[1.25, -1.25]]
     assert decode_rows(mat_sub(a, b)) == [[0.75, -2.75]]
     assert decode_rows(mat_sub(RingMatrix.zeros(1, 2), a)) == [[-1.0, 2.0]]
-    assert decode_rows(mat_mul_scalar(a, 3)) == [[3.0, -6.0]]
+    assert decode_rows(RingMatrix.wrap(a.arr * np.uint64(3))) == [[3.0, -6.0]]
 
 
 def test_shift_left_matches_scale_change():
     a = RingMatrix.encode_rows([[2.5, -0.75]])
-    assert decode_rows(shift_left(a, 20), frac_bits=40) == [[2.5, -0.75]]
+    assert decode_rows(RingMatrix.wrap(a.arr << np.uint64(20)),
+                       frac_bits=40) == [[2.5, -0.75]]
+
+
+def _transpose(a: RingMatrix) -> RingMatrix:
+    """The contiguous transpose the gradient stages take of an operand."""
+    return RingMatrix.wrap(np.ascontiguousarray(a.arr.T))
 
 
 def test_transpose():
     a = RingMatrix(2, 3, [1, 2, 3, 4, 5, 6])
-    t = transpose(a)
+    t = _transpose(a)
     assert (t.rows, t.cols) == (3, 2)
     assert t.data == [1, 4, 2, 5, 3, 6]
-    assert transpose(t) == a
+    assert t.arr.flags["C_CONTIGUOUS"]
+    assert _transpose(t) == a
 
 
 def test_dimension_checks():
@@ -168,7 +172,7 @@ def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         mat_mul_raw(a, b)
     with pytest.raises(DimensionMismatch):
-        mat_add(a, RingMatrix.zeros(3, 2))
+        mat_sub(a, RingMatrix.zeros(3, 2))
     with pytest.raises(DimensionMismatch):
         RingMatrix(2, 2, [1, 2, 3])
     with pytest.raises(DimensionMismatch):
@@ -227,7 +231,7 @@ def test_uniform_matrix_deterministic():
 
 def test_uniform_matrix_signed_mean_near_zero():
     m = uniform_matrix(100, 100, CounterDrbg("uniform mean"))
-    mean = sum(to_signed(w) for w in m.data) / len(m.data)
+    mean = sum(ref.to_signed(w) for w in m.data) / len(m.data)
     sigma = (1 << 64) / math.sqrt(12)
     assert abs(mean) < 3 * sigma / math.sqrt(len(m.data))
 
@@ -235,13 +239,14 @@ def test_uniform_matrix_signed_mean_near_zero():
 # --- op counter ---
 
 def test_mul_op_counter():
-    reset_mul_op_count()
+    before = mul_op_count()
     mat_mul_raw(RingMatrix.zeros(3, 4), RingMatrix.zeros(4, 5))
-    assert mul_op_count() == 60
+    assert mul_op_count() - before == 60
     mat_mul_raw(RingMatrix.zeros(1, 1), RingMatrix.zeros(1, 1))
-    assert mul_op_count() == 61
-    reset_mul_op_count()
-    assert mul_op_count() == 0
+    assert mul_op_count() - before == 61
+    matmul(np.zeros((2, 3), np.uint64), np.zeros((3, 2), np.uint64))
+    hadamard(np.zeros((4, 1), np.uint64), np.zeros((4, 1), np.uint64))
+    assert mul_op_count() - before == 61 + 12 + 4
 
 
 @settings(max_examples=30)
@@ -252,19 +257,19 @@ def test_matmul_distributes_over_addition(x, y, z, seed):
     a = uniform_matrix(x, y, rng)
     b = uniform_matrix(y, z, rng)
     c = uniform_matrix(y, z, rng)
-    left = mat_mul_raw(a, mat_add(b, c))
-    right = mat_add(mat_mul_raw(a, b), mat_mul_raw(a, c))
-    assert left == right
+    left = mat_mul_raw(a, RingMatrix.wrap(b.arr + c.arr))
+    right = mat_mul_raw(a, b).arr + mat_mul_raw(a, c).arr
+    assert np.array_equal(left.arr, right)
 
 
 def test_mul_op_counter_loses_no_update_across_threads():
-    one = RingMatrix(1, 1, [1])
+    one = np.ones((1, 1), dtype=np.uint64)
     per_thread = 2000
     threads = [threading.Thread(
-        target=lambda: [mat_hadamard(one, one) for _ in range(per_thread)])
+        target=lambda: [hadamard(one, one) for _ in range(per_thread)])
         for _ in range(4)]
     old = sys.getswitchinterval()
-    reset_mul_op_count()
+    before = mul_op_count()
     sys.setswitchinterval(1e-6)
     try:
         for t in threads:
@@ -274,7 +279,7 @@ def test_mul_op_counter_loses_no_update_across_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert mul_op_count() == 4 * per_thread
+    assert mul_op_count() - before == 4 * per_thread
 
 
 # --- numpy kernels against the integer reference ---
@@ -289,9 +294,13 @@ def _matrix(data, rows, cols):
                                           max_size=rows * cols))
 
 
-def _same(got: RingMatrix, want) -> None:
-    assert (got.rows, got.cols, got.data) == want
-    assert got.arr.flags["C_CONTIGUOUS"]
+def _same(got, want) -> None:
+    """got, a RingMatrix or a bare array, holds want's words in a
+    C-contiguous uint64 array of want's shape."""
+    arr = got.arr if isinstance(got, RingMatrix) else got
+    assert arr.dtype == np.uint64
+    assert (*arr.shape, arr.ravel().tolist()) == want
+    assert arr.flags["C_CONTIGUOUS"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -303,16 +312,25 @@ def test_kernels_match_the_integer_reference(data):
     raw = data.draw(words)
     bits = data.draw(st.integers(0, 63))
     ma, mb, my = (RingMatrix(*m) for m in (a, b, y))
-    _same(mat_add(ma, mb), ref.add(a, b))
-    _same(mat_sub(ma, mb), ref.sub(a, b))
-    _same(mat_hadamard(ma, mb), ref.hadamard(a, b))
+    # the ring operations the loop calls by name
+    _same(matmul(ma.arr, my.arr), ref.matmul(a, y))
+    _same(hadamard(ma.arr, mb.arr), ref.hadamard(a, b))
     _same(mat_mul_raw(ma, my), ref.matmul(a, y))
-    _same(mat_mul_scalar(ma, raw), ref.mul_scalar(a, raw))
-    _same(add_const(ma, raw), ref.add_const(a, raw))
-    _same(shift_right(ma, bits), ref.shift_right(a, bits))
-    _same(shift_left(ma, bits), ref.shift_left(a, bits))
+    _same(mat_sub(ma, mb), ref.sub(a, b))
+    # numpy's operators on the words, as _shift, _update and
+    # _sigmoid_from_zf write them: public words are np.uint64 scalars, the
+    # shift count of the signed shift an np.int64
+    x, w = ma.arr, np.uint64(raw)
+    _same(x + mb.arr, ref.add(a, b))
+    _same(x - mb.arr, ref.sub(a, b))
+    _same(x + w, ref.add_const(a, raw))
+    _same(x * w, ref.mul_scalar(a, raw))
+    _same(2 * x, ref.mul_scalar(a, 2))
+    _same(x << np.uint64(bits), ref.shift_left(a, bits))
+    _same((x.view(np.int64) >> np.int64(bits)).view(np.uint64),
+          ref.shift_right(a, bits))
     _same(truncate(ma), ref.shift_right(a, FRAC_BITS))
-    _same(transpose(ma), ref.transpose(a))
+    _same(_transpose(ma), ref.transpose(a))
     assert ma.to_bytes() == ref.to_bytes(a)
     _same(RingMatrix.from_bytes(ref.to_bytes(a)), a)
     _same(RingMatrix.from_bytes(memoryview(ref.to_bytes(a))), a)

@@ -41,15 +41,15 @@ def test_seed_types():
 
 def test_u64_range_and_count():
     r = CounterDrbg(99)
-    xs = r.u64_list(1000)
+    xs = r.u64_array(1000).tolist()
     assert len(xs) == 1000
     assert all(0 <= x < 1 << 64 for x in xs)
 
 
-def test_u64_list_matches_u64_sequence():
+def test_u64_array_matches_u64_sequence():
     a = CounterDrbg(5)
     b = CounterDrbg(5)
-    assert a.u64_list(17) == [b.u64() for _ in range(17)]
+    assert a.u64_array(17).tolist() == [b.u64() for _ in range(17)]
 
 
 def test_child_streams_are_independent_and_reproducible():
@@ -101,7 +101,7 @@ def test_shuffle_permutes():
 def test_byte_uniformity_coarse():
     # crude sanity on the low byte; the real chi-square lives in acceptance
     r = CounterDrbg(2024)
-    counts = collections.Counter(x & 0xFF for x in r.u64_list(64000))
+    counts = collections.Counter(x & 0xFF for x in r.u64_array(64000).tolist())
     assert len(counts) == 256
     assert max(counts.values()) < 2 * min(counts.values())
 
@@ -117,10 +117,10 @@ def test_known_answer_from_the_derivation_path():
                          + (0).to_bytes(16, "little", signed=True)
                          + b"\x00").digest()
     r = CounterDrbg(0)
-    assert r.u64_list(4) == _shake_words(key, 0, 0, 4)
+    assert r.u64_array(4).tolist() == _shake_words(key, 0, 0, 4)
     r.skip(W - 5)
-    assert r.u64_list(3) == (_shake_words(key, 0, W - 1, 1)
-                             + _shake_words(key, 1, 0, 2))
+    assert r.u64_array(3).tolist() == (_shake_words(key, 0, W - 1, 1)
+                                       + _shake_words(key, 1, 0, 2))
     child_key = hashlib.sha256(b"secregress.child.v1\x00" + key + b"triple"
                                + (3).to_bytes(8, "little", signed=True)
                                + (-1).to_bytes(8, "little", signed=True)
@@ -133,7 +133,7 @@ def test_known_answer_from_the_derivation_path():
 def test_stream_is_independent_of_how_it_is_read(first):
     sizes = [0, 1, W - 1, W, W + 1, 3 * W + 5]
     sizes += sizes[::-1]
-    ref = CounterDrbg(77).u64_list(sum(sizes) + 1)
+    ref = CounterDrbg(77).u64_array(sum(sizes) + 1).tolist()
     ops = ["u64", "list", "skip"]
     start = ops.index(first)
     r = CounterDrbg(77)
@@ -144,7 +144,7 @@ def test_stream_is_independent_of_how_it_is_read(first):
             r.skip(n)
         else:
             got = ([r.u64() for _ in range(n)] if op == "u64"
-                   else r.u64_list(n))
+                   else r.u64_array(n).tolist())
             assert got == ref[pos:pos + n], (op, n, pos)
         pos += n
     assert r.u64() == ref[pos]
@@ -172,7 +172,7 @@ def test_randranges_matches_randrange_loop(bounds):
 
 
 def test_forced_rejections_are_exercised():
-    words = CounterDrbg("rr").u64_list(40)
+    words = CounterDrbg("rr").u64_array(40).tolist()
     assert _rejects(HALF_REJECTED, words)
 
 

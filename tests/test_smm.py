@@ -5,15 +5,7 @@ import threading
 import pytest
 
 from secregress.errors import DimensionMismatch, MalformedTranscript
-from secregress.ring import (
-    RingMatrix,
-    mat_add,
-    mat_hadamard,
-    mat_mul_raw,
-    mat_sub,
-    to_signed,
-    uniform_matrix,
-)
+from secregress.ring import RingMatrix, mat_mul_raw, mat_sub, uniform_matrix
 from secregress.rng import CounterDrbg
 from secregress.smm import (
     LeakageReport,
@@ -33,6 +25,7 @@ from oracles import (
     decode_rows,
     leakage_of_x,
     leakage_of_y,
+    reconstruct,
     simulate_view,
     truncate,
     verify_triple,
@@ -80,9 +73,9 @@ def test_triple_reconstructs_and_verifies():
     t = generate_triple(3, 4, 2, CounterDrbg("t1"))
     assert (t.u1.rows, t.u1.cols, t.v1.cols) == (3, 4, 2)
     assert verify_triple(t)
-    u = mat_add(t.u1, t.u2)
-    v = mat_add(t.v1, t.v2)
-    assert mat_add(t.w1, t.w2) == mat_mul_raw(u, v)
+    u = reconstruct([t.u1, t.u2])
+    v = reconstruct([t.v1, t.v2])
+    assert reconstruct([t.w1, t.w2]) == mat_mul_raw(u, v)
 
 
 def test_elem_triple():
@@ -178,7 +171,7 @@ def test_product_exact_before_truncation(protocol):
         _, xv = rand_real_matrix(xr, yr, rng)
         _, yv = rand_real_matrix(yr, zr, rng)
         (m, n), _ = runner(xv, yv, f"{protocol}-{idx}")
-        got = decode_rows(mat_add(m, n), frac_bits=40)
+        got = decode_rows(reconstruct([m, n]), frac_bits=40)
         for i in range(xr):
             for k in range(zr):
                 exact = sum(xv[i][j] * yv[j][k] for j in range(yr))
@@ -195,7 +188,7 @@ def test_truncated_product_within_tolerance(protocol):
         _, xv = rand_real_matrix(xr, yr, rng)
         _, yv = rand_real_matrix(yr, zr, rng)
         (m, n), _ = runner(xv, yv, f"{protocol}t-{idx}")
-        got = decode_rows(mat_add(truncate(m), truncate(n)))
+        got = decode_rows(reconstruct([truncate(m), truncate(n)]))
         for i in range(xr):
             for k in range(zr):
                 exact = sum(xv[i][j] * yv[j][k] for j in range(yr))
@@ -257,7 +250,7 @@ def test_blockwise_product_is_the_per_block_products(protocol):
     want = [mat_mul_raw(RingMatrix.wrap(xm.arr[j * x:(j + 1) * x]),
                         RingMatrix.wrap(ym.arr[j * y:(j + 1) * y]))
             for j in range(k)]
-    got = mat_add(m, n)
+    got = reconstruct([m, n])
     for j in range(k):
         assert RingMatrix.wrap(got.arr[j * x:(j + 1) * x]) == want[j]
 
@@ -310,7 +303,7 @@ def test_simulated_view_matches_real_distribution_constraints():
     f1, f2 = simulate_view(leak_x, "y", rng.child("sim-y"))
     # the simulated pair satisfies the same relation as the real frames
     from oracles import cols_even, cols_odd
-    assert mat_sub(mat_add(cols_even(f1), cols_odd(f1)), f2) == leak_x
+    assert mat_sub(reconstruct([cols_even(f1), cols_odd(f1)]), f2) == leak_x
 
     leak_y = leakage_of_y(y)
     g1, g2 = simulate_view(leak_y, "x", rng.child("sim-x"))
@@ -359,7 +352,7 @@ def test_smm1_elementwise(n):
     m, nn = run_pair(
         lambda: run_one(s[0], 1, 0, smm1_steps, 0, a, t.half(0), n),
         lambda: run_one(s[1], 0, 0, smm1_steps, 1, b, t.half(1), n))
-    got = decode_rows(mat_add(m, nn), frac_bits=40)
+    got = decode_rows(reconstruct([m, nn]), frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
 
@@ -372,7 +365,7 @@ def test_smm2_elementwise(n):
     b = RingMatrix.column(bv)
     m, nn = run_pair(lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a),
                      lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b))
-    got = decode_rows(mat_add(m, nn), frac_bits=40)
+    got = decode_rows(reconstruct([m, nn]), frac_bits=40)
     assert got == [[av[i] * bv[i]] for i in range(n)]
 
 
@@ -421,5 +414,5 @@ def test_padding_odd_lengths():
                             RingMatrix.column(av)),
             lambda: run_one(s[1], 0, 0, elementwise_steps, 1,
                             RingMatrix.column(bv)))
-        got = decode_rows(mat_add(m, nn), frac_bits=40)
+        got = decode_rows(reconstruct([m, nn]), frac_bits=40)
         assert got == [[av[i] * bv[i]] for i in range(n)]
