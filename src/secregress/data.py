@@ -9,6 +9,7 @@ digit.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -78,13 +79,23 @@ def make_regression_data(m: int, d: int, seed, noise: float = 0.02):
     return quantize(X), quantize(y)
 
 
+def median(a: np.ndarray) -> float:
+    """np.median of a 1-d float array with no NaN, bit for bit: the middle
+    of the sorted values, or the mean of the two middle ones. np.median
+    itself imports numpy.ma for its NaN check, which costs a party's
+    start-up about 20 ms."""
+    s = np.sort(a)
+    k = len(s) // 2
+    return float((s[k - 1] + s[k]) / 2 if len(s) % 2 == 0 else s[k])
+
+
 def make_classification_data(m: int, d: int, seed, margin: float = 0.15):
     """Separable binary labels; features on the grid in [0, 1]."""
     rng = CounterDrbg(seed, label="synth-logistic")
     X = _uniform_grid(rng.child("X"), (m, d), 0.0, 1.0)
     w = _uniform_grid(rng.child("w"), (d,), -1.0, 1.0)
     z = X @ w
-    thresh = float(np.median(z))
+    thresh = median(z)
     y = (z > thresh).astype(np.float64)
     # push points inside the margin band outward to keep classes separable
     band = np.abs(z - thresh) < margin
@@ -139,12 +150,19 @@ def check_binary_labels(y) -> None:
         raise LabelDomainError(f"labels must be 0/1, got {sorted(vals)}")
 
 
-def build_batch_schedule(m: int, batch: int, iters: int, seed) -> list[list[int]]:
-    """Global row indices for each iteration; both pipelines replay this."""
+def iter_batch_schedule(m: int, batch: int, iters: int,
+                        seed) -> Iterator[list[int]]:
+    """Global row indices of each iteration in turn, iteration t's drawn
+    when t is reached; a batch larger than m raises here, before any."""
     if batch > m:
         raise ValueError(f"batch {batch} exceeds {m} samples")
     root = CounterDrbg(seed, label="schedule")
-    return [root.child("batch", t).sample(m, batch) for t in range(iters)]
+    return (root.child("batch", t).sample(m, batch) for t in range(iters))
+
+
+def build_batch_schedule(m: int, batch: int, iters: int, seed) -> list[list[int]]:
+    """Global row indices for each iteration; both pipelines replay this."""
+    return list(iter_batch_schedule(m, batch, iters, seed))
 
 
 def kfold(m: int, k: int, seed) -> list[tuple[list[int], list[int]]]:

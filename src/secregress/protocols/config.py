@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -132,15 +133,17 @@ def select_batch_owner(t: int, n_parties: int, policy: str, seed) -> int:
     raise PolicyMismatch(f"unknown owner policy {policy!r}")
 
 
-def horizontal_schedule(
+def iter_horizontal_schedule(
         cfg: TrainingConfig,
-        m_list: list[int]) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Owners and batch rows for every iteration of a row-partitioned run.
+        m_list: list[int]) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Owner and batch rows of each iteration of a row-partitioned run, in
+    turn: iteration t's are drawn when t is reached.
 
-    Returns (owners, local_rows, global_rows): the owner party for each
-    iteration, the sampled row indices inside the owner's slice, and the
-    same rows as indices into the slices stacked in party order. Parties
-    whose slice is smaller than the batch never serve as owner.
+    Yields (owner, local_rows, global_rows): the owner party, the sampled
+    row indices inside the owner's slice, and the same rows as indices
+    into the slices stacked in party order. Parties whose slice is smaller
+    than the batch never serve as owner; when no party is eligible,
+    BatchTooLarge is raised here, before anything is drawn.
     """
     b = cfg.batch_size
     eligible = [i for i, m in enumerate(m_list) if m >= b]
@@ -149,21 +152,55 @@ def horizontal_schedule(
             f"no party holds {b} rows (sizes {m_list})")
     offsets = [sum(m_list[:i]) for i in range(len(m_list))]
     root = CounterDrbg(cfg.seed, label="schedule")
+
+    def draws():
+        for t in range(cfg.iterations):
+            owner = eligible[select_batch_owner(
+                t, len(eligible), cfg.owner_policy, cfg.seed)]
+            rows = root.child("hbatch", t).sample(m_list[owner], b)
+            yield owner, rows, [offsets[owner] + r for r in rows]
+    return draws()
+
+
+def horizontal_schedule(
+        cfg: TrainingConfig,
+        m_list: list[int]) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Owners and batch rows for every iteration of a row-partitioned run:
+    iter_horizontal_schedule as three lists (owners, local_rows,
+    global_rows)."""
     owners, local_rows, global_rows = [], [], []
-    for t in range(cfg.iterations):
-        owner = eligible[
-            select_batch_owner(t, len(eligible), cfg.owner_policy, cfg.seed)]
-        rows = root.child("hbatch", t).sample(m_list[owner], b)
+    for owner, rows, global_ in iter_horizontal_schedule(cfg, m_list):
         owners.append(owner)
         local_rows.append(rows)
-        global_rows.append([offsets[owner] + r for r in rows])
+        global_rows.append(global_)
     return owners, local_rows, global_rows
 
 
+class ScheduleDigest:
+    """schedule_digest of a schedule fed one batch at a time: the same
+    bytes, hashed as they come, so the schedule need not be kept."""
+
+    def __init__(self):
+        self._hash = hashlib.sha256(b"secregress.schedule.v1\x00[")
+        self._sep = b""
+
+    def add(self, batch: list[int]) -> None:
+        self._hash.update(
+            self._sep + json.dumps(batch, separators=(",", ":")).encode())
+        self._sep = b","
+
+    def hexdigest(self) -> str:
+        h = self._hash.copy()
+        h.update(b"]")
+        return h.hexdigest()
+
+
 def schedule_digest(schedule: list[list[int]]) -> str:
-    canon = json.dumps(schedule, separators=(",", ":"))
-    return hashlib.sha256(
-        b"secregress.schedule.v1\x00" + canon.encode()).hexdigest()
+    """SHA-256 of the schedule's compact JSON under a domain tag."""
+    digest = ScheduleDigest()
+    for batch in schedule:
+        digest.add(batch)
+    return digest.hexdigest()
 
 
 def product_plan(cfg: TrainingConfig, task: str, layout: str,

@@ -22,7 +22,7 @@ from ..errors import DimensionMismatch, EmptyInput, PolicyMismatch
 from ..ring import RingMatrix
 from ..transport import KIND_SHARE_DIST, KIND_Y_SHARE
 from .base import TrainResult, _EngineBase
-from .config import horizontal_schedule, schedule_digest
+from .config import ScheduleDigest, iter_horizontal_schedule
 
 
 class HorizontalEngine(_EngineBase):
@@ -50,8 +50,8 @@ class HorizontalEngine(_EngineBase):
         d = widths.pop()
         self._deal([d] * self.n)
 
-        owners, local_rows, global_rows = horizontal_schedule(
-            self.cfg, m_list)
+        schedule = iter_horizontal_schedule(self.cfg, m_list)
+        digest = ScheduleDigest()
         x_enc = RingMatrix.encode_rows(features).arr if m_local else None
         y_enc = RingMatrix.column(labels).arr if m_local else None
 
@@ -63,16 +63,16 @@ class HorizontalEngine(_EngineBase):
         gradient = self._tape((range(self.n), (0, 1), (d, b, 1), False))
         w_2f = np.zeros((d, 1), dtype=np.uint64)
         iter_seconds = []
-        for t in range(self.cfg.iterations):
+        for owner, rows, global_rows in schedule:
+            digest.add(global_rows)
             t0 = time.perf_counter()
             # w_2f only ever changes on parties 0 and 1, so the cheap path
             w_f = self._shift(w_2f, narrow=True)
             batch = None
-            if self.me == owners[t]:
-                rows = local_rows[t]
+            if self.me == owner:
                 batch = (x_enc[rows], y_enc[rows])
             my_x, my_y = self._share_out(
-                owners[t], (KIND_SHARE_DIST, KIND_Y_SHARE), batch)
+                owner, (KIND_SHARE_DIST, KIND_Y_SHARE), batch)
             (p_2f,) = self._run_stage(predict, [(my_x, w_f)])
             err_f = self._shift(self._error_2f(p_2f, my_y))
             (g_2f,) = self._run_stage(
@@ -81,5 +81,4 @@ class HorizontalEngine(_EngineBase):
             iter_seconds.append(time.perf_counter() - t0)
 
         w_full = self._open(self._shift(w_2f, narrow=True), range(self.n))
-        return self._result(w_full, None,
-                            schedule_digest(global_rows), iter_seconds)
+        return self._result(w_full, None, digest.hexdigest(), iter_seconds)

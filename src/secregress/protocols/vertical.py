@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from ..data import build_batch_schedule, check_binary_labels
+from ..data import check_binary_labels, iter_batch_schedule
 from ..errors import (
     BatchTooLarge,
     DimensionMismatch,
@@ -29,7 +29,7 @@ from ..ring import RingMatrix
 from ..sharing import zero_shares
 from ..transport import KIND_W_SHARE, KIND_Y_SHARE
 from .base import TrainResult, _EngineBase
-from .config import schedule_digest
+from .config import ScheduleDigest
 
 
 class VerticalEngine(_EngineBase):
@@ -76,8 +76,9 @@ class VerticalEngine(_EngineBase):
         if b > m:
             raise BatchTooLarge(f"batch {b} exceeds {m} samples")
 
-        schedule = build_batch_schedule(
+        schedule = iter_batch_schedule(
             m, b, self.cfg.iterations, self.cfg.seed)
+        digest = ScheduleDigest()
         x_enc = RingMatrix.encode_rows(features).arr
         y_enc = RingMatrix.column(labels).arr if labels is not None else None
 
@@ -112,6 +113,7 @@ class VerticalEngine(_EngineBase):
                                 for i in range(self.n)])
         iter_seconds = []
         for batch in schedule:
+            digest.add(batch)
             t0 = time.perf_counter()
             w_f = [self._shift(w) for w in w_2f]
             xb = x_enc[batch]
@@ -131,5 +133,5 @@ class VerticalEngine(_EngineBase):
         w_f = [self._shift(w) for w in w_2f]
         my_block = [self._open(w_f[i], (i,)) for i in range(self.n)][self.me]
 
-        return self._result(my_block, d_list,
-                            schedule_digest(schedule), iter_seconds)
+        return self._result(my_block, d_list, digest.hexdigest(),
+                            iter_seconds)

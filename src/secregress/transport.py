@@ -4,18 +4,22 @@ Every message is one frame: a big-endian u32 length, a 16-byte little-endian
 header (round u32, kind u16, sender u16, receiver u16, pad u16, reserved
 u32), and a serialized ring matrix as payload (rows u32, cols u32, then the
 row-major little-endian u64 words). The same bytes travel over an
-in-process loopback hub or real TCP sockets; per-party transcripts record
-frames as they are consumed, so the transcript hash is independent of
-thread or network scheduling.
+in-process loopback hub or real TCP sockets. Each party's transcript
+hashes the frames it receives as it consumes them, so the transcript hash
+is independent of thread or network scheduling. The transcript is that
+hash and a frame count only; a session keeps no frame once its arrays are
+handed on, so a run's memory does not grow with its length. Tests that read
+the frames themselves install a recorder on the session before any
+traffic (tests/oracles.py).
 
 The training loop moves bare uint64 arrays. send_many encodes each frame
 with one packed struct that holds the length, the header fields and the
 shape, followed by the words. recv_many takes the frames a step expects
 from one peer in one call: it checks every header and payload shape
-exactly as recv does (recv is recv_many of one frame), appends them to the
+exactly as recv does (recv is recv_many of one frame), adds them to the
 transcript in the order given and returns the arrays as read-only views
 of the received bytes. Frame and RingMatrix are the edge: tests, the
-golden frames and transcript inspection.
+golden frames and recorded transcripts.
 """
 
 from __future__ import annotations
@@ -128,30 +132,28 @@ class Frame:
 
 
 class Transcript:
-    """Received frame bodies in consumption order, with a running hash
-    over each body as it arrived; frames are decoded only when read."""
+    """The running SHA-256 of the received frame bodies, in consumption
+    order, and their count. No body is kept: a test that reads the frames
+    themselves installs a recording subclass (tests/oracles.py) as the
+    session's transcript before any traffic."""
 
     def __init__(self):
-        self._bodies: list = []
         self._hash = hashlib.sha256()
+        self._count = 0
 
     def append(self, body) -> None:
         self.extend((body,))
 
     def extend(self, bodies) -> None:
-        self._bodies.extend(bodies)
         for body in bodies:
             self._hash.update(body)
-
-    @property
-    def frames(self) -> list[Frame]:
-        return [Frame.decode(b) for b in self._bodies]
+            self._count += 1
 
     def digest(self) -> str:
         return self._hash.hexdigest()
 
     def __len__(self):
-        return len(self._bodies)
+        return self._count
 
 
 class ProtocolSession(ABC):

@@ -1,9 +1,9 @@
 """Checks the tests hold the program's results against.
 
 None of these runs inside a training run: they reassemble shares, verify
-triples, decode words to floats, pick frames out of a transcript, give the
-loss whose gradient the logistic engines follow, state the triple-free
-protocol's leak and simulate a view from it. They work on the words with
+triples, decode words to floats, record a session's received frames and
+pick frames out of them, give the loss whose gradient the logistic engines
+follow, state the triple-free protocol's leak and simulate a view from it. They work on the words with
 numpy's wrapping uint64 operators and call none of secregress's ring
 arithmetic, so the code they check cannot also be the code that checks.
 """
@@ -13,6 +13,7 @@ import numpy as np
 from secregress.baseline import SIGMOID_POLY
 from secregress.errors import DimensionMismatch, InvalidPartyCount
 from secregress.ring import FRAC_BITS, MASK, RingMatrix, uniform_matrix
+from secregress.transport import Frame, Transcript
 
 
 def reconstruct(shares: list[RingMatrix]) -> RingMatrix:
@@ -67,8 +68,40 @@ def weights(res) -> list[float]:
     return (raw.view(np.int64) / float(1 << FRAC_BITS)).tolist()
 
 
+class RecordedTranscript(Transcript):
+    """A transcript that also keeps every received frame body, for the
+    tests that read the frames themselves. Its digest and length are the
+    plain transcript's."""
+
+    def __init__(self):
+        super().__init__()
+        self._bodies: list[bytes] = []
+
+    def extend(self, bodies) -> None:
+        bodies = [bytes(body) for body in bodies]
+        self._bodies.extend(bodies)
+        super().extend(bodies)
+
+    @property
+    def frames(self) -> list[Frame]:
+        return [Frame.decode(b) for b in self._bodies]
+
+
+def record(*sessions):
+    """Make each session keep its received frames: install a
+    RecordedTranscript in place of its transcript. Only before any
+    traffic, so the recorded frames are the whole transcript."""
+    for s in sessions:
+        if len(s.transcript):
+            raise ValueError(
+                f"party {s.party_id} has already received frames")
+        s.transcript = RecordedTranscript()
+    return list(sessions)
+
+
 def select(transcript, kind: int | None = None, round_no: int | None = None,
            sender: int | None = None) -> list:
+    """The frames of a recorded transcript that match every given field."""
     out = []
     for f in transcript.frames:
         if kind is not None and f.kind != kind:

@@ -39,6 +39,7 @@ from oracles import (
     leakage_of_x,
     leakage_of_y,
     reconstruct,
+    record,
     select,
     share_raw,
     truncate,
@@ -324,7 +325,7 @@ def test_criterion_5_leakage_characterization():
         cases.append((_grid_matrix(xr, yr, rng)[0],
                       _grid_matrix(yr, zr, rng)[0]))
 
-    s2 = _pair("c5-smm2")
+    s2 = record(*_pair("c5-smm2"))
     _both(lambda: [run_one(s2[0], 1, i, smm2_x_steps, ex)
                    for i, (ex, _) in enumerate(cases)],
           lambda: [run_one(s2[1], 0, i, smm2_y_steps, ey)
@@ -337,7 +338,7 @@ def test_criterion_5_leakage_characterization():
         if got_y != LeakageReport("smm2", "y", leakage_of_x(ex)):
             failures.append(f"run #{i}: Y-holder leak is not X_e + X_o")
 
-    s1 = _pair("c5-smm1")
+    s1 = record(*_pair("c5-smm1"))
     ti = CounterDrbg("c5-ti")
     triples = [generate_triple(ex.rows, ex.cols, ey.cols,
                                ti.child("triple", i))

@@ -1,5 +1,10 @@
 """Dataset plumbing: quantization, normalization, CSV, schedules, folds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from secregress.data import (
     load_csv,
     make_classification_data,
     make_regression_data,
+    median,
     minmax_normalize,
     quantize,
 )
@@ -73,6 +79,29 @@ def test_classification_data_two_classes_on_grid():
     assert set(np.unique(y)) == {0.0, 1.0}
     assert np.array_equal(quantize(X), X)
     assert 0.2 < y.mean() < 0.8     # reasonably balanced
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 59, 60, 999, 1000])
+def test_median_is_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-6, 1.0, 1e6):
+        for a in (rng.standard_normal(n) * scale,
+                  rng.integers(-3, 4, n).astype(np.float64)):  # ties
+            got = np.float64(median(a))
+            assert got.tobytes() == np.float64(np.median(a)).tobytes()
+
+
+def test_classification_data_leaves_numpy_ma_unloaded():
+    # np.median would import numpy.ma, about 20 ms of a party's start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from secregress.data import "
+            "make_classification_data; make_classification_data(64, 6, 1); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"
 
 
 def test_load_csv(tmp_path):

@@ -6,7 +6,9 @@ batch schedule. Truncation puts each run a few 2^-20 ulps away from the
 reference, never bit-equal, so tolerances here are stated in ulps.
 """
 
+import hashlib
 import itertools
+import json
 import threading
 
 import numpy as np
@@ -23,6 +25,7 @@ from secregress.baseline import (
 )
 from secregress.data import (
     build_batch_schedule,
+    iter_batch_schedule,
     make_classification_data,
     make_regression_data,
     quantize,
@@ -38,6 +41,10 @@ from secregress.protocols import (
     select_batch_owner,
 )
 from secregress.protocols.base import _EngineBase
+from secregress.protocols.config import (
+    ScheduleDigest,
+    iter_horizontal_schedule,
+)
 from secregress.ring import RingMatrix
 from secregress.rng import CounterDrbg
 from secregress.sharing import share_matrix
@@ -52,7 +59,13 @@ from secregress.smm import (
 from secregress.transport import TransportError, loopback_sessions
 
 from one_product import run_one
-from oracles import decode_rows, reconstruct, surrogate_loss, weights
+from oracles import (
+    decode_rows,
+    reconstruct,
+    record,
+    surrogate_loss,
+    weights,
+)
 
 ULP = 2.0 ** -20
 TOL = 10 * ULP  # oracle-equivalence budget per coordinate
@@ -184,6 +197,79 @@ def test_horizontal_schedule_rows_always_in_owner_range(sizes, batch):
         assert sizes[owner] >= batch
         assert len(set(local_rows[t])) == batch
         assert all(0 <= r < sizes[owner] for r in local_rows[t])
+
+
+def _json_schedule_hash(schedule):
+    """What a schedule hash is: SHA-256 of the whole schedule's compact
+    JSON under the schedule domain tag."""
+    canon = json.dumps(schedule, separators=(",", ":"))
+    return hashlib.sha256(
+        b"secregress.schedule.v1\x00" + canon.encode()).hexdigest()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=0, max_value=30), min_size=2,
+                   max_size=4),
+    batch=st.integers(min_value=1, max_value=8),
+    iterations=st.integers(min_value=1, max_value=10),
+    policy=st.sampled_from(["sequential", "random"]),
+)
+def test_per_iteration_draws_match_the_schedule_lists(sizes, batch,
+                                                      iterations, policy):
+    cfg = TrainingConfig(batch_size=batch, iterations=iterations,
+                         owner_policy=policy, seed="lazy")
+    if any(sz >= batch for sz in sizes):
+        owners, local_rows, global_rows = horizontal_schedule(cfg, sizes)
+        digest, drawn = ScheduleDigest(), []
+        for owner, rows, global_ in iter_horizontal_schedule(cfg, sizes):
+            digest.add(global_)
+            drawn.append((owner, rows, global_))
+        assert drawn == list(zip(owners, local_rows, global_rows))
+        assert digest.hexdigest() == schedule_digest(global_rows)
+        assert digest.hexdigest() == _json_schedule_hash(global_rows)
+    m = sum(sizes)
+    if batch <= m:
+        schedule = build_batch_schedule(m, batch, iterations, "lazy")
+        digest, drawn = ScheduleDigest(), []
+        for rows in iter_batch_schedule(m, batch, iterations, "lazy"):
+            digest.add(rows)
+            drawn.append(rows)
+        assert drawn == schedule
+        assert digest.hexdigest() == schedule_digest(schedule)
+        assert digest.hexdigest() == _json_schedule_hash(schedule)
+
+
+def test_lazy_schedules_refuse_a_batch_before_drawing():
+    cfg = TrainingConfig(batch_size=5, iterations=3)
+    with pytest.raises(BatchTooLarge):
+        iter_horizontal_schedule(cfg, [3, 0])
+    with pytest.raises(ValueError):
+        iter_batch_schedule(4, 5, 3, seed=0)
+
+
+@pytest.mark.parametrize("variant", ["smm1", "smm2"])
+def test_recording_leaves_the_transcript_digest_unchanged(variant):
+    X, y = make_regression_data(40, 3, seed=4)
+    cfg = TrainingConfig(batch_size=5, iterations=4, smm_variant=variant,
+                         seed="rec")
+    parts = split_rows([list(r) for r in X], list(y), [20])
+
+    def party(recorded):
+        def go(s):
+            if recorded:
+                record(s)
+            res = HorizontalEngine(s, cfg).run(*parts[s.party_id])
+            if recorded:
+                h = hashlib.sha256()
+                for frame in s.transcript.frames:
+                    h.update(frame.encode())
+                assert h.hexdigest() == res.transcript_hash
+            return res.transcript_hash, len(s.transcript)
+        return go
+
+    plain = run_parties(2, cfg, [party(False)] * 2)
+    assert run_parties(2, cfg, [party(True)] * 2) == plain
 
 
 # -- shared sigmoid --------------------------------------------------------
@@ -619,6 +705,7 @@ def test_stage_matches_one_product_calls(variant, n):
 
     def party(run):
         def go(s):
+            record(s)
             # STAGE_PRODUCTS is itself a product plan for the dealer
             halves = (triple_halves(cfg.seed, products, s.party_id)
                       if variant == "smm1" else None)

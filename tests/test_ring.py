@@ -367,6 +367,21 @@ def test_blockwise_product_is_the_per_block_products(data):
                         blocks=k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_by_one_blocks_are_entrywise_products(data):
+    # the TI elementwise layout: n blocks of 1 by 1 against n of 1 by z
+    n, z = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 3))
+    a, b = _matrix(data, n, 1), _matrix(data, n, z)
+    want = []
+    for j in range(n):
+        want.extend(ref.matmul((1, 1, a[2][j:j + 1]),
+                               (1, z, b[2][j * z:(j + 1) * z]))[2])
+    before = mul_op_count()
+    _same(matmul(RingMatrix(*a).arr, RingMatrix(*b).arr, n), (n, z, want))
+    assert mul_op_count() - before == n * z
+
+
 def test_blockwise_product_needs_a_block():
     with pytest.raises(DimensionMismatch):
         mat_mul_raw(RingMatrix.zeros(2, 2), RingMatrix.zeros(2, 2), blocks=0)

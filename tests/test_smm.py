@@ -26,6 +26,7 @@ from oracles import (
     leakage_of_x,
     leakage_of_y,
     reconstruct,
+    record,
     simulate_view,
     truncate,
     verify_triple,
@@ -54,8 +55,9 @@ def run_pair(fa, fb):
 
 
 def sessions(tag):
+    """A recorded pair: the leakage tests read the frames each side got."""
     rngs = [CounterDrbg(tag).child("private", i) for i in range(2)]
-    return loopback_sessions(2, rngs, timeout=10.0)
+    return record(*loopback_sessions(2, rngs, timeout=10.0))
 
 
 def rand_real_matrix(rows, cols, rng, span=8.0):

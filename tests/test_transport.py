@@ -34,7 +34,7 @@ from secregress.transport import (
     roster_hash,
 )
 
-from oracles import select
+from oracles import record, select
 
 GOLDEN_FRAME = (
     b"\x00\x00\x00\x20"                      # length 32, big-endian
@@ -147,7 +147,7 @@ def test_peer_closed():
 
 
 def test_transcript_records_received_only():
-    s = loopback_sessions(2, make_rngs(2, "tr"))
+    s = record(*loopback_sessions(2, make_rngs(2, "tr")))
     m = RingMatrix(1, 1, [42])
     s[0].send(1, KIND_SHARE_DIST, m, 0)
     s[0].send(1, KIND_SMM_D, m, 1)

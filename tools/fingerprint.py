@@ -6,6 +6,8 @@ seed 3, config seed 5) and prints, as JSON, each party's run_model_hash
 and, per fold, its transcript hash, a hash of its received frame bodies
 in sorted order (equal whenever only the receive order changed),
 bytes_sent and frames_sent, plus a hash of each dataset and k-fold split.
+The frame bodies come from the tests' transcript recorder
+(tests/oracles.py), installed on every session before any traffic.
 
 Comparing two trees is one diff:
 
@@ -28,6 +30,7 @@ import hashlib
 import itertools
 import json
 import sys
+from pathlib import Path
 
 from secregress.data import kfold
 from secregress.orchestration import (
@@ -37,6 +40,9 @@ from secregress.orchestration import (
 )
 from secregress.spec import RunSpec, load_dataset
 from secregress.transport import loopback_sessions
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import record  # noqa: E402
 
 
 def configurations():
@@ -56,7 +62,7 @@ def fingerprint(raw: dict) -> dict:
     spec = RunSpec.from_dict(raw)
     X, y, descriptor = load_dataset(spec)
     rngs = [spec.config.private_rng(i) for i in range(spec.parties)]
-    sessions = loopback_sessions(spec.parties, rngs, timeout=60.0)
+    sessions = record(*loopback_sessions(spec.parties, rngs, timeout=60.0))
     outs, _ = _run_threads(
         sessions, [lambda s=s: _run_party_folds(s, spec, X, y, descriptor)
                    for s in sessions], 120.0)
