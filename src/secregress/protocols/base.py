@@ -41,7 +41,8 @@ iteration then binds the operands and advances the round base
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -196,11 +197,15 @@ class _EngineBase:
         return w_2f - self._shift(grad_2f) * self._lr_word
 
     def _deal(self, widths: list[int]) -> None:
-        """Start the lazy triple-half stream when none was handed in."""
+        """Start the lazy triple-half stream when none was handed in. It
+        walks the run's product plan as one iteration's products repeated,
+        so no list grows with the iteration count."""
         if self._ti and self._halves is None:
+            one = product_plan(replace(self.cfg, iterations=1), self.task,
+                               self.layout, widths)
             self._halves = triple_halves(
                 self.cfg.seed,
-                product_plan(self.cfg, self.task, self.layout, widths),
+                chain.from_iterable(repeat(one, self.cfg.iterations)),
                 self.me)
 
     # -- pairwise products ----------------------------------------------

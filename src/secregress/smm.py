@@ -123,7 +123,7 @@ def triple_halves(seed, plan, party: int):
     """This party's halves of the triples a product plan consumes, in order.
 
     The trusted initializer's offline delivery: plan is the ordered
-    (a, b, shape, elementwise) list of pairwise products (see
+    (a, b, shape, elementwise) iterable of pairwise products (see
     protocols.config.product_plan). Triple k of a given shape is derived
     from its own path under the seed, so every party's halves come from
     the same triples; a party yields a half only for the products it is in

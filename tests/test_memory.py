@@ -17,9 +17,8 @@ from secregress.spec import RunSpec
 
 SHORT, LONG = 20, 80
 # Heap bytes one more iteration may add to the peak, over both parties
-# and both folds. What stays is each fold's iteration times and, under
-# TI, its product plan: 70 B (LoRe OTI-V) to 160 B (LiRe TI-H). Keeping
-# every received frame grew 34 kB and 44 kB.
+# and both folds. What stays is each fold's list of iteration times,
+# 70-100 B here; keeping every received frame grew 34 kB and 44 kB.
 BOUND = 512
 
 
