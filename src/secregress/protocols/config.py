@@ -168,11 +168,8 @@ def horizontal_schedule(
     """Owners and batch rows for every iteration of a row-partitioned run:
     iter_horizontal_schedule as three lists (owners, local_rows,
     global_rows)."""
-    owners, local_rows, global_rows = [], [], []
-    for owner, rows, global_ in iter_horizontal_schedule(cfg, m_list):
-        owners.append(owner)
-        local_rows.append(rows)
-        global_rows.append(global_)
+    owners, local_rows, global_rows = map(
+        list, zip(*iter_horizontal_schedule(cfg, m_list)))
     return owners, local_rows, global_rows
 
 

@@ -1,6 +1,7 @@
 """Dataset plumbing: quantization, normalization, CSV, schedules, folds."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from secregress.data import (
     _uniform_grid,
     build_batch_schedule,
+    check_binary_labels,
     kfold,
     load_csv,
     make_classification_data,
@@ -21,6 +23,7 @@ from secregress.data import (
 )
 from secregress.errors import (
     EmptyInput,
+    LabelDomainError,
     MissingLabelColumn,
     ParseError,
     TooFewRows,
@@ -91,17 +94,39 @@ def test_median_is_numpys_bit_for_bit(n):
             assert got.tobytes() == np.float64(np.median(a)).tobytes()
 
 
-def test_classification_data_leaves_numpy_ma_unloaded():
-    # np.median would import numpy.ma, about 20 ms of a party's start-up
+def test_logistic_run_leaves_numpy_ma_unloaded():
+    # np.median and np.unique import numpy.ma, about 20 ms of a party's
+    # start-up or of its first engine run
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys; from secregress.data import "
-            "make_classification_data; make_classification_data(64, 6, 1); "
-            "print('numpy.ma' in sys.modules)")
+    code = """if True:
+        import sys
+        from secregress.orchestration import spawn_parties
+        from secregress.spec import RunSpec
+        spec = RunSpec.from_dict({
+            "task": "LoRe", "scheme": "vertical", "smm_variant": "OTI",
+            "parties": 2, "folds": 2,
+            "dataset": {"kind": "synthetic-logistic", "m": 64, "d": 4,
+                        "seed": 1},
+            "config": {"batch_size": 8, "iterations": 2, "seed": 1}})
+        spawn_parties(spec, "threads", timeout=60.0)
+        print("numpy.ma" in sys.modules)
+    """
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "False"
+
+
+def test_binary_labels():
+    for ok in ([0.0, 1.0, 1.0], [0, 1], [True, False], np.zeros(3), []):
+        check_binary_labels(ok)
+    for bad, shown in (([0.0, 2.0], "[0.0, 2.0]"), ([1.0, -1.0], "[-1.0, 1.0]"),
+                       ([0.5], "[0.5]"), (["a", "b"], "['a', 'b']")):
+        with pytest.raises(LabelDomainError, match=re.escape(shown)):
+            check_binary_labels(bad)
+    with pytest.raises(LabelDomainError):
+        check_binary_labels([0.0, float("nan")])
 
 
 def test_load_csv(tmp_path):
