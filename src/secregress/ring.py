@@ -232,7 +232,8 @@ def matmul(a: np.ndarray, b: np.ndarray, blocks: int = 1) -> np.ndarray:
     if blocks == 1:
         return a @ b
     # Blocks of one row and one column (a TI elementwise product) are a
-    # broadcast product, a quarter of the stacked matmul's time at n = 16.
+    # broadcast product, about a third of the stacked matmul's time at
+    # n = 16.
     if blocks == rows and inner == 1:
         return a * b
     return np.matmul(a.reshape(blocks, -1, inner),

@@ -1,9 +1,10 @@
 """Checks the tests hold the program's results against.
 
-None of these runs inside a training run: they reassemble shares, verify
-triples, decode words to floats, record a session's received frames and
-pick frames out of them, give the loss whose gradient the logistic engines
-follow, state the triple-free protocol's leak and simulate a view from it. They work on the words with
+The program calls none of these: they reassemble shares, verify triples,
+decode words to floats, record a session's received frames (once a test
+installs the recorder) and pick frames out of them, give the loss whose
+gradient the logistic engines follow, state the triple-free protocol's
+leak and simulate a view from it. They work on the words with
 numpy's wrapping uint64 operators and call none of secregress's ring
 arithmetic, so the code they check cannot also be the code that checks.
 """
