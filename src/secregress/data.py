@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -152,14 +153,29 @@ def check_binary_labels(y) -> None:
             f"labels must be 0/1, got {sorted(set(a.ravel().tolist()))}")
 
 
+# The engines' batches are drawn this many iterations at a time, so a run
+# holds one block of its schedule whatever its length. Drawing each batch
+# as its iteration started made lore-oti-v-tcp (two TCP processes on one
+# CPU) 8-13% slower, though the draws cost the same; a block at a time
+# read as fast as drawing the whole schedule up front.
+DRAW_AHEAD = 32
+
+
+def drawn_ahead(draws: Iterator) -> Iterator:
+    """The items of draws, in order, taken DRAW_AHEAD at a time."""
+    while block := list(islice(draws, DRAW_AHEAD)):
+        yield from block
+
+
 def iter_batch_schedule(m: int, batch: int, iters: int,
                         seed) -> Iterator[list[int]]:
-    """Global row indices of each iteration in turn, iteration t's drawn
-    when t is reached; a batch larger than m raises here, before any."""
+    """Global row indices of each iteration in turn, drawn a block at a
+    time (drawn_ahead); a batch larger than m raises here, before any."""
     if batch > m:
         raise ValueError(f"batch {batch} exceeds {m} samples")
     root = CounterDrbg(seed, label="schedule")
-    return (root.child("batch", t).sample(m, batch) for t in range(iters))
+    return drawn_ahead(
+        root.child("batch", t).sample(m, batch) for t in range(iters))
 
 
 def build_batch_schedule(m: int, batch: int, iters: int, seed) -> list[list[int]]:

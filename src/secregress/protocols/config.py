@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
+from ..data import drawn_ahead
 from ..errors import BatchTooLarge, MagnitudeOverflow, PolicyMismatch
 from ..ring import FRAC_BITS
 from ..rng import CounterDrbg
@@ -137,7 +138,7 @@ def iter_horizontal_schedule(
         cfg: TrainingConfig,
         m_list: list[int]) -> Iterator[tuple[int, list[int], list[int]]]:
     """Owner and batch rows of each iteration of a row-partitioned run, in
-    turn: iteration t's are drawn when t is reached.
+    turn, drawn a block of iterations at a time (data.drawn_ahead).
 
     Yields (owner, local_rows, global_rows): the owner party, the sampled
     row indices inside the owner's slice, and the same rows as indices
@@ -159,7 +160,7 @@ def iter_horizontal_schedule(
                 t, len(eligible), cfg.owner_policy, cfg.seed)]
             rows = root.child("hbatch", t).sample(m_list[owner], b)
             yield owner, rows, [offsets[owner] + r for r in rows]
-    return draws()
+    return drawn_ahead(draws())
 
 
 def horizontal_schedule(

@@ -212,7 +212,7 @@ def _json_schedule_hash(schedule):
     sizes=st.lists(st.integers(min_value=0, max_value=30), min_size=2,
                    max_size=4),
     batch=st.integers(min_value=1, max_value=8),
-    iterations=st.integers(min_value=1, max_value=10),
+    iterations=st.integers(min_value=1, max_value=70),  # up to 3 blocks
     policy=st.sampled_from(["sequential", "random"]),
 )
 def test_per_iteration_draws_match_the_schedule_lists(sizes, batch,
