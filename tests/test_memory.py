@@ -1,10 +1,10 @@
 """A training run's memory does not grow with its length.
 
 An engine keeps no received frame (the transcript is a running hash) and
-draws each iteration's batch when the iteration starts, so a run's peak
-heap is the same at any iteration count, up to the per-iteration wall
-times it returns. tracemalloc follows every thread, so the peak below is
-both parties' and both folds'.
+holds at most one block of its batch schedule (data.DRAW_AHEAD
+iterations), so a run's peak heap is the same at any iteration count, up
+to the per-iteration wall times it returns. tracemalloc follows every
+thread, so the peak below is both parties' and both folds'.
 """
 
 import gc
@@ -17,8 +17,9 @@ from secregress.spec import RunSpec
 
 SHORT, LONG = 20, 80
 # Heap bytes one more iteration may add to the peak, over both parties
-# and both folds. What stays is each fold's list of iteration times,
-# 70-100 B here; keeping every received frame grew 34 kB and 44 kB.
+# and both folds. What grows is each fold's list of iteration times and,
+# from T=20 to a full block of 32, the schedule block: 180-330 B here.
+# Keeping every received frame grew 34 kB and 44 kB.
 BOUND = 512
 
 
