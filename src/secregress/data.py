@@ -156,8 +156,8 @@ def check_binary_labels(y) -> None:
 # The engines' batches are drawn this many iterations at a time, so a run
 # holds one block of its schedule whatever its length. Drawing each batch
 # as its iteration started made lore-oti-v-tcp (two TCP processes on one
-# CPU) 8-13% slower, though the draws cost the same; a block at a time
-# read as fast as drawing the whole schedule up front.
+# CPU) 5-13% slower, though the draws cost the same; a block at a time
+# read about as fast as drawing the whole schedule up front.
 DRAW_AHEAD = 32
 
 
