@@ -17,13 +17,16 @@ the folds' wall time, include that derivation; the manifest flags the
 variant as offline-provisioned.
 
 Exit codes: 0 success, 2 configuration or input error, 3 protocol or
-transport failure, 4 cross-party equivalence-check failure.
+transport failure, 4 cross-party equivalence-check failure, 5 a fold
+whose secure model does not match its plaintext replay (or whose replay
+diverged).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import replace
@@ -32,7 +35,13 @@ import numpy as np
 
 from .baseline import auc, rmse, train_plain
 from .data import build_batch_schedule, kfold, load_csv
-from .errors import HashMismatch, InputError, SecregressError
+from .errors import (
+    HashMismatch,
+    InputError,
+    NonFiniteLoss,
+    ReplayMismatch,
+    SecregressError,
+)
 from .orchestration import (
     _fold_seed,
     _party_inputs,
@@ -49,6 +58,10 @@ from .spec import ConfigFileError, RunSpec, load_dataset, partition
 from .transport import loopback_sessions
 
 SCALING_SIZES = (500, 1000, 2000, 4000)
+
+# How far a secure rmse may sit from its replay: the 4th decimal, the
+# equality criterion's own bound.
+REPLAY_TOLERANCE = 5e-5
 
 
 # --------------------------------------------------------------------------
@@ -91,7 +104,8 @@ def _fold_weights(spec: RunSpec, manifests: list[dict], k: int):
 def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
     """Score a finished run: per-fold metric on the held-out split, plus
     (for secure runs) the matched-schedule plaintext metric that the
-    equality criterion compares against. Deterministic."""
+    equality criterion compares against; nan where the replay diverged.
+    Deterministic."""
     X, y, _ = load_dataset(spec)
     folds = kfold(len(X), spec.folds, seed=spec.config.seed)
     score, metric = (rmse, "rmse") if spec.task == "LiRe" else (auc, "auc")
@@ -102,8 +116,12 @@ def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
         if spec.scheme != "plaintext":
             cfg_k = replace(spec.config,
                             seed=_fold_seed(spec.config.seed, k))
-            wp = _matched_plain_weights(spec, cfg_k, X[train_idx],
-                                        y[train_idx])
+            try:
+                wp = _matched_plain_weights(spec, cfg_k, X[train_idx],
+                                            y[train_idx])
+            except NonFiniteLoss:
+                replay_metrics.append(math.nan)
+                continue
             replay_metrics.append(score(ys, Xs @ wp))
     row = {
         "model": spec.model_name(),
@@ -118,14 +136,34 @@ def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
     return row
 
 
+def _check_replay(spec: RunSpec, row: dict) -> None:
+    """Raise ReplayMismatch for the first fold whose replay is not finite
+    or, for LiRe, whose secure rmse is more than REPLAY_TOLERANCE from
+    it. A learning rate the ring cannot follow wraps the secure model
+    while the float replay diverges; neither is a model to report."""
+    lr = spec.config.learning_rate
+    for k, (got, want) in enumerate(zip(row["fold_values"],
+                                        row.get("plain_replay_values", []))):
+        if not math.isfinite(want):
+            raise ReplayMismatch(
+                f"fold {k}: the plaintext replay diverged at learning "
+                f"rate {lr}")
+        if spec.task == "LiRe" and not abs(got - want) <= REPLAY_TOLERANCE:
+            raise ReplayMismatch(
+                f"fold {k}: secure rmse {got:.6g} against replay "
+                f"{want:.6g} at learning rate {lr}")
+
+
 def run(spec: RunSpec, mode: str = "threads", timeout: float = 300.0):
     """Execute a spec end to end: train (all parties, all folds), verify,
-    score. Returns (report_row, manifests, timings)."""
+    score, and check each fold against its replay. Returns (report_row,
+    manifests, timings)."""
     if spec.scheme == "plaintext":
         manifests, timings = run_plaintext(spec)
     else:
         manifests, timings = spawn_parties(spec, mode, timeout)
     row = evaluate(spec, manifests)
+    _check_replay(spec, row)
     return row, manifests, timings
 
 
@@ -479,6 +517,9 @@ def main(argv=None) -> int:
     except HashMismatch as e:
         print(f"equivalence check failed: {e}", file=sys.stderr)
         return 4
+    except ReplayMismatch as e:
+        print(f"replay check failed: {e}", file=sys.stderr)
+        return 5
     except SecregressError as e:
         print(f"protocol failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

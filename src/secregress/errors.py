@@ -125,3 +125,8 @@ class PartyCrashed(SecregressError):
 
 class HashMismatch(SecregressError):
     """Parties reconstructed different models from the same run."""
+
+
+class ReplayMismatch(SecregressError):
+    """A secure model left its plaintext replay, or the replay diverged
+    (exit 5)."""

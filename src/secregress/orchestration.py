@@ -32,13 +32,15 @@ from .errors import (
     SpecHashMismatch,
     TransportError,
 )
-from .protocols import HorizontalEngine, VerticalEngine, fold_rounds
+from .protocols import HorizontalEngine, VerticalEngine
 from .spec import ConfigFileError, RunSpec, load_dataset, partition
 from .transport import TcpSession, loopback_sessions
 
-# Engines running consecutive CV folds over one session space their frame
-# round numbers ROUND_STRIDE apart, or a multiple of it when one fold takes
-# more rounds than that (see round_stride).
+# Engines running consecutive CV folds over one session start each fold at
+# the next multiple of ROUND_STRIDE past the rounds the fold before used
+# (_run_party_folds), so fold ranges never overlap. Rounds are u32 on the
+# wire; the schema's bounds (8 parties, 10 folds, 100,000 iterations) keep
+# every fold's rounds below 2^32.
 ROUND_STRIDE = 1_000_000
 
 
@@ -48,15 +50,6 @@ def _fold_seed(base, k: int) -> str:
 
 def _task(spec: RunSpec) -> str:
     return "linear" if spec.task == "LiRe" else "logistic"
-
-
-def round_stride(spec: RunSpec) -> int:
-    """Rounds between the bases of consecutive folds: the least multiple
-    of ROUND_STRIDE that holds one fold's rounds, so fold ranges never
-    overlap. Rounds are u32 on the wire; the schema's bounds (8 parties,
-    10 folds, 100,000 iterations) keep every fold below 2^32."""
-    rounds = fold_rounds(spec.config, _task(spec), spec.scheme, spec.parties)
-    return ROUND_STRIDE * -(-rounds // ROUND_STRIDE)
 
 
 def _model_hash(model_hex: str) -> str:
@@ -127,19 +120,25 @@ def _run_party_folds(session, spec: RunSpec, X, y, descriptor):
     """Train every CV fold for one party on an open session.
 
     Returns (manifest, timings): the manifest holds only deterministic
-    facts, the timings everything wall-clock.
+    facts, the timings everything wall-clock. Each fold starts at the
+    least multiple of ROUND_STRIDE past the rounds of the fold before. A
+    party whose engine took a different number of rounds than its peers
+    would send at another base, and the next fold fails with
+    UnexpectedKind.
     """
     me = session.party_id
     task = _task(spec)
-    stride = round_stride(spec)
+    base = 0
 
-    def fit(k, cfg_k, train_idx):
+    def fit(_k, cfg_k, train_idx):
+        nonlocal base
         engine, features, labels = _party_inputs(
             spec, X[train_idx], y[train_idx], me)
         before = (session.bytes_sent, session.bytes_received,
                   session.frames_sent)
-        res = engine(session, cfg_k, task,
-                     round_base=k * stride).run(features, labels)
+        eng = engine(session, cfg_k, task, round_base=base)
+        res = eng.run(features, labels)
+        base += ROUND_STRIDE * -(-eng.rounds_used // ROUND_STRIDE)
         return {
             "config_hash": res.config_hash,
             "schedule_hash": res.schedule_hash,

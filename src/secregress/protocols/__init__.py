@@ -3,7 +3,6 @@
 from .base import TrainResult
 from .config import (
     TrainingConfig,
-    fold_rounds,
     horizontal_schedule,
     product_plan,
     schedule_digest,
@@ -17,7 +16,6 @@ __all__ = [
     "TrainResult",
     "TrainingConfig",
     "VerticalEngine",
-    "fold_rounds",
     "horizontal_schedule",
     "product_plan",
     "schedule_digest",

@@ -25,23 +25,24 @@ are opened together, each party writes each peer all of a step's frames
 at once, and only then receives, so a stage costs one message round
 however many products it holds. Each product still takes its own round
 number; parties outside a pair burn that round number so that round
-counters stay aligned without extra communication. Under the triple
-variant each party draws, in order, only the triple halves of the products
-it is in: the dealer (smm.triple_halves) walks the run's product plan
-(config.product_plan) and leaves the bystanders out.
+counters stay aligned without extra communication.
 
 Which products a stage holds, between whom, in which round and feeding
 which sum is public and fixed for a whole fold; only the operands change
-from one iteration to the next. So each party builds every stage once per
-fold as a tape (_tape): its products, its peers and sides, each product's
-round offset, and the sum each secure share and local term feeds. An
-iteration then binds the operands and advances the round base
-(_run_stage), on bare uint64 arrays throughout.
+from one iteration to the next. config.iteration_stages declares them
+once, as sums. From that each party builds every stage once per fold as
+a tape (_tape): its products, its peers and sides, each product's round
+offset, and the sum each secure share and local term feeds. An iteration
+then binds the operands and advances the round base (_run_stage), on bare
+uint64 arrays throughout. Under the triple variant each party draws, in
+order, only the triple halves of the products it is in: the dealer
+(smm.triple_halves) walks the tapes' plans, one iteration's products
+repeated, and leaves the bystanders out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -59,7 +60,7 @@ from ..smm import (
     triple_halves,
 )
 from ..transport import KIND_CONTROL, KIND_SHARE_DIST, KIND_W_SHARE
-from .config import FIRST_ROUND, TrainingConfig, product_plan
+from .config import FIRST_ROUND, TrainingConfig, iteration_stages, stage_terms
 
 
 @dataclass
@@ -138,12 +139,6 @@ class _EngineBase:
         self._coeff_words = (np.uint64(q0 << self.f), np.uint64(q1),
                              np.uint64(q2) if q2 else None, np.uint64(q3))
         self._halves = iter(halves) if halves is not None else None
-        if task == "logistic":
-            # z^2's one cross product (doubled), then z^3's two, as sums
-            # over the two holders of z (see _sigmoid_from_zf)
-            b = config.batch_size
-            self._sigmoid_tapes = (self._tape(((0,), (1,), b, True)),
-                                   self._tape(((0, 1), (0, 1), b, True)))
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -151,6 +146,11 @@ class _EngineBase:
         r = self._round
         self._round += 1
         return r
+
+    @property
+    def rounds_used(self) -> int:
+        """Round numbers this run has taken, counted from its round base."""
+        return self._round - self._round_base
 
     def _shift(self, a: np.ndarray, narrow: bool = False) -> np.ndarray:
         """Truncate the shared aggregate by f bits.
@@ -196,17 +196,20 @@ class _EngineBase:
         """
         return w_2f - self._shift(grad_2f) * self._lr_word
 
-    def _deal(self, widths: list[int]) -> None:
-        """Start the lazy triple-half stream when none was handed in. It
-        walks the run's product plan as one iteration's products repeated,
-        so no list grows with the iteration count."""
+    def _stages(self, widths: list[int]) -> tuple[Stage, Stage]:
+        """This fold's prediction and gradient tapes; a logistic run's
+        sigmoid tapes are kept. With no halves handed in, a triple run's
+        dealer walks the tapes' plans, repeated per iteration."""
+        tapes = [self._tape(*sums) for sums in iteration_stages(
+            self.task, self.layout, widths, self.cfg.batch_size)]
+        predict, *self._sigmoid_tapes, gradient = tapes
         if self._ti and self._halves is None:
-            one = product_plan(replace(self.cfg, iterations=1), self.task,
-                               self.layout, widths)
+            one = [term for tape in tapes for term in tape.plan]
             self._halves = triple_halves(
                 self.cfg.seed,
                 chain.from_iterable(repeat(one, self.cfg.iterations)),
                 self.me)
+        return predict, gradient
 
     # -- pairwise products ----------------------------------------------
 
@@ -218,22 +221,18 @@ class _EngineBase:
         R_b party b's right one, and shape is (x, y, z) for a matrix
         product or the entry count for an elementwise one. A term with
         a == b is a local product on that party; every other term is a
-        pairwise secure product, opened in loop order.
+        pairwise secure product, opened in config.stage_terms order.
         """
-        plan, slots, lanes, local = [], [], {}, []
-        for k, (lhs, rhs, shape, elementwise) in enumerate(sums):
-            for a in lhs:
-                for b in rhs:
-                    if a == b:
-                        if a == self.me:
-                            local.append((k, elementwise))
-                        continue
-                    if self.me in (a, b):
-                        side, peer = (0, b) if self.me == a else (1, a)
-                        lanes.setdefault(peer, []).append(
-                            (len(slots), len(plan)))
-                        slots.append((k, side, elementwise, len(plan)))
-                    plan.append((a, b, shape, elementwise))
+        plan, slots, lanes = [], [], {}
+        for k, (a, b, shape, elementwise) in stage_terms(sums):
+            if self.me in (a, b):
+                side, peer = (0, b) if self.me == a else (1, a)
+                lanes.setdefault(peer, []).append((len(slots), len(plan)))
+                slots.append((k, side, elementwise, len(plan)))
+            plan.append((a, b, shape, elementwise))
+        local = [(k, elementwise)
+                 for k, (lhs, rhs, _shape, elementwise) in enumerate(sums)
+                 if self.me in lhs and self.me in rhs]
         shapes = [(shape, 1) if elementwise else (shape[0], shape[2])
                   for _lhs, _rhs, shape, elementwise in sums]
         return Stage(tuple(plan), tuple(slots),

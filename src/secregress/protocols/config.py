@@ -201,56 +201,56 @@ def schedule_digest(schedule: list[list[int]]) -> str:
     return digest.hexdigest()
 
 
+def iteration_stages(task: str, layout: str, widths: list[int],
+                     batch: int) -> list[tuple]:
+    """One iteration's secure stages in run order: the prediction, a
+    logistic run's two sigmoid stages, the gradient. Each stage is a
+    tuple of sums as protocols.base's _tape takes them. widths[i] is the
+    feature count of party i's batch operand: the full width in a
+    horizontal run, block i's width in a vertical one. Truncated
+    aggregates (weights, errors) live on parties 0 and 1, so every batch
+    operand pairs with those two.
+    """
+    b, holders = batch, (0, 1)
+    if layout == "horizontal":
+        # z = X_B w and grad = X_B^T err, each from every batch-share
+        # holder against the two holders of the truncated w (and err)
+        everyone, d = range(len(widths)), widths[0]
+        predict = ((everyone, holders, (b, d, 1), False),)
+        gradient = ((everyone, holders, (d, b, 1), False),)
+    else:
+        # z = sum_i X^i w_i, and grad_i = (X^i)^T err computed as
+        # (err^T X^i)^T. err stays the left operand, so the OTI leak keeps
+        # its orientation: adjacent sums of err go to the block owner,
+        # adjacent row differences of X^i to the err holders. Every
+        # block's products run in one stage, before any block's update.
+        predict = tuple(((i,), holders, (b, w, 1), False)
+                        for i, w in enumerate(widths))
+        gradient = tuple((holders, (i,), (1, b, w), False)
+                         for i, w in enumerate(widths))
+    # z^2's one cross product (doubled), then z^3's two, as sums over the
+    # two holders of z (see protocols.base)
+    sigmoid = ([(((0,), (1,), b, True),), ((holders, holders, b, True),)]
+               if task == "logistic" else [])
+    return [predict, *sigmoid, gradient]
+
+
+def stage_terms(sums) -> list[tuple]:
+    """The pairwise secure products of one stage, in the order they are
+    opened: (k, (a, b, shape, elementwise)) per term L_a R_b of sum k with
+    a != b. A term with a == b is a product party a makes on its own."""
+    return [(k, (a, b, shape, elementwise))
+            for k, (lhs, rhs, shape, elementwise) in enumerate(sums)
+            for a in lhs for b in rhs if a != b]
+
+
 def product_plan(cfg: TrainingConfig, task: str, layout: str,
                  widths: list[int]) -> list[tuple]:
     """Every pairwise secure product of one run, in the order the engines
-    open them (each iteration's stage tapes in turn: the prediction, the
-    sigmoid's two stages, the gradient; see protocols.base).
-
-    Each entry is (a, b, shape, elementwise): party a holds the left
-    operand, party b the right one, and shape is (x, y, z) for a matrix
-    product or the entry count of an elementwise one. widths[i] is the
-    feature count of party i's batch operand: the full width for every
-    party of a horizontal run, block i's width in a vertical one. Terms a
-    party multiplies locally are not listed. This is what a triple dealer
-    needs to know (smm.triple_halves).
-    """
-    b = cfg.batch_size
-    # Truncated aggregates (weights, errors) live on parties 0 and 1, so
-    # every batch operand pairs with those two, minus itself.
-    pairs = [(i, h, w) for i, w in enumerate(widths) for h in (0, 1)
-             if i != h]
-    predict = [(i, h, (b, w, 1), False) for i, h, w in pairs]
-    if layout == "horizontal":
-        grad = [(i, h, (w, b, 1), False) for i, h, w in pairs]
-    else:
-        # err^T stays the left operand (see protocols.vertical)
-        grad = [(h, i, (1, b, w), False) for i, h, w in pairs]
-    sigmoid = ([(0, 1, b, True), (0, 1, b, True), (1, 0, b, True)]
-               if task == "logistic" else [])
-    return (predict + sigmoid + grad) * cfg.iterations
-
-
-def fold_rounds(cfg: TrainingConfig, task: str, layout: str,
-                n_parties: int) -> int:
-    """How many round numbers one engine run takes, counted from its
-    round base: the reserved setup rounds, every iteration's rounds and
-    the final opening (protocols.base; the tests hold this to the
-    engines' own counters).
-
-    Per iteration: the batch (or label) share-out, one round per pairwise
-    product (product_plan), and with three or more parties one re-share
-    round before each share-wise truncation of an aggregate that is
-    spread over everyone.
-    """
-    n = n_parties
-    spread = 1 if n > 2 else 0
-    products = 2 * (2 * n - 2)  # prediction and gradient
-    sigmoid = 3 + spread if task == "logistic" else 0
-    if layout == "horizontal":
-        per_iter = 2 + products + 2 * spread + sigmoid
-        setup, final = 0, 1
-    else:
-        per_iter = 1 + products + (2 * n + 1) * spread + sigmoid
-        setup, final = 1, n * spread + n
-    return FIRST_ROUND + setup + cfg.iterations * per_iter + final
+    open them: (a, b, shape, elementwise), party a holding the left
+    operand and b the right, per stage_terms of each iteration's stages.
+    This is what a triple dealer needs to know (smm.triple_halves)."""
+    one = [term for sums in iteration_stages(task, layout, widths,
+                                             cfg.batch_size)
+           for _k, term in stage_terms(sums)]
+    return one * cfg.iterations

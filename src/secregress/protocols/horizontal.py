@@ -48,19 +48,12 @@ class HorizontalEngine(_EngineBase):
             raise PolicyMismatch(
                 f"parties disagree on feature width: {sorted(widths)}")
         d = widths.pop()
-        self._deal([d] * self.n)
+        predict, gradient = self._stages([d] * self.n)
 
         schedule = iter_horizontal_schedule(self.cfg, m_list)
         digest = ScheduleDigest()
         x_enc = RingMatrix.encode_rows(features).arr if m_local else None
         y_enc = RingMatrix.column(labels).arr if m_local else None
-
-        b = self.cfg.batch_size
-        # z = X_B w and grad = X_B^T err, each assembled at 2f bits from
-        # every batch-share holder against the two holders of the
-        # truncated w (and err) shares
-        predict = self._tape((range(self.n), (0, 1), (b, d, 1), False))
-        gradient = self._tape((range(self.n), (0, 1), (d, b, 1), False))
         w_2f = np.zeros((d, 1), dtype=np.uint64)
         iter_seconds = []
         for owner, rows, global_rows in schedule:

@@ -71,7 +71,7 @@ class VerticalEngine(_EngineBase):
             if row[1] == 0:
                 raise PolicyMismatch(f"party {pid} reports an empty block")
         d_list = [row[1] for row in rows]
-        self._deal(d_list)
+        predict, gradient = self._stages(d_list)
         b = self.cfg.batch_size
         if b > m:
             raise BatchTooLarge(f"batch {b} exceeds {m} samples")
@@ -100,17 +100,6 @@ class VerticalEngine(_EngineBase):
                     f"weight block, expected {d_list[i]}x1")
             w_2f.append(got)
 
-        # z = sum_i X^i w_i at 2f bits; truncated w shares sit on parties 0
-        # and 1, so those are the only counterparts.
-        predict = self._tape(*[((i,), (0, 1), (b, d_list[i], 1), False)
-                               for i in range(self.n)])
-        # grad_i = (X^i)^T err, computed as (err^T X^i)^T with err shares
-        # again on parties 0,1. err stays the left operand, so the OTI leak
-        # keeps its orientation: adjacent sums of err go to the block
-        # owner, adjacent row differences of X^i to the err holders. Every
-        # block's products run in one stage, before any block's update.
-        gradient = self._tape(*[((0, 1), (i,), (1, b, d_list[i]), False)
-                                for i in range(self.n)])
         iter_seconds = []
         for batch in schedule:
             digest.add(batch)

@@ -123,15 +123,17 @@ def triple_halves(seed, plan, party: int):
     """This party's halves of the triples a product plan consumes, in order.
 
     The trusted initializer's offline delivery: plan is the ordered
-    (a, b, shape, elementwise) iterable of pairwise products (see
-    protocols.config.product_plan). Triple k of a given shape is derived
-    from its own path under the seed, so every party's halves come from
-    the same triples; a party yields a half only for the products it is in
-    (side 0 when it holds the left operand, side 1 the right). An
-    elementwise product of n entries takes an n-block triple of 1 by 1
-    blocks (elementwise_steps). Side 0 derives just (U1, V1, W1); side 1's
-    half needs U, V and W = U*V, so it is cut from the whole triple. Lazy:
-    each half is derived when drawn.
+    (a, b, shape, elementwise) iterable of pairwise products. The engines
+    pass their stage tapes' plans, one iteration's products repeated;
+    protocols.config.product_plan lists the same products for a whole
+    run. Both come from protocols.config.iteration_stages. Triple k of a
+    given shape is derived from its own path under the seed, so every
+    party's halves come from the same triples; a party yields a half only
+    for the products it is in (side 0 when it holds the left operand,
+    side 1 the right). An elementwise product of n entries takes an
+    n-block triple of 1 by 1 blocks (elementwise_steps). Side 0 derives
+    just (U1, V1, W1); side 1's half needs U, V and W = U*V, so it is cut
+    from the whole triple. Lazy: each half is derived when drawn.
     """
     root = CounterDrbg(seed, label="trusted-initializer")
     counts: dict[tuple, int] = {}

@@ -29,10 +29,14 @@ from secregress.errors import (
     TooFewRows,
     TripleExhausted,
 )
-from secregress.protocols import fold_rounds, product_plan
+from secregress.protocols import product_plan
 from secregress.protocols.base import _EngineBase
 from secregress.smm import triple_halves
 from secregress.spec import RUNSPEC_SCHEMA, SCHEMA_KEYWORDS, check_schema
+from secregress.transport import loopback_sessions
+
+from comm_model import fold_frames, fold_rounds, round_stride
+from oracles import record
 
 BASE_SPEC = {
     "task": "LiRe",
@@ -637,6 +641,34 @@ def test_main_equivalence_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "equivalence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, scheme, variant, lr, rc, says", [
+    ("LiRe", "horizontal", "TI", 2, 0, None),
+    ("LiRe", "horizontal", "TI", 3, 5, "fold 0: secure rmse"),
+    ("LiRe", "horizontal", "TI", 8, 5, "fold 0: secure rmse"),
+    ("LoRe", "vertical", "OTI", 8, 5, "fold 1: the plaintext replay "
+                                      "diverged"),
+])
+def test_a_model_that_left_its_replay_exits_5(tmp_path, capsys, task,
+                                              scheme, variant, lr, rc,
+                                              says):
+    # at these learning rates the float replay diverges and the secure
+    # weights wrap in the ring: a wrong model, not a protocol failure
+    kind = "synthetic-linear" if task == "LiRe" else "synthetic-logistic"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_dict(
+        task=task, scheme=scheme, smm_variant=variant,
+        dataset={"kind": kind, "m": 64, "d": 4, "seed": 3},
+        config={"learning_rate": lr, "batch_size": 8, "iterations": 40,
+                "seed": "5"})))
+    assert cli.main(["train", "--spec", str(path)]) == rc
+    err = capsys.readouterr().err
+    if says is None:
+        assert err == ""
+    else:
+        assert err.startswith("replay check failed: " + says)
+        assert f"learning rate {lr}" in err
+
+
 def test_main_plaintext_train_verb(tmp_path, capsys):
     raw = spec_dict(scheme="plaintext")
     del raw["smm_variant"]
@@ -721,7 +753,7 @@ def test_fold_rounds_match_the_engines_round_counters(task, scheme, n,
     result = _EngineBase._result
 
     def recording_result(self, *args):
-        used.append(self._round - self._round_base)
+        used.append(self.rounds_used)
         return result(self, *args)
 
     monkeypatch.setattr(_EngineBase, "_result", recording_result)
@@ -734,7 +766,8 @@ def test_fold_rounds_match_the_engines_round_counters(task, scheme, n,
     orchestration.spawn_parties(spec, "threads")
     want = fold_rounds(spec.config, orchestration._task(spec), scheme, n)
     assert used == [want] * (n * spec.folds)
-    assert orchestration.round_stride(spec) == orchestration.ROUND_STRIDE
+    assert (round_stride(want, orchestration.ROUND_STRIDE)
+            == orchestration.ROUND_STRIDE)
 
 
 def test_fold_ranges_never_overlap_and_fit_in_u32():
@@ -753,7 +786,59 @@ def test_fold_ranges_never_overlap_and_fit_in_u32():
             config={"batch_size": 4, "iterations": iters, "seed": 1}))
         rounds = fold_rounds(spec.config, orchestration._task(spec),
                              scheme, n)
-        stride = orchestration.round_stride(spec)
+        stride = round_stride(rounds, orchestration.ROUND_STRIDE)
         assert rounds > orchestration.ROUND_STRIDE  # the old overlap
         assert rounds <= stride and stride % orchestration.ROUND_STRIDE == 0
         assert (folds - 1) * stride + rounds < 1 << 32
+
+
+def test_folds_start_at_the_measured_stride(monkeypatch):
+    # with a stride far below one fold's rounds, fold 1 starts at the least
+    # multiple of the stride that holds the rounds fold 0 took
+    spec = cli.RunSpec.from_dict(spec_dict())
+    X, y, descriptor = cli.load_dataset(spec)
+
+    def run_recorded():
+        rngs = [spec.config.private_rng(i) for i in range(2)]
+        sessions = record(*loopback_sessions(2, rngs, timeout=60.0))
+        outs, _ = orchestration._run_threads(sessions, [
+            lambda s=s: orchestration._run_party_folds(s, spec, X, y,
+                                                       descriptor)
+            for s in sessions], 120.0)
+        return sessions, [manifest for manifest, _timings in outs]
+
+    _, wide = run_recorded()
+    stride = 8
+    monkeypatch.setattr(orchestration, "ROUND_STRIDE", stride)
+    sessions, manifests = run_recorded()
+    rounds = fold_rounds(spec.config, "linear", "horizontal", 2)
+    assert rounds > 3 * stride
+    for me, session in enumerate(sessions):
+        frames = session.transcript.frames
+        # everything the peer sent in fold 0, then fold 1's first frame
+        fold0 = manifests[1 - me]["folds"][0]["frames_sent"]
+        assert frames[0].round_no == 0
+        assert frames[fold0].round_no == round_stride(rounds, stride)
+        assert (manifests[me]["run_model_hash"]
+                == wide[me]["run_model_hash"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("variant", ["TI", "OTI"])
+@pytest.mark.parametrize("scheme", ["horizontal", "vertical"])
+@pytest.mark.parametrize("task", ["LiRe", "LoRe"])
+def test_frames_per_iteration_match_the_closed_form(task, scheme, variant,
+                                                    n):
+    # every party's frames_sent, summed, against comm_model.fold_frames
+    kind = "synthetic-linear" if task == "LiRe" else "synthetic-logistic"
+    iterations = 3
+    spec = cli.RunSpec.from_dict(spec_dict(
+        task=task, scheme=scheme, smm_variant=variant, parties=n,
+        dataset={"kind": kind, "m": 24, "d": 4, "seed": 5},
+        config={"learning_rate": 0.1, "batch_size": 2,
+                "iterations": iterations, "seed": "frames"}))
+    manifests, _ = orchestration.spawn_parties(spec, "threads")
+    per_iter, fixed = fold_frames(task, scheme, variant, n)
+    for k in range(spec.folds):
+        sent = sum(m["folds"][k]["frames_sent"] for m in manifests)
+        assert (sent - fixed) == iterations * per_iter, k

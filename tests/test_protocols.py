@@ -58,6 +58,7 @@ from secregress.smm import (
 )
 from secregress.transport import TransportError, loopback_sessions
 
+import comm_model
 from one_product import run_one
 from oracles import (
     decode_rows,
@@ -293,13 +294,14 @@ def test_sigmoid_shares_track_polynomial(variant):
     shares = share_matrix(z_enc.arr, 2, CounterDrbg("sig-shares"))
     # the sigmoid's three elementwise products, as a plan for the dealer
     plan = [(0, 1, n, True), (0, 1, n, True), (1, 0, n, True)]
-    fns = [
-        (lambda s, sh=shares[i]:
-         RingMatrix.wrap(_EngineBase(s, cfg, "logistic",
-                                     triple_halves(cfg.seed, plan, s.party_id)
-                                     )._sigmoid_from_zf(sh)))
-        for i in range(2)
-    ]
+
+    def sigmoid(s, sh):
+        eng = HorizontalEngine(s, cfg, "logistic",
+                               triple_halves(cfg.seed, plan, s.party_id))
+        eng._stages([1, 1])  # the fold's tapes, the sigmoid's among them
+        return RingMatrix.wrap(eng._sigmoid_from_zf(sh))
+
+    fns = [(lambda s, sh=shares[i]: sigmoid(s, sh)) for i in range(2)]
     out = run_parties(2, cfg, fns)
     got = [row[0] for row in
            decode_rows(reconstruct(out), frac_bits=40)]
@@ -539,6 +541,19 @@ def test_variants_land_on_the_same_model():
 
 
 # -- the product plan and the triple dealer ---------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("layout", ["horizontal", "vertical"])
+@pytest.mark.parametrize("task", ["linear", "logistic"])
+def test_product_plan_matches_the_hand_written_model(task, layout, n):
+    # the plan derived from config.iteration_stages against the per-layout
+    # closed form it replaced
+    cfg = TrainingConfig(batch_size=3, iterations=2)
+    widths = [4] * n if layout == "horizontal" else [1 + i % 3
+                                                      for i in range(n)]
+    assert (product_plan(cfg, task, layout, widths)
+            == comm_model.product_plan(cfg, task, layout, widths))
+
 
 def test_triple_draws_match_the_projection(monkeypatch):
     # every engine opens exactly the plan's products, in the plan's order,

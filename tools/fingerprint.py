@@ -34,9 +34,9 @@ from pathlib import Path
 
 from secregress.data import kfold
 from secregress.orchestration import (
+    ROUND_STRIDE,
     _run_party_folds,
     _run_threads,
-    round_stride,
 )
 from secregress.spec import RunSpec, load_dataset
 from secregress.transport import loopback_sessions
@@ -66,11 +66,13 @@ def fingerprint(raw: dict) -> dict:
     outs, _ = _run_threads(
         sessions, [lambda s=s: _run_party_folds(s, spec, X, y, descriptor)
                    for s in sessions], 120.0)
-    parties, stride = [], round_stride(spec)
+    parties = []
     for session, (manifest, _timings) in zip(sessions, outs):
+        # each fold here takes less than one stride of rounds, so fold k's
+        # frames carry round numbers in stride k
         bodies: dict[int, list[bytes]] = {}
         for frame in session.transcript.frames:
-            bodies.setdefault(frame.round_no // stride, []).append(
+            bodies.setdefault(frame.round_no // ROUND_STRIDE, []).append(
                 frame.encode())
         folds = []
         for rec in manifest["folds"]:
