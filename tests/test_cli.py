@@ -534,8 +534,10 @@ def test_killed_child_exits_nonzero(tmp_path):
     """SIGKILL one party mid-run; the surviving party must exit nonzero
     rather than hang or report success."""
     roster = orchestration._free_ports(2)
+    # long enough that the kill lands mid-run: 2000 iterations per fold
+    # finished inside the 2 s sleep on a fast machine
     raw = spec_dict(roster=roster, output=str(tmp_path / "o"),
-                    config=dict(BASE_SPEC["config"], iterations=2000))
+                    config=dict(BASE_SPEC["config"], iterations=50_000))
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(raw))
     env = dict(os.environ)
@@ -544,10 +546,18 @@ def test_killed_child_exits_nonzero(tmp_path):
          "--party", str(i)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
         for i in range(2)]
-    time.sleep(2.0)
-    procs[1].send_signal(signal.SIGKILL)
-    assert procs[1].wait(timeout=30) != 0
-    assert procs[0].wait(timeout=60) != 0
+    try:
+        time.sleep(2.0)
+        assert [p.poll() for p in procs] == [None, None], \
+            "a party ended before the kill"
+        procs[1].send_signal(signal.SIGKILL)
+        assert procs[1].wait(timeout=30) != 0
+        assert procs[0].wait(timeout=60) != 0
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+            p.wait()
 
 
 # -- exit codes through main -------------------------------------------------
