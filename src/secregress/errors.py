@@ -128,5 +128,5 @@ class HashMismatch(SecregressError):
 
 
 class ReplayMismatch(SecregressError):
-    """A secure model left its plaintext replay, or the replay diverged
-    (exit 5)."""
+    """A secure model left its plaintext replay, the replay diverged, or
+    a plaintext run's own model diverged (exit 5)."""

@@ -28,7 +28,9 @@ from .baseline import train_plain
 from .data import build_batch_schedule, kfold
 from .errors import (
     HashMismatch,
+    NonFiniteLoss,
     PartyCrashed,
+    ReplayMismatch,
     SpecHashMismatch,
     TransportError,
 )
@@ -164,11 +166,16 @@ def run_plaintext(spec: RunSpec):
     plain_task = ("linear" if spec.task == "LiRe" else
                   f"logistic-{spec.sigmoid}")
 
-    def fit(_k, cfg_k, train_idx):
+    def fit(k, cfg_k, train_idx):
         schedule = build_batch_schedule(len(train_idx), cfg_k.batch_size,
                                         cfg_k.iterations, cfg_k.seed)
-        w = train_plain(X[train_idx], y[train_idx], schedule,
-                        cfg_k.learning_rate, plain_task)
+        try:
+            w = train_plain(X[train_idx], y[train_idx], schedule,
+                            cfg_k.learning_rate, plain_task)
+        except NonFiniteLoss:
+            raise ReplayMismatch(
+                f"fold {k}: the plaintext model diverged at learning rate "
+                f"{cfg_k.learning_rate}") from None
         return {"model_encoding": "f64le-hex",
                 "model_hex": np.asarray(w, dtype="<f8").tobytes().hex()}, {}
 
@@ -283,8 +290,8 @@ def _run_threads(sessions: list, jobs: list, timeout: float):
     for i, e in enumerate(errs):
         if e is not None:
             raise PartyCrashed(f"party {i}: {type(e).__name__}: {e}") from e
-    if any(o is None for o in outs):
-        dead = [i for i, o in enumerate(outs) if o is None]
+    dead = [i for i, th in enumerate(threads) if th.is_alive()]
+    if dead:
         raise PartyCrashed(f"parties {dead} never finished")
     return outs, seconds
 

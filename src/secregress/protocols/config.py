@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from ..data import drawn_ahead
-from ..errors import BatchTooLarge, MagnitudeOverflow, PolicyMismatch
-from ..ring import FRAC_BITS
+from ..errors import BatchTooLarge, PolicyMismatch
+from ..ring import FRAC_BITS, encode_raw
 from ..rng import CounterDrbg
 
 SMM_VARIANTS = ("smm1", "smm2")
@@ -76,11 +76,7 @@ class TrainingConfig:
         need a shift whose share-wise form wraps with probability
         |step| * 2^(3f-64) per entry, far too often to sustain the
         plaintext-equivalence bounds."""
-        x = self.learning_rate / self.batch_size * (1 << self.frac_bits)
-        word = math.floor(x + 0.5)
-        if word >= 1 << 63:
-            raise MagnitudeOverflow("learning_rate/batch_size too large")
-        return word
+        return encode_raw(self.learning_rate / self.batch_size)
 
     def effective_rate(self) -> float:
         """The learning rate the ring arithmetic actually applies:

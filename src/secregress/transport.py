@@ -31,7 +31,6 @@ import selectors
 import socket
 import struct
 import sys
-import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
@@ -327,12 +326,26 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return buf
 
 
+def _left(deadline: float) -> float:
+    """A socket timeout for the rest of the connect deadline (a timeout
+    of 0 would make the socket non-blocking)."""
+    return max(0.1, deadline - time.monotonic())
+
+
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
 
 
 class TcpSession(ProtocolSession):
     """Socket transport: party i dials every j > i and accepts from j < i.
+
+    The connect is one pass on the party's own thread: bind the listener,
+    dial every higher id in turn, then accept the lower ids in arrival
+    order, each wait bounded by one deadline. A dial's handshake waits
+    only on a higher id, and the highest party dials no one, so every
+    chain of such waits ends at a party that is accepting; lower dialers
+    queue in the listener's backlog until then. An accepted id already
+    connected (a duplicate, or any higher id) is refused.
 
     Once connected, every socket is non-blocking and only the party's own
     thread touches them; there are no reader threads. A receive first
@@ -384,65 +397,39 @@ class TcpSession(ProtocolSession):
             raise RosterMismatch(f"expected party {expect_id}, got {pid}")
         if not 0 <= pid < self.n_parties or pid == self.party_id:
             raise RosterMismatch(f"invalid peer id {pid}")
+        if pid in self._socks:  # a duplicate, or a higher id already dialed
+            raise RosterMismatch(f"party {pid} is already connected")
         return pid
 
     def _connect_all(self):
         """Open every peer socket, or close all those opened and raise."""
         deadline = time.monotonic() + self.timeout
-        host, port = self._endpoints[self.party_id]
-        listener = None
-        if self.party_id > 0:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(self.party_id)
-        accepted: dict[int, socket.socket] = {}
-        given_up = threading.Event()
+        me, listener = self.party_id, None
         try:
-            # accept from lower ids while dialing higher ids; lower-id peers
-            # are dialing us concurrently so order does not matter
-            accept_thread = None
-            accept_err: list[Exception] = []
-            if listener is not None:
-                def do_accept():
-                    try:
-                        for _ in range(self.party_id):
-                            listener.settimeout(
-                                max(0.1, deadline - time.monotonic()))
-                            conn, _ = listener.accept()
-                            conn.settimeout(self.timeout)
-                            try:
-                                data = _read_exact(conn, _HANDSHAKE_LEN)
-                                pid = self._check_handshake(data, None)
-                                conn.sendall(self._handshake_bytes())
-                            except Exception:
-                                conn.close()  # peer sees EOF, not a stall
-                                raise
-                            accepted[pid] = conn
-                            if given_up.is_set():  # missed the clean-up
-                                conn.close()
-                    except TimeoutError:
-                        pass  # reported below as peers that never connected
-                    except Exception as e:  # surfaced after join
-                        accept_err.append(e)
-                accept_thread = threading.Thread(target=do_accept, daemon=True)
-                accept_thread.start()
-
-            for peer in range(self.party_id + 1, self.n_parties):
+            if me > 0:  # bound first, so lower dialers queue in its backlog
+                listener = socket.create_server(self._endpoints[me],
+                                                backlog=me)
+            for peer in range(me + 1, self.n_parties):
                 self._socks[peer] = self._dial(peer, deadline)
-
-            if accept_thread is not None:
-                accept_thread.join(max(0.1, deadline - time.monotonic()) + 1)
-                if accept_err:
-                    raise accept_err[0]
-                if len(accepted) != self.party_id:
+            for got in range(me):
+                listener.settimeout(_left(deadline))
+                try:
+                    conn, _ = listener.accept()
+                    try:
+                        conn.settimeout(_left(deadline))
+                        pid = self._check_handshake(
+                            _read_exact(conn, _HANDSHAKE_LEN), None)
+                        conn.sendall(self._handshake_bytes())
+                    except BaseException:
+                        conn.close()  # the dialer sees EOF, not a stall
+                        raise
+                except TimeoutError:
                     raise ConnectTimeout(
-                        f"party {self.party_id}: only {len(accepted)} of "
-                        f"{self.party_id} lower-id peers connected")
-                self._socks.update(accepted)
+                        f"party {me}: only {got} of {me} lower-id peers "
+                        f"connected") from None
+                self._socks[pid] = conn
         except BaseException:
-            given_up.set()
-            for sock in [*self._socks.values(), *accepted.values()]:
+            for sock in self._socks.values():
                 sock.close()
             self._socks.clear()
             raise
@@ -455,7 +442,7 @@ class TcpSession(ProtocolSession):
         while True:
             try:
                 sock = socket.create_connection(
-                    (host, port), timeout=max(0.1, deadline - time.monotonic()))
+                    (host, port), timeout=_left(deadline))
                 break
             except (ConnectionRefusedError, OSError):
                 if time.monotonic() >= deadline:
@@ -465,7 +452,7 @@ class TcpSession(ProtocolSession):
                 # a refused connect returns at once and the peer may bind
                 # at any moment while it starts up, so retry soon
                 time.sleep(0.003)
-        sock.settimeout(self.timeout)
+        sock.settimeout(_left(deadline))
         try:
             sock.sendall(self._handshake_bytes())
             self._check_handshake(_read_exact(sock, _HANDSHAKE_LEN), peer)

@@ -679,6 +679,26 @@ def test_a_model_that_left_its_replay_exits_5(tmp_path, capsys, task,
         assert f"learning rate {lr}" in err
 
 
+@pytest.mark.parametrize("lr, rc", [(1, 0), (64, 5)])
+def test_a_diverged_plaintext_run_exits_5(tmp_path, capsys, lr, rc):
+    # at learning rate 64 the logistic reference overflows in fold 0
+    raw = spec_dict(
+        task="LoRe", scheme="plaintext",
+        dataset={"kind": "synthetic-logistic", "m": 64, "d": 4, "seed": 3},
+        config={"learning_rate": lr, "batch_size": 8, "iterations": 40,
+                "seed": "5"})
+    del raw["smm_variant"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["train", "--spec", str(path)]) == rc
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("replay check failed: fold 0: the plaintext "
+                              "model diverged at learning rate 64")
+
+
 def test_main_plaintext_train_verb(tmp_path, capsys):
     raw = spec_dict(scheme="plaintext")
     del raw["smm_variant"]

@@ -9,7 +9,7 @@ reference, never bit-equal, so tolerances here are stated in ulps.
 import hashlib
 import itertools
 import json
-import threading
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +30,13 @@ from secregress.data import (
     make_regression_data,
     quantize,
 )
-from secregress.errors import BatchTooLarge, PolicyMismatch, TripleExhausted
+from secregress.errors import (
+    BatchTooLarge,
+    MagnitudeOverflow,
+    PolicyMismatch,
+    TripleExhausted,
+)
+from secregress.orchestration import _run_threads
 from secregress.protocols import (
     HorizontalEngine,
     TrainingConfig,
@@ -45,7 +51,7 @@ from secregress.protocols.config import (
     ScheduleDigest,
     iter_horizontal_schedule,
 )
-from secregress.ring import RingMatrix
+from secregress.ring import FRAC_BITS, RingMatrix
 from secregress.rng import CounterDrbg
 from secregress.sharing import share_matrix
 from secregress.smm import (
@@ -56,7 +62,7 @@ from secregress.smm import (
     smm2_y_steps,
     triple_halves,
 )
-from secregress.transport import TransportError, loopback_sessions
+from secregress.transport import loopback_sessions
 
 import comm_model
 from one_product import run_one
@@ -73,38 +79,13 @@ TOL = 10 * ULP  # oracle-equivalence budget per coordinate
 
 
 def run_parties(n, cfg, fns, timeout=60.0):
-    """Run one callable per party over loopback threads.
-
-    Raises the first non-transport party error (a real failure usually
-    drags the peers into timeouts, which would mask it otherwise).
-    """
+    """Run one callable per party over loopback threads, through the
+    orchestrator's harness: a party's own error is raised before the
+    transport errors it drags its peers into."""
     rngs = [cfg.private_rng(i) for i in range(n)]
     sessions = loopback_sessions(n, rngs, timeout=timeout)
-    results = [None] * n
-    errors = [None] * n
-
-    def work(i):
-        try:
-            results[i] = fns[i](sessions[i])
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors[i] = exc
-        finally:
-            sessions[i].close()
-
-    threads = [threading.Thread(target=work, args=(i,), daemon=True)
-               for i in range(n)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout + 30)
-    real = [e for e in errors if e is not None
-            and not isinstance(e, TransportError)]
-    if real:
-        raise real[0]
-    for e in errors:
-        if e is not None:
-            raise e
-    return results
+    return _run_threads(sessions, [lambda i=i: fns[i](sessions[i])
+                                   for i in range(n)], timeout + 30)[0]
 
 
 def split_rows(X, y, cuts):
@@ -137,6 +118,37 @@ def run_vertical(cfg, X, y, col_cuts, task="linear"):
 
 def max_drift(weights, reference):
     return max(abs(a - b) for a, b in zip(weights, reference))
+
+
+# -- the rate word ---------------------------------------------------------
+
+def test_lr_word_is_the_encoding_of_lr_over_batch():
+    # the word lr_word computed by hand before it called encode_raw:
+    # round-half-up of lr/B * 2^f, refused from 2^63 (lr/B >= 2^43) on
+    def by_hand(lr, batch):
+        word = math.floor(lr / batch * (1 << FRAC_BITS) + 0.5)
+        if word >= 1 << 63:
+            raise MagnitudeOverflow
+        return word
+
+    edge = 2.0 ** (63 - FRAC_BITS)
+    rates = [0, 1e-9, 2 ** -21, 3 * 2 ** -21, 1e-4, 0.01, 0.1, 1 / 3, 1,
+             3, 8, 64, 1e6, math.nextafter(edge, 0), edge,
+             math.nextafter(2 * edge, 0), 2 * edge]
+    outcomes = set()
+    for lr, batch in itertools.product(
+            rates, [1, 2, 3, 4, 5, 7, 8, 16, 1000, 2 ** 20]):
+        cfg = TrainingConfig(learning_rate=lr, batch_size=batch)
+        try:
+            want = by_hand(lr, batch)
+        except MagnitudeOverflow:
+            with pytest.raises(MagnitudeOverflow):
+                cfg.lr_word()
+            outcomes.add("overflow")
+        else:
+            assert cfg.lr_word() == want, (lr, batch)
+            outcomes.add("word")
+    assert outcomes == {"overflow", "word"}
 
 
 # -- batch-owner policy ----------------------------------------------------

@@ -310,6 +310,40 @@ def test_tcp_listener_without_dialer_times_out():
     assert time.monotonic() - t0 < 3.0
 
 
+def test_failed_connect_leaves_no_thread_behind():
+    # party 1 of 3 dials party 2, which never listens
+    before = set(threading.enumerate())
+    with pytest.raises(ConnectTimeout):
+        TcpSession(1, 3, make_rngs(3, "alone")[1], free_endpoints(3),
+                   timeout=0.5)
+    assert set(threading.enumerate()) - before == set()
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)],
+                         ids=["lowest-first", "highest-first", "staggered"])
+def test_tcp_four_parties_connect_in_any_start_order(order):
+    # the k-th party in order starts 0.1 s * k late, then every pair
+    # exchanges one frame each way
+    eps = free_endpoints(4)
+    rngs = make_rngs(4, "order")
+    s = [None] * 4
+
+    def party(i):
+        def go():
+            time.sleep(0.1 * order.index(i))
+            s[i] = TcpSession(i, 4, rngs[i], eps, timeout=20.0)
+            barrier(s[i], 0)
+        return go
+
+    try:
+        run_parties(*(party(i) for i in range(4)))
+    finally:
+        for x in s:
+            if x is not None:
+                x.close()
+    assert [len(x.transcript) for x in s] == [3] * 4
+
+
 def test_tcp_roster_mismatch():
     eps = free_endpoints(2)
     # party 0 still dials the right address but disagrees on the roster
@@ -507,20 +541,25 @@ def open_fds():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 @pytest.mark.parametrize("case", ["roster", "peer-id", "second-dial",
-                                  "accepted-roster"])
+                                  "accepted-roster", "duplicate-id"])
 def test_failed_tcp_session_closes_its_sockets(case):
     eps = free_endpoints(3)
     rng = make_rngs(1, "fds")[0]
     before = open_fds()
     peers = []
-    if case == "accepted-roster":
-        # party 1 accepts a dialer that names a different roster; the
-        # dialer retries until party 1's listener is up
+    if case in ("accepted-roster", "duplicate-id"):
+        # party 1 of 2 accepts a dialer that names a different roster, or
+        # party 2 of 3 accepts two dialers that both claim party 0; each
+        # dialer retries until the listener is up
+        me, n, roster, dialers = ((1, 2, 12345, 1)
+                                  if case == "accepted-roster"
+                                  else (2, 3, roster_hash(eps), 2))
+
         def dial():
             deadline = time.monotonic() + 5
             while True:
                 try:
-                    sk = socket.create_connection(eps[1], timeout=5)
+                    sk = socket.create_connection(eps[me], timeout=5)
                     break
                 except ConnectionRefusedError:
                     if time.monotonic() > deadline:
@@ -528,13 +567,16 @@ def test_failed_tcp_session_closes_its_sockets(case):
                     time.sleep(0.01)
             with sk:
                 sk.sendall(struct.pack(_HANDSHAKE_FMT, _HANDSHAKE_MAGIC,
-                                       _WIRE_VERSION, 2, 0, 12345))
+                                       _WIRE_VERSION, n, 0, roster))
                 sk.recv(64)
-        dialer = threading.Thread(target=dial, daemon=True)
-        dialer.start()
+        threads = [threading.Thread(target=dial, daemon=True)
+                   for _ in range(dialers)]
+        for t in threads:
+            t.start()
         with pytest.raises(RosterMismatch) as err:
-            TcpSession(1, 2, rng, eps[:2], timeout=5.0)
-        dialer.join(10)
+            TcpSession(me, n, rng, eps[:n], timeout=5.0)
+        for t in threads:
+            t.join(10)
     else:
         if case == "roster":
             peers = [RawPeer(eps[:2], 1, roster=12345)]
