@@ -151,7 +151,8 @@ def _run_party_folds(session, spec: RunSpec, X, y, descriptor):
             "bytes_sent": session.bytes_sent - before[0],
             "bytes_received": session.bytes_received - before[1],
             "frames_sent": session.frames_sent - before[2],
-        }, {"iterations": len(res.iter_seconds)}
+        }, {"iterations": len(res.iter_seconds),
+            "offline_seconds": eng.offline_seconds}
 
     parts = partition(len(X), X.shape[1], spec.scheme, spec.parties,
                       spec.partition_ratios)

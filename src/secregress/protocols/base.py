@@ -42,6 +42,7 @@ repeated, and leaves the bystanders out.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -139,6 +140,9 @@ class _EngineBase:
         self._coeff_words = (np.uint64(q0 << self.f), np.uint64(q1),
                              np.uint64(q2) if q2 else None, np.uint64(q3))
         self._halves = iter(halves) if halves is not None else None
+        # thread CPU seconds spent drawing triple halves (_run_stage); an
+        # OTI run draws none and reads no clock
+        self.offline_seconds = 0.0
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -249,17 +253,22 @@ class _EngineBase:
         """
         base = self._round
         self._round = base + len(stage.plan)
-        rng, steps = self.s.rng, []
-        for k, side, elementwise, j in stage.slots:
+        rng, steps, halves = self.s.rng, [], ()
+        if self._ti:
+            # the dealer's work, in thread CPU time so that a peer thread's
+            # turn in between is not counted
+            t0 = time.thread_time()
+            halves = [next(self._halves, None) for _ in stage.slots]
+            self.offline_seconds += time.thread_time() - t0
+        for i, (k, side, elementwise, j) in enumerate(stage.slots):
             mine = operands[k][side]
             if self._ti:
-                half = next(self._halves, None)
-                if half is None:
+                if halves[i] is None:
                     a, b, shape, _ = stage.plan[j]
                     raise TripleExhausted(
                         f"no triple half left for the {a}-{b} product "
                         f"of shape {shape}")
-                steps.append(smm1_steps(rng, side, mine, half,
+                steps.append(smm1_steps(rng, side, mine, halves[i],
                                         len(mine) if elementwise else 1))
             elif elementwise:
                 steps.append(elementwise_steps(rng, side, mine))

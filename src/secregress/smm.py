@@ -10,7 +10,18 @@ product. Two interchangeable protocols:
 * smm1_steps: Beaver masking against a precomputed triple (U, V, W=U*V)
   from a trusted initializer (triple_halves hands each party its own
   halves). Nothing about the inputs leaks; costs one triple and six
-  frames per product.
+  frames per product. The triples are commodity triples (Beaver, STOC
+  1997; Du & Atallah, ACSAC 2001): side 0 holds (U, 0, W0) and side 1
+  (0, V, W1), so each side holds only its own mask. The six frames still
+  leak nothing. Each side receives the peer's re-share (a fresh uniform
+  share of the peer's input) and the peer's D and E contributions. One of
+  those two is the share this side sent itself in the re-share (side 1's
+  D contribution is side 0's re-share, and side 0's E contribution side
+  1's); the other is masked by a mask this side never holds (U for side
+  1, V for side 0). The re-share and the echoed share carry nothing the
+  product needs: with commodity halves, D = X - U from side 0 and
+  E = Y - V from side 1 are enough, one frame each way. The one-round
+  form drops both once the benchmark's frame model may change.
 
 * smm2_x_steps / smm2_y_steps: no triple. Each side blinds with a fresh
   uniform matrix and a folded even/odd combination of it; four frames.
@@ -93,30 +104,44 @@ class Triple:
         raise ValueError("side must be 0 (x-holder) or 1 (y-holder)")
 
 
+def _zeros(rows: int, cols: int) -> RingMatrix:
+    return RingMatrix.wrap(np.zeros((rows, cols), dtype=np.uint64))
+
+
 def generate_triple(x: int, y: int, z: int, rng, blocks: int = 1) -> Triple:
-    """U (k*x by y), V (k*y by z) and W = U*V over k = blocks stacked
-    blocks. An elementwise triple of n entries is n blocks of 1 by 1."""
+    """A commodity triple: U (k*x by y), V (k*y by z) and W = U*V over
+    k = blocks stacked blocks. An elementwise triple of n entries is n
+    blocks of 1 by 1.
+
+    The stream holds U, then V, then R (k*x by z). Side 0's half is
+    (U, 0, W0) and side 1's is (0, V, W1): each side holds its own mask
+    only. The side whose mask has more entries (side 0 when x*y >= y*z)
+    takes W - R, the other R, so the other side's half needs neither the
+    larger mask nor a ring product (triple_halves).
+    """
     u = uniform_matrix(blocks * x, y, rng)
     v = uniform_matrix(blocks * y, z, rng)
-    w = mat_mul_raw(u, v, blocks)
-    u1 = uniform_matrix(blocks * x, y, rng)
-    v1 = uniform_matrix(blocks * y, z, rng)
-    w1 = uniform_matrix(blocks * x, z, rng)
-    return Triple(u1, mat_sub(u, u1), v1, mat_sub(v, v1),
-                  w1, mat_sub(w, w1))
+    r = uniform_matrix(blocks * x, z, rng)
+    w = mat_sub(mat_mul_raw(u, v, blocks), r)
+    w0, w1 = (w, r) if x * y >= y * z else (r, w)
+    return Triple(u, _zeros(u.rows, u.cols), _zeros(v.rows, v.cols), v,
+                  w0, w1)
 
 
-def _half0(rng, x: int, y: int, z: int, blocks: int) -> TripleHalf:
-    """Side 0's half of a triple, drawn straight from the triple's stream.
-
-    generate_triple draws U and V first, then side 0's (U1, V1, W1);
-    skipping the words of U and V lands on side 0's, with no ring product
-    and no subtraction.
-    """
-    rng.skip(blocks * (x * y + y * z))
-    return TripleHalf(uniform_matrix(blocks * x, y, rng),
-                      uniform_matrix(blocks * y, z, rng),
-                      uniform_matrix(blocks * x, z, rng))
+def _lighter_half(rng, side: int, x: int, y: int, z: int,
+                  blocks: int) -> TripleHalf:
+    """The half of the side whose mask is the smaller, drawn straight from
+    the triple's stream: its own mask and R, the larger mask's words
+    skipped without generating them."""
+    if side == 0:
+        u = uniform_matrix(blocks * x, y, rng)
+        rng.skip(blocks * y * z)
+        v = _zeros(blocks * y, z)
+    else:
+        rng.skip(blocks * x * y)
+        u = _zeros(blocks * x, y)
+        v = uniform_matrix(blocks * y, z, rng)
+    return TripleHalf(u, v, uniform_matrix(blocks * x, z, rng))
 
 
 def triple_halves(seed, plan, party: int):
@@ -131,9 +156,10 @@ def triple_halves(seed, plan, party: int):
     party's halves come from the same triples; a party yields a half only
     for the products it is in (side 0 when it holds the left operand,
     side 1 the right). An elementwise product of n entries takes an
-    n-block triple of 1 by 1 blocks (elementwise_steps). Side 0 derives
-    just (U1, V1, W1); side 1's half needs U, V and W = U*V, so it is cut
-    from the whole triple. Lazy: each half is derived when drawn.
+    n-block triple of 1 by 1 blocks (elementwise_steps). The side with
+    the larger mask derives U, V and W = U*V (generate_triple) and keeps
+    its half; the other side draws only its own mask and R, skipping the
+    larger mask's words. Lazy: each half is derived when drawn.
     """
     root = CounterDrbg(seed, label="trusted-initializer")
     counts: dict[tuple, int] = {}
@@ -145,12 +171,15 @@ def triple_halves(seed, plan, party: int):
             continue
         if elementwise:
             rng = root.child("etriple", shape, k)
-            dims, blocks = (1, 1, 1), shape
+            (x, y, z), blocks = (1, 1, 1), shape
         else:
             rng = root.child("triple", *shape, k)
-            dims, blocks = shape, 1
-        yield (_half0(rng, *dims, blocks) if party == a
-               else generate_triple(*dims, rng, blocks).half(1))
+            (x, y, z), blocks = shape, 1
+        side = 0 if party == a else 1
+        if (x * y >= y * z) == (side == 0):
+            yield generate_triple(x, y, z, rng, blocks).half(side)
+        else:
+            yield _lighter_half(rng, side, x, y, z, blocks)
 
 
 # --- running products as steps ---

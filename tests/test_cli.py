@@ -459,6 +459,27 @@ def test_run_is_deterministic_across_repeats():
     assert row_a == row_b
 
 
+@pytest.mark.parametrize("variant", ["TI", "OTI"])
+def test_timings_record_each_folds_offline_seconds(variant, monkeypatch):
+    # a TI engine sums the thread CPU time it spends drawing triple halves;
+    # an OTI engine draws none and reads no such clock
+    if variant == "OTI":
+        def no_clock():
+            raise AssertionError("an OTI run read the dealer's clock")
+        monkeypatch.setattr(time, "thread_time", no_clock)
+    spec = cli.RunSpec.from_dict(spec_dict(smm_variant=variant))
+    _row, manifests, timings = cli.run(spec, mode="threads")
+    for t in timings:
+        assert len(t["folds"]) == 2
+        for fold in t["folds"]:
+            if variant == "TI":
+                assert 0 < fold["offline_seconds"] < fold["wall_seconds"]
+            else:
+                assert fold["offline_seconds"] == 0.0
+    assert not any("offline_seconds" in f
+                   for m in manifests for f in m["folds"])
+
+
 def test_run_plaintext_row():
     raw = spec_dict(scheme="plaintext")
     del raw["smm_variant"]

@@ -107,8 +107,9 @@ def test_halves_from_one_seed_reassemble():
 @pytest.mark.parametrize("dims", [(500, 8, 1), (8, 500, 1), (3, 5, 7),
                                   (1, 1, 1)])
 def test_side0_half_is_the_whole_triples_half(dims):
-    # side 0 derives only its half; it must be the half of the triple
-    # that side 1 cuts its own half from, draw for draw
+    # each side derives only its own half, the side with the smaller mask
+    # without drawing the larger one; both must be the whole triple's
+    # halves, draw for draw
     root = CounterDrbg("halves", label="trusted-initializer")
     whole = [generate_triple(*dims, root.child("triple", *dims, i))
              for i in range(3)]
@@ -136,6 +137,44 @@ def test_side0_elem_half_is_the_whole_triples_half(n):
     sat_out = [(2, 1, n, True), (0, 1, n, True), (2, 1, n, True)]
     assert list(triple_halves("ehalves", sat_out, 2)) == [
         whole[0].half(0), whole[2].half(0)]
+
+
+DEALT = [((500, 8, 1), False, 0), ((8, 500, 1), False, 0),
+         ((3, 5, 7), False, 1), ((1, 1, 1), False, 0), ((2, 3, 2), False, 0),
+         (1, True, 0), (16, True, 0), (17, True, 0)]
+
+
+@pytest.mark.parametrize(
+    "shape, elementwise, deriving", DEALT,
+    ids=[f"elem{s}" if e else "x".join(map(str, s)) for s, e, _ in DEALT])
+def test_dealer_deals_commodity_halves_at_least_cost(shape, elementwise,
+                                                     deriving, monkeypatch):
+    # side 0 holds (U, 0, W0) and side 1 (0, V, W1). The side whose mask
+    # has more entries, side 0 on a tie, draws U, V and R; the other draws
+    # its own mask and R only.
+    (x, y, z), blocks = ((1, 1, 1), shape) if elementwise else (shape, 1)
+    drawn = []
+    original = CounterDrbg.u64_array
+
+    def counted(self, n):
+        drawn.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(CounterDrbg, "u64_array", counted)
+    halves, words = [], []
+    for party in (0, 1):
+        drawn.clear()
+        (half,) = triple_halves("dealt", [(0, 1, shape, elementwise)], party)
+        halves.append(half)
+        words.append(sum(drawn))
+    h0, h1 = halves
+    assert not h0.v.arr.any() and not h1.u.arr.any()
+    assert (h0.u.rows, h0.u.cols, h1.v.rows, h1.v.cols) == (
+        blocks * x, y, blocks * y, z)
+    assert verify_triple(Triple(h0.u, h1.u, h0.v, h1.v, h0.w, h1.w), blocks)
+    u, v, w = blocks * x * y, blocks * y * z, blocks * x * z
+    assert words[deriving] == u + v + w
+    assert words[1 - deriving] == (v if deriving == 0 else u) + w
 
 
 # --- protocol harness ---
