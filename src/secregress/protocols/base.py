@@ -38,6 +38,12 @@ uint64 arrays throughout. Under the triple variant each party draws, in
 order, only the triple halves of the products it is in: the dealer
 (smm.triple_halves) walks the tapes' plans, one iteration's products
 repeated, and leaves the bystanders out.
+
+Every frame an engine sends leaves through one of three routines:
+smm.run_stage (a stage's products), _share_out (an owner's shares of its
+batch or labels) and _exchange (every other round: the policy broadcast,
+the n >= 3 re-share, the vertical weight split and the openings). The
+last checks each frame it takes against the shape due.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from ..smm import (
     smm2_y_steps,
     triple_halves,
 )
-from ..transport import KIND_CONTROL, KIND_SHARE_DIST, KIND_W_SHARE
+from ..transport import KIND_CONTROL, KIND_NAMES, KIND_SHARE_DIST, KIND_W_SHARE
 from .config import FIRST_ROUND, TrainingConfig, iteration_stages, stage_terms
 
 
@@ -106,6 +112,7 @@ class Stage:
 class _EngineBase:
     """State and steps the training engines share.
 
+    Its frames leave through smm.run_stage, _share_out and _exchange only.
     halves is, under the triple variant, this party's triple halves in
     draw order (smm.triple_halves over the run's product plan). When it is
     None, run derives them lazily from the config seed once the policy
@@ -130,6 +137,7 @@ class _EngineBase:
         # connected session without frame collisions.
         self._round_base = round_base
         self._round = round_base + FIRST_ROUND
+        self._peers = [p for p in range(self.n) if p != self.me]
         self._ti = config.smm_variant == "smm1"
         # the public ring constants, as numpy scalars made once
         self._f_bits = np.int64(self.f)
@@ -145,11 +153,6 @@ class _EngineBase:
         self.offline_seconds = 0.0
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _next_round(self) -> int:
-        r = self._round
-        self._round += 1
-        return r
 
     @property
     def rounds_used(self) -> int:
@@ -174,19 +177,12 @@ class _EngineBase:
         keeps both the rounding drift and that risk to one draw.
         """
         if self.n > 2 and not narrow:
-            r = self._next_round()
             if self.me >= 2:
                 u = self.s.rng.u64_array(a.size).reshape(a.shape)
-                self.s.send_many(0, [(KIND_SHARE_DIST, u, r)])
-                self.s.send_many(1, [(KIND_SHARE_DIST, a - u, r)])
+                self._exchange(KIND_SHARE_DIST, {0: u, 1: a - u}, (), a.shape)
                 return np.zeros(a.shape, dtype=np.uint64)
-            for j in range(2, self.n):
-                (part,) = self.s.recv_many(j, [(KIND_SHARE_DIST, r)])
-                if part.shape != a.shape:
-                    raise PolicyMismatch(
-                        f"party {j} re-shared a {part.shape[0]}x"
-                        f"{part.shape[1]} block where {a.shape[0]}x"
-                        f"{a.shape[1]} was due")
+            for part in self._exchange(KIND_SHARE_DIST, {}, range(2, self.n),
+                                       a.shape):
                 a = a + part
         if self.me == 0:
             a = a + self._half
@@ -318,7 +314,34 @@ class _EngineBase:
             return self._sigmoid_from_zf(self._shift(p_2f)) - y_2f
         return p_2f - y_2f
 
-    # -- setup / teardown exchanges --------------------------------------
+    # -- exchanges outside the products ---------------------------------
+
+    def _exchange(self, kind: int, out, senders, shape,
+                  r: int | None = None) -> list[np.ndarray]:
+        """One round of single frames of one kind; returns the frames taken.
+
+        Writes out[p] to each peer p that out names, then takes one frame
+        from each party in senders, in order, and checks it against shape:
+        one (rows, cols) pair for every sender, or a list of one per
+        sender. The round is the next one unless r is given.
+        """
+        if r is None:
+            r = self._round
+            self._round += 1
+        for p in self._peers:
+            if p in out:
+                self.s.send_many(p, [(kind, out[p], r)])
+        shapes = shape if isinstance(shape, list) else [shape] * len(senders)
+        got = []
+        for p, due in zip(senders, shapes):
+            (frame,) = self.s.recv_many(p, [(kind, r)])
+            if frame.shape != due:
+                raise PolicyMismatch(
+                    f"party {p} sent a {frame.shape[0]}x{frame.shape[1]} "
+                    f"{KIND_NAMES[kind]} frame in round {r} where "
+                    f"{due[0]}x{due[1]} was due")
+            got.append(frame)
+        return got
 
     def _policy_exchange(self, fields: list[int]) -> list[list[int]]:
         """Round-0 all-to-all broadcast of local policy words.
@@ -330,20 +353,10 @@ class _EngineBase:
         hash_word = self.cfg.hash_word(self.task, self.layout, self.n)
         row = [x & MASK for x in fields] + [hash_word]
         mine = np.array([row], dtype=np.uint64)
-        for p in range(self.n):
-            if p != self.me:
-                self.s.send_many(p, [(KIND_CONTROL, mine, self._round_base)])
-        rows = []
-        for p in range(self.n):
-            if p == self.me:
-                rows.append(row)
-                continue
-            (got,) = self.s.recv_many(p, [(KIND_CONTROL, self._round_base)])
-            if got.shape != mine.shape:
-                raise PolicyMismatch(
-                    f"party {p} sent a {got.shape[0]}x{got.shape[1]} policy "
-                    f"frame, expected 1x{len(row)}")
-            rows.append(got[0].tolist())
+        rows = [got[0].tolist() for got in self._exchange(
+            KIND_CONTROL, dict.fromkeys(self._peers, mine), self._peers,
+            mine.shape, self._round_base)]
+        rows.insert(self.me, row)
         for p, got_row in enumerate(rows):
             if got_row[-1] != hash_word:
                 raise PolicyMismatch(
@@ -363,10 +376,9 @@ class _EngineBase:
             return self.s.recv_many(
                 owner, [(kind, base + j) for j, kind in enumerate(kinds)])
         shares = [share_matrix(a, self.n, self.s.rng) for a in arrays]
-        for p in range(self.n):
-            if p != self.me:
-                self.s.send_many(p, [(kind, sh[p], base + j) for j, (kind, sh)
-                                     in enumerate(zip(kinds, shares))])
+        for p in self._peers:
+            self.s.send_many(p, [(kind, sh[p], base + j) for j, (kind, sh)
+                                 in enumerate(zip(kinds, shares))])
         return [sh[self.me] for sh in shares]
 
     def _open(self, share: np.ndarray, receivers) -> np.ndarray | None:
@@ -376,23 +388,10 @@ class _EngineBase:
         receiver sums its own share and everything it gets and returns the
         value. Parties outside receivers return None.
         """
-        r = self._next_round()
-        for p in receivers:
-            if p != self.me:
-                self.s.send_many(p, [(KIND_W_SHARE, share, r)])
-        if self.me not in receivers:
-            return None
-        total = share
-        for p in range(self.n):
-            if p == self.me:
-                continue
-            (got,) = self.s.recv_many(p, [(KIND_W_SHARE, r)])
-            if got.shape != share.shape:
-                raise PolicyMismatch(
-                    f"party {p} opened a {got.shape[0]}x{got.shape[1]} share "
-                    f"where {share.shape[0]}x{share.shape[1]} was due")
-            total = total + got
-        return total
+        receiving = self.me in receivers
+        got = self._exchange(KIND_W_SHARE, dict.fromkeys(receivers, share),
+                             self._peers if receiving else (), share.shape)
+        return sum(got, share) if receiving else None
 
     # -- result assembly --------------------------------------------------
 

@@ -83,22 +83,10 @@ class VerticalEngine(_EngineBase):
         y_enc = RingMatrix.column(labels).arr if labels is not None else None
 
         # Every party splits its (zero) weight block over all parties.
-        r0 = self._next_round()
         mine = zero_shares(d_local, 1, self.n, self.s.rng)
-        for p in range(self.n):
-            if p != self.me:
-                self.s.send_many(p, [(KIND_W_SHARE, mine[p], r0)])
-        w_2f = []
-        for i in range(self.n):
-            if i == self.me:
-                w_2f.append(mine[self.me])
-                continue
-            (got,) = self.s.recv_many(i, [(KIND_W_SHARE, r0)])
-            if got.shape != (d_list[i], 1):
-                raise DimensionMismatch(
-                    f"party {i} shared a {got.shape[0]}x{got.shape[1]} "
-                    f"weight block, expected {d_list[i]}x1")
-            w_2f.append(got)
+        w_2f = self._exchange(KIND_W_SHARE, dict(enumerate(mine)), self._peers,
+                              [(d_list[p], 1) for p in self._peers])
+        w_2f.insert(self.me, mine[self.me])
 
         iter_seconds = []
         for batch in schedule:

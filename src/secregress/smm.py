@@ -254,9 +254,10 @@ def smm1_steps(rng, side: int, mine: np.ndarray, half: TripleHalf,
     """This side's raw 2f share of X*Y, blockwise over blocks.
 
     Side 0 holds X, side 1 holds Y. Each side splits its input with the
-    peer, masks both shares it then holds with its triple half, and opens
-    D = X - U and E = Y - V; the product is W + U.E + D.V + D.E, with the
-    public D.E term added on side 0 only. Two steps.
+    peer, masks both shares it then holds with its commodity half, and
+    opens D = X - U and E = Y - V. With W0 + W1 = U.V, side 0 returns
+    W0 + X.E and side 1 W1 + D.V: each side multiplies once, by the one
+    mask it holds, and never reads its half's zero mask. Two steps.
     """
     u, v, w = half.u.arr, half.v.arr, half.w.arr
     own, other = (u, v) if side == 0 else (v, u)
@@ -271,14 +272,11 @@ def smm1_steps(rng, side: int, mine: np.ndarray, half: TripleHalf,
         raise DimensionMismatch(
             f"peer shared {got.shape[0]}x{got.shape[1]}, triple is for "
             f"{other.shape[0]}x{other.shape[1]}")
-    x, y = (kept, got) if side == 0 else (got, kept)
-    d_mine = x - u
-    e_mine = y - v
-    d_peer, e_peer = yield [(KIND_SMM_D, d_mine), (KIND_SMM_E, e_mine)]
-    d = d_mine + d_peer
-    e = e_mine + e_peer
-    out = w + (matmul(u, e, blocks) + matmul(d, v, blocks))
-    return out + matmul(d, e, blocks) if side == 0 else out
+    if side == 0:
+        _, e_peer = yield [(KIND_SMM_D, kept - u), (KIND_SMM_E, got)]
+        return w + matmul(mine, got + e_peer, blocks)
+    d_peer, _ = yield [(KIND_SMM_D, got), (KIND_SMM_E, kept - v)]
+    return w + matmul(got + d_peer, v, blocks)
 
 
 # --- protocol 2: triple-free, leaks folded aggregates ---

@@ -140,9 +140,6 @@ class Transcript:
         self._hash = hashlib.sha256()
         self._count = 0
 
-    def append(self, body) -> None:
-        self.extend((body,))
-
     def extend(self, bodies) -> None:
         for body in bodies:
             self._hash.update(body)

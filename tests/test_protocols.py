@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secregress import sharing
 from secregress.baseline import (
     SIGMOID_POLY,
     auc,
@@ -34,6 +35,7 @@ from secregress.errors import (
     BatchTooLarge,
     MagnitudeOverflow,
     PolicyMismatch,
+    TransportError,
     TripleExhausted,
 )
 from secregress.orchestration import _run_threads
@@ -45,6 +47,7 @@ from secregress.protocols import (
     product_plan,
     schedule_digest,
     select_batch_owner,
+    vertical,
 )
 from secregress.protocols.base import _EngineBase
 from secregress.protocols.config import (
@@ -708,7 +711,8 @@ def _one_at_a_time(eng, products, halves):
     """The products run one at a time, in order: the reference."""
     out = []
     for a, b, mine, shape, el in products:
-        r = eng._next_round()
+        r = eng._round
+        eng._round += 1
         if eng.me not in (a, b):
             out.append(None)
             continue
@@ -761,23 +765,65 @@ def test_stage_matches_one_product_calls(variant, n):
                    for pid in range(n) if pid not in (a, b))
 
 
-@pytest.mark.parametrize("receivers", [(0, 1, 2), (1,)])
-def test_open_refuses_a_share_of_the_wrong_shape(receivers):
-    # party 2 opens a 3x1 share where 2x1 is due. Every receiver refuses
-    # it: all parties in the horizontal opening, one in the vertical.
-    cfg = TrainingConfig(seed="open")
+def _column(s, taller: int) -> np.ndarray:
+    """A zero 2x1 share, one row taller on party `taller`."""
+    return np.zeros((2 + (s.party_id == taller), 1), dtype=np.uint64)
+
+
+CFG3 = TrainingConfig(seed="refuse", batch_size=2, iterations=1)
+# Per caller of _EngineBase._exchange: how each of three parties calls it
+# with one frame of the wrong shape in it, the frame's kind, and which party
+# each receiver names. The opening and the re-share get a 3x1 block from
+# party 2 where 2x1 is due (party 2, opening to everyone, expects 3x1 from
+# party 0 in turn); the policy row of party 1 is one word wider.
+WRONG_SHAPES = {
+    "open-all": (lambda s: HorizontalEngine(s, CFG3)._open(
+        _column(s, 2), range(3)), "W_SHARE", {0: 2, 1: 2, 2: 0}),
+    "open-one": (lambda s: HorizontalEngine(s, CFG3)._open(
+        _column(s, 2), (1,)), "W_SHARE", {1: 2}),
+    "re-share": (lambda s: HorizontalEngine(s, CFG3)._shift(
+        _column(s, 2)), "SHARE_DIST", {0: 2, 1: 2}),
+    "policy": (lambda s: HorizontalEngine(s, CFG3)._policy_exchange(
+        [7] * (2 + (s.party_id == 1))), "CONTROL", {0: 1, 1: 0, 2: 1}),
+    "weight-split": (None, "W_SHARE", {0: 1, 2: 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_SHAPES))
+def test_exchange_refuses_a_frame_of_the_wrong_shape(case, monkeypatch):
+    call, kind, names = WRONG_SHAPES[case]
+    if call is None:
+        # party 1 splits a zero weight block one row taller than the one
+        # it announced; its engine tells party 1 by the rng it passes
+        tall = []
+
+        def zero_shares(rows, cols, n, rng):
+            taller = any(rng is t for t in tall)
+            return sharing.zero_shares(rows + taller, cols, n, rng)
+
+        def call(s):
+            if s.party_id == 1:
+                tall.append(s.rng)
+            return VerticalEngine(s, CFG3).run(
+                [[0.5]] * 4, [1.0] * 4 if s.party_id == 0 else None)
+
+        monkeypatch.setattr(vertical, "zero_shares", zero_shares)
 
     def party(s):
-        eng = _EngineBase(s, cfg, "linear", None)
-        share = RingMatrix.column([1.0] * (3 if s.party_id == 2 else 2))
         try:
-            return eng._open(share.arr, receivers)
-        except PolicyMismatch as exc:
+            return call(s)
+        except (PolicyMismatch, TransportError) as exc:
             return exc
 
-    got = run_parties(3, cfg, [party] * 3, timeout=5.0)
+    got = run_parties(3, CFG3, [party] * 3, timeout=5.0)
     for pid in range(3):
-        if pid in receivers:
+        if pid in names:
             assert isinstance(got[pid], PolicyMismatch)
+            assert str(got[pid]).startswith(f"party {names[pid]} sent a ")
+            assert f" {kind} frame in round " in str(got[pid])
         else:
-            assert got[pid] is None
+            # a party that took no frame of the wrong shape refuses none;
+            # after the weight split, party 1 only finds its peers gone
+            assert not isinstance(got[pid], PolicyMismatch)
+            if case != "weight-split":
+                assert not isinstance(got[pid], Exception)

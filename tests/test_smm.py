@@ -5,7 +5,13 @@ import threading
 import pytest
 
 from secregress.errors import DimensionMismatch, MalformedTranscript
-from secregress.ring import RingMatrix, mat_mul_raw, mat_sub, uniform_matrix
+from secregress.ring import (
+    RingMatrix,
+    mat_mul_raw,
+    mat_sub,
+    mul_op_count,
+    uniform_matrix,
+)
 from secregress.rng import CounterDrbg
 from secregress.smm import (
     LeakageReport,
@@ -294,6 +300,24 @@ def test_blockwise_product_is_the_per_block_products(protocol):
     got = reconstruct([m, n])
     for j in range(k):
         assert RingMatrix.wrap(got.arr[j * x:(j + 1) * x]) == want[j]
+
+
+@pytest.mark.parametrize("k, x, y, z", [(1, 3, 4, 2), (5, 1, 1, 1)])
+def test_smm1_costs_two_products_over_both_sides(k, x, y, z):
+    # each side multiplies once, by the one mask its commodity half holds:
+    # 2*k*x*y*z ring multiplications in all, a matrix product (k = 1) and
+    # an elementwise one (k blocks of 1 by 1) alike
+    rng = CounterDrbg(f"cost-{k}")
+    xm, _ = rand_real_matrix(k * x, y, rng)
+    ym, _ = rand_real_matrix(k * y, z, rng)
+    t = generate_triple(x, y, z, CounterDrbg(f"cost-{k}-ti"), blocks=k)
+    s = sessions(f"cost-{k}")
+    before = mul_op_count()
+    m, n = run_pair(
+        lambda: run_one(s[0], 1, 0, smm1_steps, 0, xm, t.half(0), k),
+        lambda: run_one(s[1], 0, 0, smm1_steps, 1, ym, t.half(1), k))
+    assert mul_op_count() - before == 2 * k * x * y * z
+    assert reconstruct([m, n]) == mat_mul_raw(xm, ym, k)
 
 
 @pytest.mark.parametrize("rows, blocks", [(6, 2), (3, 3), (5, 2)])

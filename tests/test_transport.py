@@ -164,8 +164,8 @@ def test_transcript_digest_is_order_sensitive():
     a, b = Transcript(), Transcript()
     f1 = Frame(0, KIND_SMM_D, 0, 1, RingMatrix(1, 1, [1]).to_bytes()).encode()
     f2 = Frame(0, KIND_SMM_E, 0, 1, RingMatrix(1, 1, [2]).to_bytes()).encode()
-    a.append(f1), a.append(f2)
-    b.append(f2), b.append(f1)
+    a.extend((f1, f2))
+    b.extend((f2, f1))
     assert a.digest() != b.digest()
 
 

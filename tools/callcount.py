@@ -14,6 +14,12 @@ engine (TI/OTI x H/V) at the m=8 point of `secregress bench --scaling`
 (LiRe, d=8, batch 4, 50 iterations, one run on the whole set with the
 triple halves dealt beforehand, as that command times it).
 
+It also prints each spec's ring multiplications per iteration, all
+parties: the delta of ring.mul_op_count over the spec's runs divided by
+iterations times folds (the engine runs of one party). The count takes in
+every counted product of those runs, the dealer's included, and is
+deterministic as well.
+
 For each TI spec it also prints the dealer's words per iteration: the
 words every party draws from the trusted initializer's streams
 (smm.triple_halves, counted at CounterDrbg.u64_array) for one iteration's
@@ -36,6 +42,7 @@ from secregress.cli import _scaling_point
 from secregress.orchestration import _party_inputs, _task, spawn_parties
 from secregress.protocols import HorizontalEngine, VerticalEngine
 from secregress.protocols.config import product_plan
+from secregress.ring import mul_op_count
 from secregress.rng import CounterDrbg
 from secregress.smm import triple_halves
 from secregress.spec import RunSpec, load_dataset
@@ -64,8 +71,9 @@ def specs():
             }, _scaling_point
 
 
-def calls_per_iteration(raw: dict, how) -> float:
-    """Engine-only profiled calls per party-run per iteration."""
+def counts_per_iteration(raw: dict, how) -> tuple[float, float]:
+    """Engine-only profiled calls per party-run per iteration, and ring
+    multiplications per iteration over all parties."""
     runs: list[tuple[int, int]] = []
     originals = {cls: cls.run for cls in (HorizontalEngine, VerticalEngine)}
 
@@ -84,11 +92,16 @@ def calls_per_iteration(raw: dict, how) -> float:
     try:
         for cls, original in originals.items():
             cls.run = profiled(original)
-        how(RunSpec.from_dict(raw))
+        spec = RunSpec.from_dict(raw)
+        muls = mul_op_count()
+        how(spec)
+        muls = mul_op_count() - muls
     finally:
         for cls, original in originals.items():
             cls.run = original
-    return sum(calls / iters for calls, iters in runs) / len(runs)
+    party_iterations = sum(iters for _calls, iters in runs) / spec.parties
+    return (sum(calls / iters for calls, iters in runs) / len(runs),
+            muls / party_iterations)
 
 
 def dealer_words_per_iteration(raw: dict) -> int:
@@ -118,11 +131,13 @@ def dealer_words_per_iteration(raw: dict) -> int:
 
 
 def main() -> int:
-    out, dealer = {}, {}
+    out, muls, dealer = {}, {}, {}
     for name, raw, how in specs():
-        out[name] = round(calls_per_iteration(raw, how), 1)
+        calls, muls[name] = counts_per_iteration(raw, how)
+        out[name] = round(calls, 1)
         if raw["smm_variant"] == "TI":
             dealer[name] = dealer_words_per_iteration(raw)
+    out["ring_muls_per_iteration"] = {k: round(v, 1) for k, v in muls.items()}
     out["dealer_words_per_iteration"] = dealer
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
