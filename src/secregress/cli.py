@@ -18,8 +18,8 @@ variant as offline-provisioned.
 
 Exit codes: 0 success, 2 configuration or input error, 3 protocol or
 transport failure, 4 cross-party equivalence-check failure, 5 a fold
-whose secure model does not match its plaintext replay (or whose replay
-diverged).
+whose secure model does not match its plaintext replay (its LiRe rmse
+or any weight) or whose replay diverged.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ SCALING_SIZES = (500, 1000, 2000, 4000)
 # How far a secure rmse may sit from its replay: the 4th decimal, the
 # equality criterion's own bound.
 REPLAY_TOLERANCE = 5e-5
+# How far any secure weight may sit from its replay's: perfbench's bound.
+# A LoRe metric (AUC) can read 1.0 for a model that left its replay.
+WEIGHT_TOLERANCE = 1e-4
 
 
 # --------------------------------------------------------------------------
@@ -104,15 +107,16 @@ def _fold_weights(spec: RunSpec, manifests: list[dict], k: int):
 def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
     """Score a finished run: per-fold metric on the held-out split, plus
     (for secure runs) the matched-schedule plaintext metric that the
-    equality criterion compares against; nan where the replay diverged.
-    Deterministic."""
+    equality criterion compares against and the largest |w - w_replay|;
+    nan where the replay diverged. Deterministic."""
     X, y, _ = load_dataset(spec)
     folds = kfold(len(X), spec.folds, seed=spec.config.seed)
     score, metric = (rmse, "rmse") if spec.task == "LiRe" else (auc, "auc")
-    fold_metrics, replay_metrics = [], []
+    fold_metrics, replay_metrics, gaps = [], [], []
     for k, (train_idx, test_idx) in enumerate(folds):
         Xs, ys = X[test_idx], y[test_idx]
-        fold_metrics.append(score(ys, Xs @ _fold_weights(spec, manifests, k)))
+        w = _fold_weights(spec, manifests, k)
+        fold_metrics.append(score(ys, Xs @ w))
         if spec.scheme != "plaintext":
             cfg_k = replace(spec.config,
                             seed=_fold_seed(spec.config.seed, k))
@@ -121,8 +125,10 @@ def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
                                             y[train_idx])
             except NonFiniteLoss:
                 replay_metrics.append(math.nan)
+                gaps.append(math.nan)
                 continue
             replay_metrics.append(score(ys, Xs @ wp))
+            gaps.append(float(np.max(np.abs(w - wp))))
     row = {
         "model": spec.model_name(),
         "task": spec.task,
@@ -133,17 +139,20 @@ def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
     if replay_metrics:
         row["plain_replay_values"] = replay_metrics
         row["plain_replay_mean"] = float(np.mean(replay_metrics))
+        row["plain_replay_weight_gaps"] = gaps
     return row
 
 
 def _check_replay(spec: RunSpec, row: dict) -> None:
-    """Raise ReplayMismatch for the first fold whose replay is not finite
-    or, for LiRe, whose secure rmse is more than REPLAY_TOLERANCE from
-    it. A learning rate the ring cannot follow wraps the secure model
-    while the float replay diverges; neither is a model to report."""
+    """Raise ReplayMismatch for the first fold whose replay is not finite,
+    whose LiRe rmse is more than REPLAY_TOLERANCE from it or whose
+    weights are more than WEIGHT_TOLERANCE from its weights. A learning
+    rate the ring cannot follow wraps the secure model while the float
+    replay diverges or drifts; neither is a model to report."""
     lr = spec.config.learning_rate
-    for k, (got, want) in enumerate(zip(row["fold_values"],
-                                        row.get("plain_replay_values", []))):
+    for k, (got, want, gap) in enumerate(zip(
+            row["fold_values"], row.get("plain_replay_values", []),
+            row.get("plain_replay_weight_gaps", []))):
         if not math.isfinite(want):
             raise ReplayMismatch(
                 f"fold {k}: the plaintext replay diverged at learning "
@@ -152,6 +161,10 @@ def _check_replay(spec: RunSpec, row: dict) -> None:
             raise ReplayMismatch(
                 f"fold {k}: secure rmse {got:.6g} against replay "
                 f"{want:.6g} at learning rate {lr}")
+        if not gap <= WEIGHT_TOLERANCE:
+            raise ReplayMismatch(
+                f"fold {k}: max |w - w_replay| = {gap:.3g} exceeds "
+                f"{WEIGHT_TOLERANCE:g} at learning rate {lr}")
 
 
 def run(spec: RunSpec, mode: str = "threads", timeout: float = 300.0):

@@ -5,7 +5,6 @@ from .config import (
     TrainingConfig,
     horizontal_schedule,
     product_plan,
-    schedule_digest,
     select_batch_owner,
 )
 from .horizontal import HorizontalEngine
@@ -18,6 +17,5 @@ __all__ = [
     "VerticalEngine",
     "horizontal_schedule",
     "product_plan",
-    "schedule_digest",
     "select_batch_owner",
 ]

@@ -178,8 +178,8 @@ class _EngineBase:
         """
         if self.n > 2 and not narrow:
             if self.me >= 2:
-                u = self.s.rng.u64_array(a.size).reshape(a.shape)
-                self._exchange(KIND_SHARE_DIST, {0: u, 1: a - u}, (), a.shape)
+                u0, u1 = share_matrix(a, 2, self.s.rng)
+                self._exchange(KIND_SHARE_DIST, {0: u0, 1: u1}, (), a.shape)
                 return np.zeros(a.shape, dtype=np.uint64)
             for part in self._exchange(KIND_SHARE_DIST, {}, range(2, self.n),
                                        a.shape):

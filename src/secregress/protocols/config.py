@@ -171,8 +171,9 @@ def horizontal_schedule(
 
 
 class ScheduleDigest:
-    """schedule_digest of a schedule fed one batch at a time: the same
-    bytes, hashed as they come, so the schedule need not be kept."""
+    """SHA-256 of a schedule's compact JSON under a domain tag, fed one
+    batch at a time and hashed as it comes, so the schedule need not be
+    kept."""
 
     def __init__(self):
         self._hash = hashlib.sha256(b"secregress.schedule.v1\x00[")
@@ -187,14 +188,6 @@ class ScheduleDigest:
         h = self._hash.copy()
         h.update(b"]")
         return h.hexdigest()
-
-
-def schedule_digest(schedule: list[list[int]]) -> str:
-    """SHA-256 of the schedule's compact JSON under a domain tag."""
-    digest = ScheduleDigest()
-    for batch in schedule:
-        digest.add(batch)
-    return digest.hexdigest()
 
 
 def iteration_stages(task: str, layout: str, widths: list[int],

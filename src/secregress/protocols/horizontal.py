@@ -53,7 +53,8 @@ class HorizontalEngine(_EngineBase):
         schedule = iter_horizontal_schedule(self.cfg, m_list)
         digest = ScheduleDigest()
         x_enc = RingMatrix.encode_rows(features).arr if m_local else None
-        y_enc = RingMatrix.column(labels).arr if m_local else None
+        y_enc = (RingMatrix.encode_rows(np.reshape(labels, (-1, 1))).arr
+                 if m_local else None)
         w_2f = np.zeros((d, 1), dtype=np.uint64)
         iter_seconds = []
         for owner, rows, global_rows in schedule:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..data import check_binary_labels, iter_batch_schedule
 from ..errors import (
     BatchTooLarge,
@@ -80,7 +82,8 @@ class VerticalEngine(_EngineBase):
             m, b, self.cfg.iterations, self.cfg.seed)
         digest = ScheduleDigest()
         x_enc = RingMatrix.encode_rows(features).arr
-        y_enc = RingMatrix.column(labels).arr if labels is not None else None
+        y_enc = (None if labels is None else
+                 RingMatrix.encode_rows(np.reshape(labels, (-1, 1))).arr)
 
         # Every party splits its (zero) weight block over all parties.
         mine = zero_shares(d_local, 1, self.n, self.s.rng)

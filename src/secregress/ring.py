@@ -19,9 +19,10 @@ The training loop runs on those bare arrays with numpy's own operators;
 the ring operations it calls by name are matmul and hadamard, which also
 count the multiplications. The public API is RingMatrix, which wraps one
 such array at the package's edges (the wire payload through to_bytes /
-from_bytes, the offline triples, the tests), the encoding (encode_raw,
-decode_raw, RingMatrix.encode_rows) and the counted products (matmul,
-hadamard, and mat_mul_raw on RingMatrix operands).
+from_bytes, the offline triples, the leakage tools; anything else reads
+its .arr), the encoding (encode_raw, decode_raw, RingMatrix.encode_rows)
+and the counted products (matmul, hadamard, and mat_mul_raw on
+RingMatrix operands, the triple dealer's one product).
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def mul_op_count() -> int:
 FRAC_BITS = 20
 
 
+# Every run encodes at FRAC_BITS; FixedPointConfig stays because
+# perfbench/check.py imports it.
 @dataclass(frozen=True)
 class FixedPointConfig:
     """Encoding parameters: f fractional bits inside the 64-bit ring.
@@ -88,6 +91,8 @@ class FixedPointConfig:
         return float(1 << (63 - self.frac_bits))
 
 
+# The one format every run encodes in; perfbench/check.py builds its twin
+# from TrainingConfig.frac_bits.
 DEFAULT_CONFIG = FixedPointConfig()
 
 
@@ -113,7 +118,8 @@ def _encode_array(x: np.ndarray) -> np.ndarray:
 
 
 def decode_raw(raw: int, cfg: FixedPointConfig = DEFAULT_CONFIG) -> float:
-    """Two's-complement interpretation divided by 2^f."""
+    """Two's-complement interpretation divided by 2^f. cfg stays because
+    perfbench/check.py passes it."""
     raw &= MASK
     return (raw - (1 << 64) if raw & SIGN_BIT else raw) / cfg.scale
 
@@ -145,17 +151,6 @@ class RingMatrix:
         out.arr = arr
         return out
 
-    @property
-    def data(self) -> list[int]:
-        """The words in row-major order, as a new list of ints."""
-        return self.arr.ravel().tolist()
-
-    # construction helpers
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RingMatrix":
-        return cls(rows, cols, np.zeros(rows * cols, dtype=np.uint64))
-
     @classmethod
     def encode_rows(cls, values) -> "RingMatrix":
         """Encode a 2-d array of reals, or a nested sequence of them with
@@ -168,18 +163,10 @@ class RingMatrix:
             raise DimensionMismatch(f"need nonempty 2-d input, got {x.shape}")
         return cls.wrap(_encode_array(x))
 
-    @classmethod
-    def column(cls, values) -> "RingMatrix":
-        x = np.array(list(values), dtype=np.float64)
-        return cls(len(x), 1, _encode_array(x))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingMatrix) and self.rows == other.rows
                 and self.cols == other.cols
                 and bool(np.array_equal(self.arr, other.arr)))
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.arr.tobytes()))
 
     def __repr__(self):
         return f"RingMatrix({self.rows}x{self.cols})"
@@ -207,12 +194,6 @@ class RingMatrix:
         words = np.frombuffer(buf, _WORD, count=n, offset=8)
         return cls.wrap(words.astype(np.uint64, copy=False).reshape(
             rows, cols))
-
-
-def mat_sub(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} - {b.rows}x{b.cols}")
-    return RingMatrix.wrap(a.arr - b.arr)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, blocks: int = 1) -> np.ndarray:

@@ -11,8 +11,8 @@ product. Two interchangeable protocols:
   from a trusted initializer (triple_halves hands each party its own
   halves). Nothing about the inputs leaks; costs one triple and six
   frames per product. The triples are commodity triples (Beaver, STOC
-  1997; Du & Atallah, ACSAC 2001): side 0 holds (U, 0, W0) and side 1
-  (0, V, W1), so each side holds only its own mask. The six frames still
+  1997; Du & Atallah, ACSAC 2001): side 0 holds U and W0, side 1 V and
+  W1, and a dealt half's other mask is None. The six frames still
   leak nothing. Each side receives the peer's re-share (a fresh uniform
   share of the peer's input) and the peer's D and E contributions. One of
   those two is the share this side sent itself in the re-share (side 1's
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ring import RingMatrix, mat_mul_raw, mat_sub, matmul, uniform_matrix
+from .ring import RingMatrix, mat_mul_raw, matmul, uniform_matrix
 from .rng import CounterDrbg
 from .transport import (
     KIND_SHARE_DIST,
@@ -79,33 +79,32 @@ from .transport import (
 
 @dataclass(frozen=True)
 class TripleHalf:
-    u: RingMatrix
-    v: RingMatrix
+    """One side's own mask (u on side 0, v on side 1), the other None as
+    dealt or zeros from Triple.half, and its share w of W."""
+
+    u: RingMatrix | None
+    v: RingMatrix | None
     w: RingMatrix
 
 
 @dataclass(frozen=True)
 class Triple:
-    """U, V and W = U*V raw in-ring (see generate_triple), each split in
-    two."""
+    """U, V and W = U*V raw in-ring (see generate_triple), W = W0 + W1."""
 
-    u1: RingMatrix
-    u2: RingMatrix
-    v1: RingMatrix
-    v2: RingMatrix
+    u: RingMatrix
+    v: RingMatrix
+    w0: RingMatrix
     w1: RingMatrix
-    w2: RingMatrix
 
     def half(self, side: int) -> TripleHalf:
+        """Side 0's (U, 0, W0) or side 1's (0, V, W1), zero mask built."""
         if side == 0:
-            return TripleHalf(self.u1, self.v1, self.w1)
+            return TripleHalf(self.u, RingMatrix.wrap(
+                np.zeros_like(self.v.arr)), self.w0)
         if side == 1:
-            return TripleHalf(self.u2, self.v2, self.w2)
+            return TripleHalf(RingMatrix.wrap(np.zeros_like(self.u.arr)),
+                              self.v, self.w1)
         raise ValueError("side must be 0 (x-holder) or 1 (y-holder)")
-
-
-def _zeros(rows: int, cols: int) -> RingMatrix:
-    return RingMatrix.wrap(np.zeros((rows, cols), dtype=np.uint64))
 
 
 def generate_triple(x: int, y: int, z: int, rng, blocks: int = 1) -> Triple:
@@ -113,19 +112,18 @@ def generate_triple(x: int, y: int, z: int, rng, blocks: int = 1) -> Triple:
     k = blocks stacked blocks. An elementwise triple of n entries is n
     blocks of 1 by 1.
 
-    The stream holds U, then V, then R (k*x by z). Side 0's half is
-    (U, 0, W0) and side 1's is (0, V, W1): each side holds its own mask
-    only. The side whose mask has more entries (side 0 when x*y >= y*z)
-    takes W - R, the other R, so the other side's half needs neither the
-    larger mask nor a ring product (triple_halves).
+    The stream holds U, then V, then R (k*x by z). Side 0 holds U and W0,
+    side 1 V and W1: each side holds its own mask only. The side whose
+    mask has more entries (side 0 when x*y >= y*z) takes W - R, the other
+    R, so the other side's half needs neither the larger mask nor a ring
+    product (triple_halves).
     """
     u = uniform_matrix(blocks * x, y, rng)
     v = uniform_matrix(blocks * y, z, rng)
     r = uniform_matrix(blocks * x, z, rng)
-    w = mat_sub(mat_mul_raw(u, v, blocks), r)
+    w = RingMatrix.wrap(mat_mul_raw(u, v, blocks).arr - r.arr)
     w0, w1 = (w, r) if x * y >= y * z else (r, w)
-    return Triple(u, _zeros(u.rows, u.cols), _zeros(v.rows, v.cols), v,
-                  w0, w1)
+    return Triple(u, v, w0, w1)
 
 
 def _lighter_half(rng, side: int, x: int, y: int, z: int,
@@ -134,13 +132,11 @@ def _lighter_half(rng, side: int, x: int, y: int, z: int,
     the triple's stream: its own mask and R, the larger mask's words
     skipped without generating them."""
     if side == 0:
-        u = uniform_matrix(blocks * x, y, rng)
+        u, v = uniform_matrix(blocks * x, y, rng), None
         rng.skip(blocks * y * z)
-        v = _zeros(blocks * y, z)
     else:
         rng.skip(blocks * x * y)
-        u = _zeros(blocks * x, y)
-        v = uniform_matrix(blocks * y, z, rng)
+        u, v = None, uniform_matrix(blocks * y, z, rng)
     return TripleHalf(u, v, uniform_matrix(blocks * x, z, rng))
 
 
@@ -159,7 +155,8 @@ def triple_halves(seed, plan, party: int):
     n-block triple of 1 by 1 blocks (elementwise_steps). The side with
     the larger mask derives U, V and W = U*V (generate_triple) and keeps
     its half; the other side draws only its own mask and R, skipping the
-    larger mask's words. Lazy: each half is derived when drawn.
+    larger mask's words. A half's other mask is None: no zeros are
+    allocated. Lazy: each half is derived when drawn.
     """
     root = CounterDrbg(seed, label="trusted-initializer")
     counts: dict[tuple, int] = {}
@@ -177,7 +174,9 @@ def triple_halves(seed, plan, party: int):
             (x, y, z), blocks = shape, 1
         side = 0 if party == a else 1
         if (x * y >= y * z) == (side == 0):
-            yield generate_triple(x, y, z, rng, blocks).half(side)
+            t = generate_triple(x, y, z, rng, blocks)
+            yield (TripleHalf(t.u, None, t.w0) if side == 0
+                   else TripleHalf(None, t.v, t.w1))
         else:
             yield _lighter_half(rng, side, x, y, z, blocks)
 
@@ -257,26 +256,29 @@ def smm1_steps(rng, side: int, mine: np.ndarray, half: TripleHalf,
     peer, masks both shares it then holds with its commodity half, and
     opens D = X - U and E = Y - V. With W0 + W1 = U.V, side 0 returns
     W0 + X.E and side 1 W1 + D.V: each side multiplies once, by the one
-    mask it holds, and never reads its half's zero mask. Two steps.
+    mask it holds, and never reads the other, which may be None or
+    zeros. The peer's re-share has the peer's input shape, which this
+    side's mask, W and blocks fix. Two steps.
     """
-    u, v, w = half.u.arr, half.v.arr, half.w.arr
-    own, other = (u, v) if side == 0 else (v, u)
+    own, w = (half.u if side == 0 else half.v).arr, half.w.arr
     if own.shape != mine.shape:
         raise DimensionMismatch(
             f"triple is for {own.shape[0]}x{own.shape[1]}, "
             f"input is {mine.shape[0]}x{mine.shape[1]}")
+    due = ((blocks * own.shape[1], w.shape[1]) if side == 0
+           else (w.shape[0], own.shape[0] // blocks))
     sent = _masked(rng, mine.shape)
     kept = mine - sent
     (got,) = yield [(KIND_SHARE_DIST, sent)]
-    if got.shape != other.shape:
+    if got.shape != due:
         raise DimensionMismatch(
             f"peer shared {got.shape[0]}x{got.shape[1]}, triple is for "
-            f"{other.shape[0]}x{other.shape[1]}")
+            f"{due[0]}x{due[1]}")
     if side == 0:
-        _, e_peer = yield [(KIND_SMM_D, kept - u), (KIND_SMM_E, got)]
+        _, e_peer = yield [(KIND_SMM_D, kept - own), (KIND_SMM_E, got)]
         return w + matmul(mine, got + e_peer, blocks)
-    d_peer, _ = yield [(KIND_SMM_D, got), (KIND_SMM_E, kept - v)]
-    return w + matmul(got + d_peer, v, blocks)
+    d_peer, _ = yield [(KIND_SMM_D, got), (KIND_SMM_E, kept - own)]
+    return w + matmul(got + d_peer, own, blocks)
 
 
 # --- protocol 2: triple-free, leaks folded aggregates ---

@@ -15,11 +15,10 @@ traffic (tests/oracles.py).
 The training loop moves bare uint64 arrays. send_many encodes each frame
 with one packed struct that holds the length, the header fields and the
 shape, followed by the words. recv_many takes the frames a step expects
-from one peer in one call: it checks every header and payload shape
-exactly as recv does (recv is recv_many of one frame), adds them to the
-transcript in the order given and returns the arrays as read-only views
-of the received bytes. Frame and RingMatrix are the edge: tests, the
-golden frames and recorded transcripts.
+from one peer in one call: it checks every header and payload shape,
+adds the frames to the transcript in the order given and returns the
+arrays as read-only views of the received bytes. Frame and RingMatrix
+are the edge: send, the golden frames and recorded transcripts.
 """
 
 from __future__ import annotations
@@ -153,9 +152,9 @@ class Transcript:
 
 
 class ProtocolSession(ABC):
-    """One party's endpoint. send/recv move matrices; receiving is strict:
-    the next frames from that peer must match the expected kinds and
-    rounds."""
+    """One party's endpoint. send_many/recv_many move matrices; receiving
+    is strict: the next frames from that peer must match the expected
+    kinds and rounds."""
 
     def __init__(self, party_id: int, n_parties: int, rng,
                  timeout: float = DEFAULT_TIMEOUT):
@@ -196,11 +195,6 @@ class ProtocolSession(ABC):
         self._send_frames(receiver, frames)
         self.bytes_sent += sum(map(len, frames))
         self.frames_sent += len(frames)
-
-    def recv(self, sender: int, kind: int, round_no: int,
-             timeout: float | None = None) -> RingMatrix:
-        return RingMatrix.wrap(
-            self.recv_many(sender, [(kind, round_no)], timeout)[0])
 
     def recv_many(self, sender: int, expect,
                   timeout: float | None = None) -> list[np.ndarray]:

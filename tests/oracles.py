@@ -1,13 +1,17 @@
 """Checks the tests hold the program's results against.
 
 The program calls none of these: they reassemble shares, verify triples,
-decode words to floats, record a session's received frames (once a test
-installs the recorder) and pick frames out of them, give the loss whose
-gradient the logistic engines follow, state the triple-free protocol's
-leak and simulate a view from it. They work on the words with
-numpy's wrapping uint64 operators and call none of secregress's ring
-arithmetic, so the code they check cannot also be the code that checks.
+decode words to floats, hash a batch schedule, record a session's
+received frames (once a test installs the recorder) and pick frames out
+of them, give the loss whose gradient the logistic engines follow, state
+the triple-free protocol's leak and simulate a view from it. They work on
+the words with numpy's wrapping uint64 operators and call none of
+secregress's ring arithmetic or hashing, so the code they check cannot
+also be the code that checks.
 """
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -41,9 +45,7 @@ def share_raw(raw: int, n: int, rng) -> list[int]:
 def verify_triple(t, blocks: int = 1) -> bool:
     """W = U V blockwise: block j of W is block j of U times block j of V,
     the blocks stacked one under the other."""
-    u = t.u1.arr + t.u2.arr
-    v = t.v1.arr + t.v2.arr
-    w = t.w1.arr + t.w2.arr
+    u, v, w = t.u.arr, t.v.arr, t.w0.arr + t.w1.arr
     uv = np.matmul(u.reshape(blocks, -1, u.shape[1]),
                    v.reshape(blocks, u.shape[1], -1))
     return np.array_equal(uv.reshape(-1, uv.shape[2]), w)
@@ -67,6 +69,14 @@ def weights(res) -> list[float]:
     f-bit words."""
     raw = np.array(res.weights_raw, dtype=np.uint64)
     return (raw.view(np.int64) / float(1 << FRAC_BITS)).tolist()
+
+
+def schedule_hash(schedule: list[list[int]]) -> str:
+    """What a schedule hash is: SHA-256 of the whole schedule's compact
+    JSON under the schedule domain tag."""
+    canon = json.dumps(schedule, separators=(",", ":"))
+    return hashlib.sha256(
+        b"secregress.schedule.v1\x00" + canon.encode()).hexdigest()
 
 
 class RecordedTranscript(Transcript):

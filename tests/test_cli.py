@@ -676,14 +676,18 @@ def test_main_equivalence_failure_exit_code(tmp_path, capsys, monkeypatch):
     ("LiRe", "horizontal", "TI", 2, 0, None),
     ("LiRe", "horizontal", "TI", 3, 5, "fold 0: secure rmse"),
     ("LiRe", "horizontal", "TI", 8, 5, "fold 0: secure rmse"),
-    ("LoRe", "vertical", "OTI", 8, 5, "fold 1: the plaintext replay "
-                                      "diverged"),
+    ("LoRe", "vertical", "OTI", 8, 5, "fold 0: max |w - w_replay|"),
+    ("LoRe", "horizontal", "TI", 5, 0, None),
+    ("LoRe", "horizontal", "TI", 6, 5, "fold 1: max |w - w_replay|"),
+    ("LoRe", "horizontal", "OTI", 6, 5, "fold 1: max |w - w_replay|"),
 ])
 def test_a_model_that_left_its_replay_exits_5(tmp_path, capsys, task,
                                               scheme, variant, lr, rc,
                                               says):
-    # at these learning rates the float replay diverges and the secure
-    # weights wrap in the ring: a wrong model, not a protocol failure
+    # at these learning rates the secure model leaves its replay: the
+    # float replay diverges, the ring wraps the secure weights, or (LoRe
+    # at lr 6) the weights drift 2e-4 apart while both AUCs read 1.0. A
+    # wrong model, not a protocol failure; lr 5 stays within 7.2e-5.
     kind = "synthetic-linear" if task == "LiRe" else "synthetic-logistic"
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_dict(

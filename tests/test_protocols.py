@@ -8,7 +8,6 @@ reference, never bit-equal, so tolerances here are stated in ulps.
 
 import hashlib
 import itertools
-import json
 import math
 
 import numpy as np
@@ -45,7 +44,6 @@ from secregress.protocols import (
     VerticalEngine,
     horizontal_schedule,
     product_plan,
-    schedule_digest,
     select_batch_owner,
     vertical,
 )
@@ -73,6 +71,7 @@ from oracles import (
     decode_rows,
     reconstruct,
     record,
+    schedule_hash,
     surrogate_loss,
     weights,
 )
@@ -215,14 +214,6 @@ def test_horizontal_schedule_rows_always_in_owner_range(sizes, batch):
         assert all(0 <= r < sizes[owner] for r in local_rows[t])
 
 
-def _json_schedule_hash(schedule):
-    """What a schedule hash is: SHA-256 of the whole schedule's compact
-    JSON under the schedule domain tag."""
-    canon = json.dumps(schedule, separators=(",", ":"))
-    return hashlib.sha256(
-        b"secregress.schedule.v1\x00" + canon.encode()).hexdigest()
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     sizes=st.lists(st.integers(min_value=0, max_value=30), min_size=2,
@@ -242,8 +233,7 @@ def test_per_iteration_draws_match_the_schedule_lists(sizes, batch,
             digest.add(global_)
             drawn.append((owner, rows, global_))
         assert drawn == list(zip(owners, local_rows, global_rows))
-        assert digest.hexdigest() == schedule_digest(global_rows)
-        assert digest.hexdigest() == _json_schedule_hash(global_rows)
+        assert digest.hexdigest() == schedule_hash(global_rows)
     m = sum(sizes)
     if batch <= m:
         schedule = build_batch_schedule(m, batch, iterations, "lazy")
@@ -252,8 +242,7 @@ def test_per_iteration_draws_match_the_schedule_lists(sizes, batch,
             digest.add(rows)
             drawn.append(rows)
         assert drawn == schedule
-        assert digest.hexdigest() == schedule_digest(schedule)
-        assert digest.hexdigest() == _json_schedule_hash(schedule)
+        assert digest.hexdigest() == schedule_hash(schedule)
 
 
 def test_lazy_schedules_refuse_a_batch_before_drawing():
@@ -375,7 +364,7 @@ def test_horizontal_three_parties_matches_reference():
     assert res[0].weights_raw == res[1].weights_raw == res[2].weights_raw
     assert max_drift(weights(res[0]), w_ref) <= TOL
     assert owners[:6] == [0, 1, 2, 0, 1, 2]
-    assert res[0].schedule_hash == schedule_digest(global_rows)
+    assert res[0].schedule_hash == schedule_hash(global_rows)
 
 
 def test_one_party_holding_everything_matches_reference():
@@ -387,7 +376,7 @@ def test_one_party_holding_everything_matches_reference():
     res = run_horizontal(cfg, X, y, [40])
     owners, _, global_rows = horizontal_schedule(cfg, [40, 0])
     assert set(owners) == {0}
-    assert res[0].schedule_hash == schedule_digest(global_rows)
+    assert res[0].schedule_hash == schedule_hash(global_rows)
     w_ref = train_plain(X, y, global_rows, cfg.effective_rate())
     assert max_drift(weights(res[0]), w_ref) <= TOL
 
@@ -457,6 +446,7 @@ def test_vertical_three_parties_matches_reference():
     w_ref = train_plain(X, y, schedule, cfg.effective_rate())
     w_sec = weights(res[0]) + weights(res[1]) + weights(res[2])
     assert [r.block_sizes for r in res] == [[2, 2, 1]] * 3
+    assert {r.schedule_hash for r in res} == {schedule_hash(schedule)}
     assert max_drift(w_sec, w_ref) <= TOL
 
 

@@ -8,7 +8,6 @@ from secregress.errors import DimensionMismatch, MalformedTranscript
 from secregress.ring import (
     RingMatrix,
     mat_mul_raw,
-    mat_sub,
     mul_op_count,
     uniform_matrix,
 )
@@ -77,20 +76,25 @@ def rand_real_matrix(rows, cols, rng, span=8.0):
 
 # --- triples ---
 
+def own(half, side):
+    """A half's own mask and its share of W: all a commodity half holds."""
+    return (half.u if side == 0 else half.v), half.w
+
+
 def test_triple_reconstructs_and_verifies():
     t = generate_triple(3, 4, 2, CounterDrbg("t1"))
-    assert (t.u1.rows, t.u1.cols, t.v1.cols) == (3, 4, 2)
+    assert (t.u.rows, t.u.cols, t.v.cols) == (3, 4, 2)
     assert verify_triple(t)
-    u = reconstruct([t.u1, t.u2])
-    v = reconstruct([t.v1, t.v2])
-    assert reconstruct([t.w1, t.w2]) == mat_mul_raw(u, v)
+    assert reconstruct([t.w0, t.w1]) == mat_mul_raw(t.u, t.v)
+    # Triple.half builds the mask a side does not hold as zeros
+    assert not t.half(0).v.arr.any() and not t.half(1).u.arr.any()
+    assert t.half(0).v.arr.shape == (4, 2) and t.half(1).u.arr.shape == (3, 4)
 
 
 def test_elem_triple():
     t = generate_triple(1, 1, 1, CounterDrbg("te"), blocks=7)
     assert verify_triple(t, blocks=7)
-    assert not verify_triple(
-        Triple(t.u1, t.u2, t.v1, t.v2, t.w1, t.u2), blocks=7)
+    assert not verify_triple(Triple(t.u, t.v, t.w0, t.u), blocks=7)
 
 
 def test_halves_from_one_seed_reassemble():
@@ -104,7 +108,8 @@ def test_halves_from_one_seed_reassemble():
     whole = []
     for (a, *_), x, y in zip(plan, h0, h1):
         s0, s1 = (x, y) if a == 0 else (y, x)
-        whole.append(Triple(s0.u, s1.u, s0.v, s1.v, s0.w, s1.w))
+        assert s0.v is None and s1.u is None
+        whole.append(Triple(s0.u, s1.v, s0.w, s1.w))
     assert verify_triple(whole[0]) and verify_triple(whole[1])
     assert whole[0] != whole[1]
     assert verify_triple(whole[2], blocks=5)
@@ -120,14 +125,13 @@ def test_side0_half_is_the_whole_triples_half(dims):
     whole = [generate_triple(*dims, root.child("triple", *dims, i))
              for i in range(3)]
     plan = [(0, 1, dims, False)] * 3
-    assert list(triple_halves("halves", plan, 0)) == [
-        t.half(0) for t in whole]
-    assert list(triple_halves("halves", plan, 1)) == [
-        t.half(1) for t in whole]
+    for side in (0, 1):
+        assert [own(h, side) for h in triple_halves("halves", plan, side)] \
+            == [own(t.half(side), side) for t in whole]
     # a party that sits out draw 1 gets nothing for it and stays aligned
     sat_out = [(2, 1, dims, False), (0, 1, dims, False), (2, 1, dims, False)]
-    assert list(triple_halves("halves", sat_out, 2)) == [
-        whole[0].half(0), whole[2].half(0)]
+    assert [own(h, 0) for h in triple_halves("halves", sat_out, 2)] == [
+        own(whole[0].half(0), 0), own(whole[2].half(0), 0)]
 
 
 @pytest.mark.parametrize("n", [1, 16, 17])
@@ -136,13 +140,12 @@ def test_side0_elem_half_is_the_whole_triples_half(n):
     whole = [generate_triple(1, 1, 1, root.child("etriple", n, i), blocks=n)
              for i in range(3)]
     plan = [(0, 1, n, True)] * 3
-    assert list(triple_halves("ehalves", plan, 0)) == [
-        t.half(0) for t in whole]
-    assert list(triple_halves("ehalves", plan, 1)) == [
-        t.half(1) for t in whole]
+    for side in (0, 1):
+        assert [own(h, side) for h in triple_halves("ehalves", plan, side)] \
+            == [own(t.half(side), side) for t in whole]
     sat_out = [(2, 1, n, True), (0, 1, n, True), (2, 1, n, True)]
-    assert list(triple_halves("ehalves", sat_out, 2)) == [
-        whole[0].half(0), whole[2].half(0)]
+    assert [own(h, 0) for h in triple_halves("ehalves", sat_out, 2)] == [
+        own(whole[0].half(0), 0), own(whole[2].half(0), 0)]
 
 
 DEALT = [((500, 8, 1), False, 0), ((8, 500, 1), False, 0),
@@ -155,9 +158,9 @@ DEALT = [((500, 8, 1), False, 0), ((8, 500, 1), False, 0),
     ids=[f"elem{s}" if e else "x".join(map(str, s)) for s, e, _ in DEALT])
 def test_dealer_deals_commodity_halves_at_least_cost(shape, elementwise,
                                                      deriving, monkeypatch):
-    # side 0 holds (U, 0, W0) and side 1 (0, V, W1). The side whose mask
-    # has more entries, side 0 on a tie, draws U, V and R; the other draws
-    # its own mask and R only.
+    # side 0 holds U and W0, side 1 V and W1, and neither half holds the
+    # other mask. The side whose mask has more entries, side 0 on a tie,
+    # draws U, V and R; the other draws its own mask and R only.
     (x, y, z), blocks = ((1, 1, 1), shape) if elementwise else (shape, 1)
     drawn = []
     original = CounterDrbg.u64_array
@@ -174,13 +177,41 @@ def test_dealer_deals_commodity_halves_at_least_cost(shape, elementwise,
         halves.append(half)
         words.append(sum(drawn))
     h0, h1 = halves
-    assert not h0.v.arr.any() and not h1.u.arr.any()
+    assert h0.v is None and h1.u is None
     assert (h0.u.rows, h0.u.cols, h1.v.rows, h1.v.cols) == (
         blocks * x, y, blocks * y, z)
-    assert verify_triple(Triple(h0.u, h1.u, h0.v, h1.v, h0.w, h1.w), blocks)
+    assert verify_triple(Triple(h0.u, h1.v, h0.w, h1.w), blocks)
     u, v, w = blocks * x * y, blocks * y * z, blocks * x * z
     assert words[deriving] == u + v + w
     assert words[1 - deriving] == (v if deriving == 0 else u) + w
+
+
+@pytest.mark.parametrize("shape, elementwise", [((3, 5, 7), False),
+                                                 (5, True)])
+def test_smm1_runs_alike_on_dealt_and_whole_triple_halves(shape,
+                                                          elementwise):
+    # a dealt half holds no other mask (None), Triple.half's holds zeros:
+    # smm1_steps reads neither, so both give the same shares and frames
+    (x, y, z), k = ((1, 1, 1), shape) if elementwise else (shape, 1)
+    rng = CounterDrbg("forms")
+    xm, _ = rand_real_matrix(k * x, y, rng)
+    ym, _ = rand_real_matrix(k * y, z, rng)
+    plan = [(0, 1, shape, elementwise)]
+    root = CounterDrbg("forms", label="trusted-initializer")
+    whole = generate_triple(x, y, z, root.child(
+        *(("etriple", shape, 0) if elementwise else ("triple", *shape, 0))),
+        blocks=k)
+    dealt = [next(triple_halves("forms", plan, p)) for p in (0, 1)]
+    assert dealt[0].v is None and dealt[1].u is None
+    runs = []
+    for halves in (dealt, [whole.half(0), whole.half(1)]):
+        s = sessions("forms")
+        shares = run_pair(
+            lambda: run_one(s[0], 1, 0, smm1_steps, 0, xm, halves[0], k),
+            lambda: run_one(s[1], 0, 0, smm1_steps, 1, ym, halves[1], k))
+        runs.append((shares, [v.transcript.frames for v in s]))
+    assert runs[0] == runs[1]
+    assert reconstruct(list(runs[0][0])) == mat_mul_raw(xm, ym, k)
 
 
 # --- protocol harness ---
@@ -249,7 +280,7 @@ def test_smm1_triple_shape_guard(side, elementwise):
     # frame leaves
     s = sessions("guard")
     if elementwise:
-        x = RingMatrix.column([1.0, 2.0])
+        x = RingMatrix.encode_rows([[1.0], [2.0]])
         bad = generate_triple(1, 1, 1, CounterDrbg("g"), blocks=3)
     else:
         x = RingMatrix.encode_rows([[1.0, 2.0]])
@@ -368,12 +399,13 @@ def test_simulated_view_matches_real_distribution_constraints():
     f1, f2 = simulate_view(leak_x, "y", rng.child("sim-y"))
     # the simulated pair satisfies the same relation as the real frames
     from oracles import cols_even, cols_odd
-    assert mat_sub(reconstruct([cols_even(f1), cols_odd(f1)]), f2) == leak_x
+    assert (cols_even(f1).arr + cols_odd(f1).arr - f2.arr == leak_x.arr).all()
 
     leak_y = leakage_of_y(y)
     g1, g2 = simulate_view(leak_y, "x", rng.child("sim-x"))
     from oracles import rows_even, rows_odd
-    assert mat_sub(g2, mat_sub(rows_even(g1), rows_odd(g1))) == leak_y
+    assert (g2.arr - (rows_even(g1).arr - rows_odd(g1).arr)
+            == leak_y.arr).all()
 
     # fresh randomness: two simulations differ in the uniform component
     h1, _ = simulate_view(leak_y, "x", rng.child("sim-x2"))
@@ -411,8 +443,8 @@ def test_smm1_elementwise(n):
     rng = CounterDrbg(f"ew1-{n}")
     av, bv = vec_vals(n, rng), vec_vals(n, rng)
     s = sessions(f"ew1-{n}")
-    a = RingMatrix.column(av)
-    b = RingMatrix.column(bv)
+    a = RingMatrix.encode_rows([[v] for v in av])
+    b = RingMatrix.encode_rows([[v] for v in bv])
     t = generate_triple(1, 1, 1, CounterDrbg(f"ew1-{n}-ti"), blocks=n)
     m, nn = run_pair(
         lambda: run_one(s[0], 1, 0, smm1_steps, 0, a, t.half(0), n),
@@ -426,8 +458,8 @@ def test_smm2_elementwise(n):
     rng = CounterDrbg(f"ew2-{n}")
     av, bv = vec_vals(n, rng), vec_vals(n, rng)
     s = sessions(f"ew2-{n}")
-    a = RingMatrix.column(av)
-    b = RingMatrix.column(bv)
+    a = RingMatrix.encode_rows([[v] for v in av])
+    b = RingMatrix.encode_rows([[v] for v in bv])
     m, nn = run_pair(lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a),
                      lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b))
     got = decode_rows(reconstruct([m, nn]), frac_bits=40)
@@ -439,8 +471,8 @@ def test_smm2_elementwise_leak_is_vector_and_differences():
     rng = CounterDrbg("ewleak")
     av, bv = vec_vals(n, rng), vec_vals(n, rng)
     s = sessions("ewleak")
-    a = RingMatrix.column(av)
-    b = RingMatrix.column(bv)
+    a = RingMatrix.encode_rows([[v] for v in av])
+    b = RingMatrix.encode_rows([[v] for v in bv])
     run_pair(lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a),
              lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b))
 
@@ -449,9 +481,7 @@ def test_smm2_elementwise_leak_is_vector_and_differences():
     assert rep_b.leaked == a
     # x-holder's transcript exposes adjacent differences of b
     rep_a = extract_leakage(s[0].transcript.frames)
-    want = [(b.data[2 * j] - b.data[2 * j + 1]) & ((1 << 64) - 1)
-            for j in range(n // 2)]
-    assert rep_a.leaked == RingMatrix(n // 2, 1, want)
+    assert rep_a.leaked == RingMatrix.wrap(b.arr[0::2] - b.arr[1::2])
 
 
 def test_elementwise_communication_is_linear():
@@ -460,7 +490,8 @@ def test_elementwise_communication_is_linear():
         rng = CounterDrbg(f"lin-{n}")
         av, bv = vec_vals(n, rng), vec_vals(n, rng)
         s = sessions(f"lin-{n}")
-        a, b = RingMatrix.column(av), RingMatrix.column(bv)
+        a = RingMatrix.encode_rows([[v] for v in av])
+        b = RingMatrix.encode_rows([[v] for v in bv])
         run_pair(lambda: run_one(s[0], 1, 0, elementwise_steps, 0, a),
                  lambda: run_one(s[1], 0, 0, elementwise_steps, 1, b))
         return s[0].bytes_sent + s[1].bytes_sent
@@ -476,8 +507,8 @@ def test_padding_odd_lengths():
         s = sessions(f"oddpad-{n}")
         m, nn = run_pair(
             lambda: run_one(s[0], 1, 0, elementwise_steps, 0,
-                            RingMatrix.column(av)),
+                            RingMatrix.encode_rows([[v] for v in av])),
             lambda: run_one(s[1], 0, 0, elementwise_steps, 1,
-                            RingMatrix.column(bv)))
+                            RingMatrix.encode_rows([[v] for v in bv])))
         got = decode_rows(reconstruct([m, nn]), frac_bits=40)
         assert got == [[av[i] * bv[i]] for i in range(n)]

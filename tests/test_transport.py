@@ -109,14 +109,14 @@ def test_loopback_exchange():
 
     def p0():
         s[0].send(1, KIND_SHARE_DIST, m, 0)
-        got[0] = s[0].recv(1, KIND_SMM_D, 0)
+        (got[0],) = s[0].recv_many(1, [(KIND_SMM_D, 0)])
 
     def p1():
-        got[1] = s[1].recv(0, KIND_SHARE_DIST, 0)
-        s[1].send(0, KIND_SMM_D, got[1], 0)
+        (got[1],) = s[1].recv_many(0, [(KIND_SHARE_DIST, 0)])
+        s[1].send_many(0, [(KIND_SMM_D, got[1], 0)])
 
     run_parties(p0, p1)
-    assert got[0] == m and got[1] == m
+    assert got[0].tolist() == got[1].tolist() == m.arr.tolist()
     # 4-byte length + 16-byte header + 8 + 2*8 payload
     assert s[0].bytes_sent == 4 + 16 + 8 + 16 == s[1].bytes_received
     assert s[0].bytes_received == s[1].bytes_sent
@@ -124,26 +124,26 @@ def test_loopback_exchange():
 
 def test_recv_validates_kind_and_round():
     s = loopback_sessions(2, make_rngs(2, "strict"))
-    m = RingMatrix.zeros(1, 1)
+    m = RingMatrix(1, 1, [0])
     s[0].send(1, KIND_SMM_D, m, 5)
     with pytest.raises(UnexpectedKind):
-        s[1].recv(0, KIND_SMM_E, 5)
+        s[1].recv_many(0, [(KIND_SMM_E, 5)])
     s[0].send(1, KIND_SMM_D, m, 5)
     with pytest.raises(UnexpectedKind):
-        s[1].recv(0, KIND_SMM_D, 6)
+        s[1].recv_many(0, [(KIND_SMM_D, 6)])
 
 
 def test_recv_timeout():
     s = loopback_sessions(2, make_rngs(2, "tmo"), timeout=0.05)
     with pytest.raises(TransportError):
-        s[0].recv(1, KIND_SMM_D, 0)
+        s[0].recv_many(1, [(KIND_SMM_D, 0)])
 
 
 def test_peer_closed():
     s = loopback_sessions(2, make_rngs(2, "closed"))
     s[0].close()
     with pytest.raises(PeerClosed):
-        s[1].recv(0, KIND_SMM_D, 0)
+        s[1].recv_many(0, [(KIND_SMM_D, 0)])
 
 
 def test_transcript_records_received_only():
@@ -152,8 +152,8 @@ def test_transcript_records_received_only():
     s[0].send(1, KIND_SHARE_DIST, m, 0)
     s[0].send(1, KIND_SMM_D, m, 1)
     assert len(s[0].transcript) == 0
-    s[1].recv(0, KIND_SHARE_DIST, 0)
-    s[1].recv(0, KIND_SMM_D, 1)
+    s[1].recv_many(0, [(KIND_SHARE_DIST, 0)])
+    s[1].recv_many(0, [(KIND_SMM_D, 1)])
     assert len(s[1].transcript) == 2
     assert select(s[1].transcript, kind=KIND_SMM_D)[0].round_no == 1
     empty = Transcript().digest()
@@ -177,7 +177,8 @@ def barrier(session, round_no):
     for p in peers:
         session.send(p, KIND_CONTROL, tag, round_no)
     for p in peers:
-        assert session.recv(p, KIND_CONTROL, round_no) == tag
+        (got,) = session.recv_many(p, [(KIND_CONTROL, round_no)])
+        assert got.tolist() == tag.arr.tolist()
 
 
 # --- tcp ---
@@ -213,11 +214,11 @@ def test_tcp_exchange_matches_loopback_transcript():
     def run(sessions):
         def p0():
             sessions[0].send(1, KIND_SHARE_DIST, m1, 0)
-            sessions[0].recv(1, KIND_SMM_D, 1)
+            sessions[0].recv_many(1, [(KIND_SMM_D, 1)])
             barrier(sessions[0], 2)
 
         def p1():
-            sessions[1].recv(0, KIND_SHARE_DIST, 0)
+            sessions[1].recv_many(0, [(KIND_SHARE_DIST, 0)])
             sessions[1].send(0, KIND_SMM_D, m2, 1)
             barrier(sessions[1], 2)
 
@@ -246,7 +247,8 @@ def test_tcp_three_party_barrier_and_traffic():
                         s[i].send(j, KIND_SMM_E, m, 1)
                 for j in range(3):
                     if j != i:
-                        assert s[i].recv(j, KIND_SMM_E, 1) == m
+                        (got,) = s[i].recv_many(j, [(KIND_SMM_E, 1)])
+                        assert got.tolist() == m.arr.tolist()
                 barrier(s[i], 2)
             return go
 
@@ -264,11 +266,13 @@ def test_tcp_large_bidirectional_send():
     try:
         def p0():
             s[0].send(1, KIND_SMM_D, big, 0)
-            assert s[0].recv(1, KIND_SMM_D, 0) == big
+            (got,) = s[0].recv_many(1, [(KIND_SMM_D, 0)])
+            assert got.tolist() == big.arr.tolist()
 
         def p1():
             s[1].send(0, KIND_SMM_D, big, 0)
-            assert s[1].recv(0, KIND_SMM_D, 0) == big
+            (got,) = s[1].recv_many(0, [(KIND_SMM_D, 0)])
+            assert got.tolist() == big.arr.tolist()
 
         run_parties(p0, p1)
     finally:
@@ -291,7 +295,8 @@ def test_tcp_dialer_waits_for_a_late_listener():
     def p1():
         time.sleep(0.2)
         s[1] = TcpSession(1, 2, rngs[1], eps, timeout=20.0)
-        assert s[1].recv(0, KIND_SMM_D, 0) == m
+        (got,) = s[1].recv_many(0, [(KIND_SMM_D, 0)])
+        assert got.tolist() == m.arr.tolist()
 
     try:
         run_parties(p0, p1)
@@ -435,8 +440,10 @@ def test_tcp_frames_split_at_every_byte_boundary():
     t.start()
     try:
         for cut in cuts:
-            assert s.recv(1, KIND_SMM_D, cut) == a
-            assert s.recv(1, KIND_SMM_E, cut) == b
+            (got_a,) = s.recv_many(1, [(KIND_SMM_D, cut)])
+            (got_b,) = s.recv_many(1, [(KIND_SMM_E, cut)])
+            assert (got_a.tolist(), got_b.tolist()) == (a.arr.tolist(),
+                                                        b.arr.tolist())
     finally:
         t.join(30)
         s.close()
@@ -451,8 +458,8 @@ def test_tcp_many_frames_in_one_segment():
     try:
         peer.connected().sendall(b"".join(
             wire(i, KIND_SHARE_DIST, m) for i, m in enumerate(mats)))
-        assert [s.recv(1, KIND_SHARE_DIST, i)
-                for i in range(len(mats))] == mats
+        assert [s.recv_many(1, [(KIND_SHARE_DIST, i)])[0].tolist()
+                for i in range(len(mats))] == [m.arr.tolist() for m in mats]
     finally:
         s.close()
         peer.close()
@@ -465,9 +472,10 @@ def test_tcp_eof_mid_frame_raises_peer_closed():
         conn = peer.connected()
         conn.sendall(data + data[:len(data) // 2])
         conn.close()
-        assert s.recv(1, KIND_SMM_D, 0) == RingMatrix(2, 2, [1, 2, 3, 4])
+        (got,) = s.recv_many(1, [(KIND_SMM_D, 0)])
+        assert got.tolist() == [[1, 2], [3, 4]]
         with pytest.raises(PeerClosed):
-            s.recv(1, KIND_SMM_D, 0)
+            s.recv_many(1, [(KIND_SMM_D, 0)])
     finally:
         s.close()
         peer.close()
@@ -479,7 +487,7 @@ def test_tcp_silent_peer_times_out():
         peer.connected()
         t0 = time.monotonic()
         with pytest.raises(TransportError):
-            s.recv(1, KIND_SMM_D, 0)
+            s.recv_many(1, [(KIND_SMM_D, 0)])
         assert 0.25 <= time.monotonic() - t0 < 2.0
     finally:
         s.close()
@@ -500,18 +508,19 @@ def test_tcp_chain_with_multi_megabyte_frames_does_not_deadlock():
             s[0].send(2, KIND_SMM_E, small, 0)
 
         def p1():
-            got["small"] = s[1].recv(2, KIND_SMM_E, 0)
-            got["big"] = s[1].recv(0, KIND_SMM_D, 0)
+            (got["small"],) = s[1].recv_many(2, [(KIND_SMM_E, 0)])
+            (got["big"],) = s[1].recv_many(0, [(KIND_SMM_D, 0)])
 
         def p2():
-            s[2].recv(0, KIND_SMM_E, 0)
+            s[2].recv_many(0, [(KIND_SMM_E, 0)])
             s[2].send(1, KIND_SMM_E, small, 0)
 
         run_parties(p0, p1, p2)
     finally:
         for x in s:
             x.close()
-    assert got["small"] == small and got["big"] == big
+    assert got["small"].tolist() == small.arr.tolist()
+    assert got["big"].tolist() == big.arr.tolist()
 
 
 def test_send_many_is_one_write_of_ordered_frames():
@@ -631,8 +640,8 @@ GOOD_FIRST = _raw_wire(round_no=4, kind=KIND_SHARE_DIST)
 @pytest.mark.parametrize("case", sorted(BAD_FRAMES))
 def test_batched_receive_raises_what_recv_raises(case, transport, batched):
     bad, error = BAD_FRAMES[case]
-    # recv takes the bad frame alone; recv_many takes it second in a
-    # batch, behind a good frame
+    # a one-frame receive takes the bad frame alone; a batched one takes
+    # it second, behind a good frame
     data = GOOD_FIRST + bad if batched else bad
     if transport == "loopback":
         s = loopback_sessions(2, make_rngs(2, "bad-" + case), timeout=5.0)
@@ -646,7 +655,7 @@ def test_batched_receive_raises_what_recv_raises(case, transport, batched):
             if batched:
                 me.recv_many(1, [(KIND_SHARE_DIST, 4), (KIND_SMM_D, 4)])
             else:
-                me.recv(1, KIND_SMM_D, 4)
+                me.recv_many(1, [(KIND_SMM_D, 4)])
     finally:
         me.close()
         if peer is not None:
