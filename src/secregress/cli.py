@@ -19,7 +19,8 @@ variant as offline-provisioned.
 Exit codes: 0 success, 2 configuration or input error, 3 protocol or
 transport failure, 4 cross-party equivalence-check failure, 5 a fold
 whose secure model does not match its plaintext replay (its LiRe rmse
-or any weight) or whose replay diverged.
+or any weight), whose replay diverged, or whose LiRe model fits its
+training rows worse than the zero model.
 """
 
 from __future__ import annotations
@@ -108,15 +109,22 @@ def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
     """Score a finished run: per-fold metric on the held-out split, plus
     (for secure runs) the matched-schedule plaintext metric that the
     equality criterion compares against and the largest |w - w_replay|;
-    nan where the replay diverged. Deterministic."""
+    nan where the replay diverged. For LiRe, each fold's mean squared
+    error over its training rows, and the zero model's (the mean of
+    y^2). Deterministic."""
     X, y, _ = load_dataset(spec)
     folds = kfold(len(X), spec.folds, seed=spec.config.seed)
     score, metric = (rmse, "rmse") if spec.task == "LiRe" else (auc, "auc")
-    fold_metrics, replay_metrics, gaps = [], [], []
+    fold_metrics, replay_metrics, gaps, fits = [], [], [], []
     for k, (train_idx, test_idx) in enumerate(folds):
         Xs, ys = X[test_idx], y[test_idx]
         w = _fold_weights(spec, manifests, k)
         fold_metrics.append(score(ys, Xs @ w))
+        if spec.task == "LiRe":
+            Xt, yt = X[train_idx], y[train_idx]
+            with np.errstate(over="ignore", invalid="ignore"):
+                fits.append((float(np.mean((Xt @ w - yt) ** 2)),
+                             float(np.mean(yt ** 2))))
         if spec.scheme != "plaintext":
             cfg_k = replace(spec.config,
                             seed=_fold_seed(spec.config.seed, k))
@@ -140,6 +148,8 @@ def evaluate(spec: RunSpec, manifests: list[dict]) -> dict:
         row["plain_replay_values"] = replay_metrics
         row["plain_replay_mean"] = float(np.mean(replay_metrics))
         row["plain_replay_weight_gaps"] = gaps
+    if fits:
+        row["train_mse"], row["zero_model_train_mse"] = map(list, zip(*fits))
     return row
 
 
@@ -148,7 +158,11 @@ def _check_replay(spec: RunSpec, row: dict) -> None:
     whose LiRe rmse is more than REPLAY_TOLERANCE from it or whose
     weights are more than WEIGHT_TOLERANCE from its weights. A learning
     rate the ring cannot follow wraps the secure model while the float
-    replay diverges or drifts; neither is a model to report."""
+    replay diverges or drifts; neither is a model to report.
+
+    Then, secure or plaintext, for the first LiRe fold whose model fits
+    its training rows worse than the zero model it started from: SGD
+    from w = 0 with a stable step on inputs in [0, 1] ends no worse."""
     lr = spec.config.learning_rate
     for k, (got, want, gap) in enumerate(zip(
             row["fold_values"], row.get("plain_replay_values", []),
@@ -165,6 +179,12 @@ def _check_replay(spec: RunSpec, row: dict) -> None:
             raise ReplayMismatch(
                 f"fold {k}: max |w - w_replay| = {gap:.3g} exceeds "
                 f"{WEIGHT_TOLERANCE:g} at learning rate {lr}")
+    for k, (mse, zero) in enumerate(zip(row.get("train_mse", []),
+                                        row.get("zero_model_train_mse", []))):
+        if not mse <= zero:
+            raise ReplayMismatch(
+                f"fold {k}: training mse {mse:.3g} exceeds the zero "
+                f"model's {zero:.3g} at learning rate {lr}")
 
 
 def run(spec: RunSpec, mode: str = "threads", timeout: float = 300.0):

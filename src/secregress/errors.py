@@ -128,5 +128,6 @@ class HashMismatch(SecregressError):
 
 
 class ReplayMismatch(SecregressError):
-    """A secure model left its plaintext replay, the replay diverged, or
-    a plaintext run's own model diverged (exit 5)."""
+    """A secure model left its plaintext replay, the replay diverged, a
+    plaintext run's own model diverged, or a LiRe model fits its training
+    rows worse than w = 0 (exit 5)."""

@@ -56,7 +56,7 @@ import numpy as np
 
 from ..baseline import SIGMOID_POLY
 from ..errors import InvalidPartyCount, PolicyMismatch, TripleExhausted
-from ..ring import FRAC_BITS, MASK, encode_raw, hadamard, matmul
+from ..ring import FRAC_BITS, MASK, encode_raw, matmul
 from ..sharing import share_matrix
 from ..smm import (
     elementwise_steps,
@@ -276,7 +276,7 @@ class _EngineBase:
         totals: list = [None] * len(stage.shapes)
         for k, elementwise in stage.local:
             left, right = operands[k]
-            totals[k] = (hadamard if elementwise else matmul)(left, right)
+            totals[k] = matmul(left, right, len(left) if elementwise else 1)
         for (k, *_), share in zip(stage.slots, shares):
             totals[k] = share if totals[k] is None else totals[k] + share
         return [np.zeros(shape, dtype=np.uint64) if total is None else total
@@ -297,7 +297,7 @@ class _EngineBase:
         # z comes out of a truncation, so only parties 0 and 1 hold real
         # shares; all cross terms live between those two.
         (cross,) = self._run_stage(square, [(z, z)])
-        z2_f = self._shift(hadamard(z, z) + 2 * cross, narrow=True)
+        z2_f = self._shift(matmul(z, z, len(z)) + 2 * cross, narrow=True)
         (z3,) = self._run_stage(cube, [(z2_f, z)])
         sig = z * q1 + self._shift(z3, narrow=True) * q3
         if q2 is not None:

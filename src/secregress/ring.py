@@ -16,13 +16,13 @@ arithmetic, and the tests hold the two to the same words). The arithmetic
 shift reads the same bits as int64.
 
 The training loop runs on those bare arrays with numpy's own operators;
-the ring operations it calls by name are matmul and hadamard, which also
-count the multiplications. The public API is RingMatrix, which wraps one
-such array at the package's edges (the wire payload through to_bytes /
-from_bytes, the offline triples, the leakage tools; anything else reads
-its .arr), the encoding (encode_raw, decode_raw, RingMatrix.encode_rows)
-and the counted products (matmul, hadamard, and mat_mul_raw on
-RingMatrix operands, the triple dealer's one product).
+the one ring operation it calls by name is matmul, which also counts the
+multiplications. The public API is RingMatrix, which wraps one such array
+at the package's edges (the wire payload through to_bytes / from_bytes,
+the offline triples, the leakage tools; anything else reads its .arr),
+the encoding (encode_raw, decode_raw, RingMatrix.encode_rows) and the
+counted products: matmul, and mat_mul_raw on RingMatrix operands, the
+triple dealer's one product.
 """
 
 from __future__ import annotations
@@ -212,9 +212,9 @@ def matmul(a: np.ndarray, b: np.ndarray, blocks: int = 1) -> np.ndarray:
     # of an smm2 matrix-product pair.
     if blocks == 1:
         return a @ b
-    # Blocks of one row and one column (a TI elementwise product) are a
-    # broadcast product, about a third of the stacked matmul's time at
-    # n = 16.
+    # Blocks of one row and one column (an entrywise product of two
+    # columns) are a broadcast product, about a third of the stacked
+    # matmul's time at n = 16.
     if blocks == rows and inner == 1:
         return a * b
     return np.matmul(a.reshape(blocks, -1, inner),
@@ -228,12 +228,6 @@ def mat_mul_raw(a: RingMatrix, b: RingMatrix, blocks: int = 1) -> RingMatrix:
             f"{a.rows}x{a.cols} by {b.rows}x{b.cols}"
             + (f" in {blocks} blocks" if blocks != 1 else ""))
     return RingMatrix.wrap(matmul(a.arr, b.arr, blocks))
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise ring product of two arrays of one shape, counted."""
-    _count_muls(a.size)
-    return a * b
 
 
 def uniform_matrix(rows: int, cols: int, rng) -> RingMatrix:

@@ -18,7 +18,10 @@ shape, followed by the words. recv_many takes the frames a step expects
 from one peer in one call: it checks every header and payload shape,
 adds the frames to the transcript in the order given and returns the
 arrays as read-only views of the received bytes. Frame and RingMatrix
-are the edge: send, the golden frames and recorded transcripts.
+are the edge: send, the golden frames and recorded transcripts. Both
+transports share that path: arrived frame bodies wait in a per-peer
+inbox, and recv_many, the one place a party blocks, calls the transport's
+_wait while that inbox is empty.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import struct
 import sys
 import time
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +156,7 @@ class Transcript:
 class ProtocolSession(ABC):
     """One party's endpoint. send_many/recv_many move matrices; receiving
     is strict: the next frames from that peer must match the expected
-    kinds and rounds."""
+    kinds and rounds. A transport supplies _send_frames and _wait."""
 
     def __init__(self, party_id: int, n_parties: int, rng,
                  timeout: float = DEFAULT_TIMEOUT):
@@ -166,14 +168,17 @@ class ProtocolSession(ABC):
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_sent = 0
+        self._inbox = {p: [] for p in range(n_parties) if p != party_id}
+        self._gone: dict[int, str] = {}
 
     @abstractmethod
     def _send_frames(self, receiver: int, frames: list[bytes]) -> None: ...
 
     @abstractmethod
-    def _take(self, sender: int, n: int, timeout: float) -> list:
-        """Between 1 and n frame bodies from the sender, waiting for the
-        first one if none has arrived."""
+    def _wait(self, sender: int) -> None:
+        """Wait up to the session's timeout for more from the sender: add
+        the bodies of arrived frames to its inbox, or record in _gone why
+        it sends no more. Raises TransportError when the time runs out."""
 
     def send(self, receiver: int, kind: int, mat: RingMatrix,
              round_no: int) -> None:
@@ -196,23 +201,27 @@ class ProtocolSession(ABC):
         self.bytes_sent += sum(map(len, frames))
         self.frames_sent += len(frames)
 
-    def recv_many(self, sender: int, expect,
-                  timeout: float | None = None) -> list[np.ndarray]:
+    def recv_many(self, sender: int, expect) -> list[np.ndarray]:
         """The next frames from the sender, one per (kind, round) expected,
         in order, as read-only 2-d uint64 arrays.
 
         A frame whose header is not the one expected raises UnexpectedKind
         (DeserializeError when the header itself is malformed), and a
         payload that is no well-formed matrix raises DeserializeError.
-        Each checked frame joins the transcript.
+        Each checked frame joins the transcript. A sender gone before the
+        last frame raises PeerClosed.
         """
         if sender == self.party_id or not 0 <= sender < self.n_parties:
             raise TransportError(f"bad sender {sender}")
-        timeout = self.timeout if timeout is None else timeout
         me, want, out = self.party_id, len(expect), []
-        got = 0
+        inbox, got = self._inbox[sender], 0
         while got < want:
-            bodies = self._take(sender, want - got, timeout)
+            while not inbox and sender not in self._gone:
+                self._wait(sender)
+            if not inbox:
+                raise PeerClosed(f"party {sender} {self._gone[sender]}")
+            bodies = inbox[:want - got]
+            del inbox[:want - got]
             for body in bodies:
                 kind, round_no = expect[got]
                 got += 1
@@ -252,36 +261,27 @@ _CLOSE_SENTINEL = None
 
 class LoopbackSession(ProtocolSession):
     """Queues between threads: each send_many is one queue item holding
-    its frames, and received frames wait in a per-peer list until taken."""
+    its frames, and a wait takes the next item into the sender's inbox."""
 
     def __init__(self, party_id, n_parties, rng, channels, timeout):
         super().__init__(party_id, n_parties, rng, timeout)
         self._channels = channels  # dict[(src, dst)] -> SimpleQueue
-        self._held = {p: [] for p in range(n_parties) if p != party_id}
 
     def _send_frames(self, receiver, frames):
         self._channels[(self.party_id, receiver)].put(frames)
 
-    def _take(self, sender, n, timeout):
-        held = self._held[sender]
-        if not held:
-            try:
-                frames = self._channels[(sender, self.party_id)].get(
-                    timeout=timeout)
-            except queue.Empty:
-                raise TransportError(
-                    f"party {self.party_id}: nothing from {sender} "
-                    f"after {timeout:.0f}s") from None
-            if frames is _CLOSE_SENTINEL:
-                raise PeerClosed(f"party {sender} closed the channel")
-            # strip each length prefix, no copy
-            held = [memoryview(data)[4:] for data in frames]
-            if len(held) <= n:
-                return held
-            self._held[sender] = held
-        out = held[:n]
-        del held[:n]
-        return out
+    def _wait(self, sender):
+        try:
+            frames = self._channels[(sender, self.party_id)].get(
+                timeout=self.timeout)
+        except queue.Empty:
+            raise TransportError(
+                f"party {self.party_id}: nothing from {sender} "
+                f"after {self.timeout:.0f}s") from None
+        if frames is _CLOSE_SENTINEL:
+            self._gone[sender] = "closed the channel"
+        else:  # strip each length prefix, no copy
+            self._inbox[sender] += [memoryview(data)[4:] for data in frames]
 
     def close(self):
         for (src, dst), q in self._channels.items():
@@ -339,14 +339,14 @@ class TcpSession(ProtocolSession):
     connected (a duplicate, or any higher id) is refused.
 
     Once connected, every socket is non-blocking and only the party's own
-    thread touches them; there are no reader threads. A receive first
-    reads the one peer's socket directly, and waits only when no frame
-    from that peer has arrived. Whenever the party waits, for a peer's
+    thread touches them; there are no reader threads. A wait for a peer's
+    frames first reads that peer's socket, and selects only when no whole
+    frame from it has arrived. Whenever the party selects, for a peer's
     frames or in a send the kernel cannot take yet, it reads every peer
-    that has bytes ready into that peer's buffer and splits off each
-    complete frame. So a large send can never deadlock against a peer's
-    own large send, nor against a chain of parties each waiting on the
-    next: a party that waits keeps draining everyone. The wait is a
+    that has bytes ready into that peer's buffer and moves each complete
+    frame to that peer's inbox. So a large send can never deadlock against
+    a peer's own large send, nor against a chain of parties each waiting
+    on the next: a party that waits keeps draining everyone. The wait is a
     selectors.DefaultSelector, the platform's best portable poll.
     """
 
@@ -359,8 +359,6 @@ class TcpSession(ProtocolSession):
         self._roster = roster_hash(endpoints)
         self._socks: dict[int, socket.socket] = {}
         self._bufs: dict[int, bytearray] = {}
-        self._frames: dict[int, deque] = {}
-        self._gone: dict[int, str] = {}  # peer -> why it sends no more
         self._closed = False
         self._connect_all()
         self._selector = selectors.DefaultSelector()
@@ -369,7 +367,6 @@ class TcpSession(ProtocolSession):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._selector.register(sock, _READ, peer)
             self._bufs[peer] = bytearray()
-            self._frames[peer] = deque()
 
     # connection setup
 
@@ -459,8 +456,8 @@ class TcpSession(ProtocolSession):
     # steady state
 
     def _pump(self, peer: int) -> None:
-        """Read whatever the peer's socket holds and queue the body of
-        every frame it completes."""
+        """Read whatever the peer's socket holds and put the body of every
+        frame it completes in the peer's inbox."""
         sock, buf = self._socks[peer], self._bufs[peer]
         gone = None
         try:
@@ -480,13 +477,13 @@ class TcpSession(ProtocolSession):
         # copy the buffer out only once it holds a whole frame
         if end >= 4 and 4 + (buf[0] << 24 | buf[1] << 16 | buf[2] << 8
                              | buf[3]) <= end:
-            data, off, frames = bytes(buf), 0, self._frames[peer]
+            data, off, inbox = bytes(buf), 0, self._inbox[peer]
             while end - off >= 4:
                 stop = off + 4 + (data[off] << 24 | data[off + 1] << 16
                                   | data[off + 2] << 8 | data[off + 3])
                 if stop > end:
                     break
-                frames.append(data[off + 4:stop])
+                inbox.append(data[off + 4:stop])
                 off = stop
             del buf[:off]
         if gone is not None:
@@ -544,19 +541,13 @@ class TcpSession(ProtocolSession):
                 if receiver not in self._gone:
                     self._selector.modify(sock, _READ, receiver)
 
-    def _take(self, sender, n, timeout):
-        frames = self._frames[sender]
-        if not frames and sender not in self._gone:
-            # read first: a reply that has already arrived needs no wait
-            self._pump(sender)
-            if not frames:
-                deadline = time.monotonic() + timeout
-                what = f"nothing from {sender} after {timeout:.0f}s"
-                while not frames and sender not in self._gone:
-                    self._select(deadline, what)
-        if not frames:
-            raise PeerClosed(f"party {sender} {self._gone[sender]}")
-        return [frames.popleft() for _ in range(min(n, len(frames)))]
+    def _wait(self, sender):
+        # read first: a reply that has already arrived needs no wait
+        self._pump(sender)
+        inbox, deadline = self._inbox[sender], time.monotonic() + self.timeout
+        while not inbox and sender not in self._gone:
+            self._select(deadline, f"nothing from {sender} after "
+                         f"{self.timeout:.0f}s")
 
     def close(self):
         self._closed = True

@@ -704,12 +704,17 @@ def test_a_model_that_left_its_replay_exits_5(tmp_path, capsys, task,
         assert f"learning rate {lr}" in err
 
 
-@pytest.mark.parametrize("lr, rc", [(1, 0), (64, 5)])
-def test_a_diverged_plaintext_run_exits_5(tmp_path, capsys, lr, rc):
-    # at learning rate 64 the logistic reference overflows in fold 0
+@pytest.mark.parametrize("task, lr, rc", [
+    ("LoRe", 1, 0), ("LoRe", 64, 5), ("LiRe", 1, 0), ("LiRe", 64, 5),
+], ids=["1-0", "64-5", "LiRe-1-0", "LiRe-64-5"])
+def test_a_diverged_plaintext_run_exits_5(tmp_path, capsys, task, lr, rc):
+    # at learning rate 64 the logistic reference overflows in fold 0; the
+    # linear one stays finite but ends far worse than w = 0 (LiRe at lr 1
+    # reaches a training mse of at most 3.6e-4)
+    kind = "synthetic-linear" if task == "LiRe" else "synthetic-logistic"
     raw = spec_dict(
-        task="LoRe", scheme="plaintext",
-        dataset={"kind": "synthetic-logistic", "m": 64, "d": 4, "seed": 3},
+        task=task, scheme="plaintext",
+        dataset={"kind": kind, "m": 64, "d": 4, "seed": 3},
         config={"learning_rate": lr, "batch_size": 8, "iterations": 40,
                 "seed": "5"})
     del raw["smm_variant"]
@@ -720,8 +725,10 @@ def test_a_diverged_plaintext_run_exits_5(tmp_path, capsys, lr, rc):
     if rc == 0:
         assert err == ""
     else:
-        assert err.startswith("replay check failed: fold 0: the plaintext "
-                              "model diverged at learning rate 64")
+        says = ("the plaintext model diverged" if task == "LoRe" else
+                "training mse 2.26e+143 exceeds the zero model's 0.377")
+        assert err.startswith(f"replay check failed: fold 0: {says} at "
+                              "learning rate 64")
 
 
 def test_main_plaintext_train_verb(tmp_path, capsys):

@@ -18,7 +18,6 @@ from secregress.ring import (
     RingMatrix,
     decode_raw,
     encode_raw,
-    hadamard,
     mat_mul_raw,
     matmul,
     mul_op_count,
@@ -242,7 +241,8 @@ def test_mul_op_counter():
     mat_mul_raw(RingMatrix(1, 1, [0]), RingMatrix(1, 1, [0]))
     assert mul_op_count() - before == 61
     matmul(np.zeros((2, 3), np.uint64), np.zeros((3, 2), np.uint64))
-    hadamard(np.zeros((4, 1), np.uint64), np.zeros((4, 1), np.uint64))
+    # an entrywise product of two 4-entry columns: 4 blocks of 1 by 1
+    matmul(np.zeros((4, 1), np.uint64), np.zeros((4, 1), np.uint64), 4)
     assert mul_op_count() - before == 61 + 12 + 4
 
 
@@ -263,7 +263,7 @@ def test_mul_op_counter_loses_no_update_across_threads():
     one = np.ones((1, 1), dtype=np.uint64)
     per_thread = 2000
     threads = [threading.Thread(
-        target=lambda: [hadamard(one, one) for _ in range(per_thread)])
+        target=lambda: [matmul(one, one, 1) for _ in range(per_thread)])
         for _ in range(4)]
     old = sys.getswitchinterval()
     before = mul_op_count()
@@ -306,12 +306,15 @@ def test_kernels_match_the_integer_reference(data):
     r, k, c = data.draw(dims), data.draw(dims), data.draw(dims)
     a, b = _matrix(data, r, k), _matrix(data, r, k)
     y = _matrix(data, k, c)
+    u, v = _matrix(data, r, 1), _matrix(data, r, 1)
     raw = data.draw(words)
     bits = data.draw(st.integers(0, 63))
     ma, mb, my = (RingMatrix(*m) for m in (a, b, y))
     # the ring operations the loop calls by name
     _same(matmul(ma.arr, my.arr), ref.matmul(a, y))
-    _same(hadamard(ma.arr, mb.arr), ref.hadamard(a, b))
+    # an entrywise product of two columns, as r blocks of 1 by 1
+    _same(matmul(RingMatrix(*u).arr, RingMatrix(*v).arr, r),
+          ref.hadamard(u, v))
     _same(mat_mul_raw(ma, my), ref.matmul(a, y))
     # numpy's operators on the words, as _shift, _update and
     # _sigmoid_from_zf write them: public words are np.uint64 scalars, the

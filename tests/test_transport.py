@@ -133,17 +133,44 @@ def test_recv_validates_kind_and_round():
         s[1].recv_many(0, [(KIND_SMM_D, 6)])
 
 
-def test_recv_timeout():
-    s = loopback_sessions(2, make_rngs(2, "tmo"), timeout=0.05)
-    with pytest.raises(TransportError):
-        s[0].recv_many(1, [(KIND_SMM_D, 0)])
+def two_sessions(transport, tag, timeout=20.0):
+    """Parties 0 and 1 of two over loopback queues or localhost TCP."""
+    if transport == "loopback":
+        return loopback_sessions(2, make_rngs(2, tag), timeout=timeout)
+    return tcp_sessions(2, tag, timeout=timeout)
 
 
-def test_peer_closed():
-    s = loopback_sessions(2, make_rngs(2, "closed"))
-    s[0].close()
-    with pytest.raises(PeerClosed):
-        s[1].recv_many(0, [(KIND_SMM_D, 0)])
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_recv_timeout(transport):
+    s = two_sessions(transport, "tmo", timeout=0.3)
+    try:
+        with pytest.raises(TransportError, match="party 0: nothing from 1"):
+            s[0].recv_many(1, [(KIND_SMM_D, 0)])
+    finally:
+        for x in s:
+            x.close()
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_peer_closed(transport):
+    s = two_sessions(transport, "closed")
+    a, b = RingMatrix(1, 1, [1]), RingMatrix(1, 2, [2, 3])
+    try:
+        # a send_many of no frames delivers nothing; what follows arrives
+        s[0].send_many(1, [])
+        s[0].send_many(1, [(KIND_SMM_D, a.arr, 0), (KIND_SMM_E, b.arr, 0)])
+        s[0].close()
+        # two frames of one write, taken one at a time: the second waits
+        # in the inbox between the calls, and only then is the peer gone
+        (got_a,) = s[1].recv_many(0, [(KIND_SMM_D, 0)])
+        (got_b,) = s[1].recv_many(0, [(KIND_SMM_E, 0)])
+        assert (got_a.tolist(), got_b.tolist()) == ([[1]], [[2, 3]])
+        assert len(s[1].transcript) == 2
+        with pytest.raises(PeerClosed, match="^party 0 closed the"):
+            s[1].recv_many(0, [(KIND_SMM_D, 1)])
+    finally:
+        for x in s:
+            x.close()
 
 
 def test_transcript_records_received_only():

@@ -20,6 +20,14 @@ iterations times folds (the engine runs of one party). The count takes in
 every counted product of those runs, the dealer's included, and is
 deterministic as well.
 
+It also prints each spec's blocking waits per party-iteration, one figure
+per party: the profiled calls of the sessions' _wait methods (recv_many
+calls _wait while the inbox it reads is empty, the one place a party
+blocks for frames) over that party's runs, divided by its iterations.
+Their sum over the parties is the waits per iteration. In threads mode a
+wait takes exactly one queued send_many, so the figure does not depend on
+how the threads are scheduled.
+
 For each TI spec it also prints the dealer's words per iteration: the
 words every party draws from the trusted initializer's streams
 (smm.triple_halves, counted at CounterDrbg.u64_array) for one iteration's
@@ -71,10 +79,11 @@ def specs():
             }, _scaling_point
 
 
-def counts_per_iteration(raw: dict, how) -> tuple[float, float]:
-    """Engine-only profiled calls per party-run per iteration, and ring
-    multiplications per iteration over all parties."""
-    runs: list[tuple[int, int]] = []
+def counts_per_iteration(raw: dict, how) -> tuple[float, float, list]:
+    """Engine-only profiled calls per party-run per iteration, ring
+    multiplications per iteration over all parties, and each party's
+    blocking waits per iteration."""
+    runs: list[tuple[int, int, int, int]] = []
     originals = {cls: cls.run for cls in (HorizontalEngine, VerticalEngine)}
 
     def profiled(original):
@@ -85,8 +94,12 @@ def counts_per_iteration(raw: dict, how) -> tuple[float, float]:
                 return original(self, *args, **kwargs)
             finally:
                 prof.disable()
-                runs.append((pstats.Stats(prof).total_calls,
-                             self.cfg.iterations))
+                stats = pstats.Stats(prof)
+                waits = sum(counts[1] for (path, _line, name), counts
+                            in stats.stats.items() if name == "_wait"
+                            and path.endswith("transport.py"))
+                runs.append((stats.total_calls, waits, self.cfg.iterations,
+                             self.me))
         return run
 
     try:
@@ -99,9 +112,11 @@ def counts_per_iteration(raw: dict, how) -> tuple[float, float]:
     finally:
         for cls, original in originals.items():
             cls.run = original
-    party_iterations = sum(iters for _calls, iters in runs) / spec.parties
-    return (sum(calls / iters for calls, iters in runs) / len(runs),
-            muls / party_iterations)
+    party_iterations = sum(iters for _c, _w, iters, _p in runs) / spec.parties
+    waits = [sum(w for _c, w, _i, p in runs if p == party) / party_iterations
+             for party in range(spec.parties)]
+    return (sum(calls / iters for calls, _w, iters, _p in runs) / len(runs),
+            muls / party_iterations, waits)
 
 
 def dealer_words_per_iteration(raw: dict) -> int:
@@ -131,13 +146,15 @@ def dealer_words_per_iteration(raw: dict) -> int:
 
 
 def main() -> int:
-    out, muls, dealer = {}, {}, {}
+    out, muls, waits, dealer = {}, {}, {}, {}
     for name, raw, how in specs():
-        calls, muls[name] = counts_per_iteration(raw, how)
+        calls, muls[name], waits[name] = counts_per_iteration(raw, how)
         out[name] = round(calls, 1)
         if raw["smm_variant"] == "TI":
             dealer[name] = dealer_words_per_iteration(raw)
     out["ring_muls_per_iteration"] = {k: round(v, 1) for k, v in muls.items()}
+    out["waits_per_party_iteration"] = {
+        k: [round(w, 2) for w in v] for k, v in waits.items()}
     out["dealer_words_per_iteration"] = dealer
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
